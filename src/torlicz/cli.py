@@ -110,10 +110,12 @@ class Report:
 
 
 def _jsonable(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -121,6 +123,12 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     return obj
+
+
+def _dumps(obj, **kwargs) -> str:
+    """Strict JSON: non-finite floats become the strings "inf", "-inf" and
+    "nan" (float() reads them back), never the non-standard tokens."""
+    return json.dumps(_jsonable(obj), sort_keys=True, allow_nan=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +656,8 @@ def run_check(spec: CheckSpec) -> dict:
     runner = CHECK_RUNNERS.get(spec.check)
     if runner is None:
         raise ValueError(f"unknown check {spec.check!r}; known: {sorted(CHECK_RUNNERS)}")
+    if spec.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {spec.trials}")
     out = {"check": spec.check, "spec": asdict(spec)}
     out.update(_jsonable(runner(spec)))
     return out
@@ -734,7 +744,7 @@ def emit_report(report: Report, fmt: str = "json") -> str:
         "pass": report.passed,
     }
     if fmt == "json":
-        return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable)
+        return _dumps(doc, indent=2)
     if fmt == "csv":
         import csv as _csv
         import io
@@ -745,7 +755,7 @@ def emit_report(report: Report, fmt: str = "json") -> str:
         for res in report.results:
             metric, value = _headline_metric(res)
             witness = (
-                json.dumps(_jsonable(res.get("witness")), sort_keys=True)
+                _dumps(res.get("witness"))
                 if res.get("witness") is not None
                 else ""
             )
@@ -808,8 +818,7 @@ def parse_function_file(path: str, group=None) -> SupportedFunction:
 
 def save_function_file(f: SupportedFunction, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(function_to_json(f), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_dumps(function_to_json(f), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +838,7 @@ def _cmd_norm(args) -> int:
         w = parse_weight(f.group, args.weight)
         out["weighted_orlicz"] = orlicz_norm(f.mul_pointwise(w), pair)
         out["weighted_l1"] = weighted_l1_norm(f, w)
-    print(json.dumps(_jsonable(out), sort_keys=True, indent=2))
+    print(_dumps(out, indent=2))
     return 0
 
 
@@ -841,7 +850,7 @@ def _cmd_conv(args) -> int:
     if args.out:
         save_function_file(h, args.out)
     else:
-        print(json.dumps(_jsonable(function_to_json(h)), sort_keys=True, indent=2))
+        print(_dumps(function_to_json(h), indent=2))
     return 0
 
 
@@ -849,20 +858,20 @@ def _cmd_growth(args) -> int:
     group = parse_group(args.group)
     sizes = ball_sizes(group, args.nmax)
     fit = growth_degree_estimate(sizes)
-    print(json.dumps(
+    print(_dumps(
         {"group": group.name, "sizes": sizes, "degree": fit.degree, "residual": fit.residual,
          "window": list(fit.window)},
-        sort_keys=True, indent=2,
+        indent=2,
     ))
     return 0
 
 
 def _cmd_plemma(args) -> int:
     res = analyze_p_function(args.beta, args.gamma, args.C)
-    print(json.dumps(
+    print(_dumps(
         {"beta": args.beta, "gamma": args.gamma, "C": args.C, "x0": res.x0,
          "M": res.m_const, "violations": res.violations},
-        sort_keys=True, indent=2,
+        indent=2,
     ))
     return 0 if res.violations == 0 else 1
 
@@ -882,7 +891,7 @@ def _cmd_check(args) -> int:
         params=params,
     )
     res = run_check(spec)
-    print(json.dumps(_jsonable(res), sort_keys=True, indent=2))
+    print(_dumps(res, indent=2))
     return 0 if res["pass"] else 1
 
 

@@ -5,9 +5,12 @@ A 2-cocycle is a map Omega: G x G -> C* with
     Omega(r, s) Omega(rs, t) = Omega(s, t) Omega(r, st)
     Omega(r, e) = Omega(e, r) = 1.
 
-Cocycles are stored as callables with a memo table keyed by element pairs;
-the O(ball^2) verifiers build dense value tables instead and vectorize the
-triple check.  Every cocycle splits uniquely as |Omega| times a unimodular
+Cocycles are stored as callables with a memo table keyed by element pairs.
+Most also carry a table form, ``Cocycle.table(S, T)``, that fills the whole
+|S| x |T| value array at once without touching the memo and with the same
+bits as the scalar calls; the twisted convolution uses it on large supports.
+The O(ball^2) verifiers build dense value tables and vectorize the triple
+check.  Every cocycle splits uniquely as |Omega| times a unimodular
 phase, and both parts are again cocycles.
 
 The finite model of the circle extension realizes G x T as G x Z_n for
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements
+from .groups import Group, ball_elements, product_classes
 from .orlicz import SupportedFunction
 from .weights import Weight
 
@@ -37,11 +40,28 @@ class DominationViolation(ValueError):
         self.witness = witness
 
 
+def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b, broadcast, rounded exactly as Python's complex
+    multiply (numpy's own complex multiply may differ in the last bit)."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Cocycle:
+    """``fn`` gives one value; ``tabulate``, when present, maps int64
+    coordinate arrays S (m, k) and T (n, k), plus their
+    ``groups.product_classes`` when the caller has them (else None), to the
+    complex (m, n) array of fn(s, t), equal to the scalar values bit for
+    bit, or to None when it cannot (then callers fall back to scalar
+    calls)."""
+
     group: Group
     fn: object
     name: str
+    tabulate: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
@@ -57,12 +77,27 @@ class Cocycle:
             self._memo[key] = v
         return v
 
+    def table(self, S: np.ndarray, T: np.ndarray, classes=None) -> np.ndarray | None:
+        """All values on S x T as a complex array, or None without a table
+        form.  ``classes`` is ``product_classes(group, S, T)`` if already
+        computed.  The memo is neither read nor filled."""
+        if self.tabulate is None:
+            return None
+        tab = self.tabulate(S, T, classes)
+        if tab is not None and not tab.all():
+            i, j = np.argwhere(tab == 0)[0]
+            key = (tuple(S[i].tolist()), tuple(T[j].tolist()))
+            raise ValueError(f"cocycle {self.name} vanishes at {key}")
+        return tab
+
     def __repr__(self):  # pragma: no cover
         return f"Cocycle({self.name} on {self.group.name})"
 
 
 def one_cocycle(group: Group) -> Cocycle:
-    return Cocycle(group, lambda s, t: 1.0, "one")
+    return Cocycle(
+        group, lambda s, t: 1.0, "one", lambda S, T, _: np.ones((len(S), len(T)), dtype=complex)
+    )
 
 
 def coboundary_from_weight(w: Weight) -> Cocycle:
@@ -73,7 +108,19 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
     def fn(s, t):
         return w(group.op(s, t)) / (w(s) * w(t))
 
-    return Cocycle(group, fn, f"cobound:{w.name}")
+    def tabulate(S, T, classes):
+        if classes is None:
+            classes = product_classes(group, S, T)
+        if classes is None:
+            return None
+        prods, first, inverse = classes
+        w_st = np.array([w(tuple(p)) for p in prods[first].tolist()])[inverse]
+        w_s = np.array([w(tuple(s)) for s in S.tolist()])
+        w_t = np.array([w(tuple(t)) for t in T.tolist()])
+        ratio = w_st.reshape(len(S), len(T)) / (w_s[:, None] * w_t[None, :])
+        return ratio.astype(complex)
+
+    return Cocycle(group, fn, f"cobound:{w.name}", tabulate)
 
 
 def bicharacter_cocycle(group: Group, theta: float | None = None) -> Cocycle:
@@ -81,26 +128,54 @@ def bicharacter_cocycle(group: Group, theta: float | None = None) -> Cocycle:
 
     On Z^d (d >= 2): Omega(x, y) = exp(i theta x_d y_1); on Z it pairs the
     single coordinates.  On cyclic groups and their products the same
-    pairing applies with the default theta = 2 pi / n, which makes the
-    values n-th roots of unity.
+    pairing applies with the default theta = 2 pi / gcd(n_first, n_last):
+    the pairing multiplies a last coordinate in Z_{n_last} with a first one
+    in Z_{n_first}, so it is well defined only when theta kills both
+    orders.  The values are then gcd-th roots of unity; a gcd of 1 leaves
+    only the trivial cocycle and is rejected.
     """
     if theta is None:
-        if group.name.startswith("Zn:"):
-            n = int(group.name.split(":", 1)[1].split("x")[0])
-            theta = 2.0 * math.pi / n
-        else:
+        if not group.name.startswith("Zn:"):
             raise ValueError("theta is required for infinite groups")
+        orders = [int(n) for n in group.name.split(":", 1)[1].split("x")]
+        n = math.gcd(orders[0], orders[-1])
+        if n == 1:
+            raise ValueError(
+                f"bichar on {group.name} needs an explicit theta: the default "
+                f"2 pi / gcd({orders[0]}, {orders[-1]}) is trivial"
+            )
+        theta = 2.0 * math.pi / n
+
+    def pairing(a, b):
+        return cmath.exp(1j * theta * a * b)
 
     def fn(s, t):
-        return cmath.exp(1j * theta * s[-1] * t[0])
+        return pairing(s[-1], t[0])
 
-    return Cocycle(group, fn, f"bichar:{theta:g}")
+    def tabulate(S, T, _):
+        # one scalar exp per distinct (s_last, t_first) pair, then a gather
+        a, ia = np.unique(S[:, -1], return_inverse=True)
+        b, ib = np.unique(T[:, 0], return_inverse=True)
+        vals = np.array([[pairing(x, y) for y in b.tolist()] for x in a.tolist()], dtype=complex)
+        return vals[np.ix_(ia, ib)]
+
+    return Cocycle(group, fn, f"bichar:{theta:g}", tabulate)
 
 
 def product_cocycle(c1: Cocycle, c2: Cocycle) -> Cocycle:
     if c1.group is not c2.group and c1.group.name != c2.group.name:
         raise ValueError("product of cocycles on different groups")
-    return Cocycle(c1.group, lambda s, t: c1(s, t) * c2(s, t), f"prod:{c1.name}*{c2.name}")
+
+    # complex() on both factors: a float factor multiplies as (x, 0.0) on
+    # every Python version, as it does in the table
+    def fn(s, t):
+        return complex(c1(s, t)) * complex(c2(s, t))
+
+    def tabulate(S, T, classes):
+        t1, t2 = c1.table(S, T, classes), c2.table(S, T, classes)
+        return None if t1 is None or t2 is None else complex_product(t1, t2)
+
+    return Cocycle(c1.group, fn, f"prod:{c1.name}*{c2.name}", tabulate)
 
 
 def polar(omega: Cocycle):
@@ -111,13 +186,33 @@ def polar(omega: Cocycle):
     def modulus_fn(s, t):
         return abs(omega(s, t))
 
+    # v / |v| divided as by the complex (|v|, 0.0), written out in real
+    # arithmetic: Python 3.14 divides a complex by a float componentwise,
+    # which differs in the sign of zero, so both forms use this formula
     def phase_fn(s, t):
-        v = omega(s, t)
-        return v / abs(v)
+        v = complex(omega(s, t))
+        mod = abs(v)
+        return complex((v.real + v.imag * 0.0) / mod, (v.imag - v.real * 0.0) / mod)
+
+    # np.hypot rounds like abs(complex) (np.abs may not)
+    def modulus_table(S, T, classes):
+        tab = omega.table(S, T, classes)
+        return None if tab is None else np.hypot(tab.real, tab.imag).astype(complex)
+
+    def phase_table(S, T, classes):
+        tab = omega.table(S, T, classes)
+        if tab is None:
+            return None
+        re, im = tab.real, tab.imag
+        mod = np.hypot(re, im)
+        out = np.empty_like(tab)
+        out.real = (re + im * 0.0) / mod
+        out.imag = (im - re * 0.0) / mod
+        return out
 
     return (
-        Cocycle(omega.group, modulus_fn, f"abs({omega.name})"),
-        Cocycle(omega.group, phase_fn, f"phase({omega.name})"),
+        Cocycle(omega.group, modulus_fn, f"abs({omega.name})", modulus_table),
+        Cocycle(omega.group, phase_fn, f"phase({omega.name})", phase_table),
     )
 
 

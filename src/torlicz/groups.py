@@ -51,6 +51,7 @@ class Group:
     generators: tuple
     length_hint: Callable | None = None
     order: int | None = None
+    op_many: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -215,6 +216,42 @@ def growth_degree_estimate(sizes: Iterable[int]) -> GrowthFit:
     )
 
 
+def _element_keys(coords: np.ndarray) -> np.ndarray | None:
+    """One int64 key per row of an integer coordinate array, injective on
+    the rows (mixed radix over the column ranges), or None when the key
+    range would overflow int64."""
+    cols = coords.T  # per-column reductions: numpy's axis=0 ones are slow here
+    lo = [int(c.min()) for c in cols]
+    spans = [int(c.max()) - a + 1 for c, a in zip(cols, lo)]
+    if math.prod(spans) >= 2**63:
+        return None
+    keys = np.zeros(len(coords), dtype=np.int64)
+    for c, a, span in zip(cols, lo, spans):
+        keys = keys * span + (c - a)
+    return keys
+
+
+def product_classes(group: Group, S: np.ndarray, T: np.ndarray):
+    """All products s t of two int64 coordinate arrays, flattened row-major
+    over S x T, with np.unique's ``first`` (index of each distinct
+    product's first occurrence, in sorted key order) and ``inverse`` (class
+    of every product).  None when the group has no ``op_many`` or the
+    products do not pack into int64 keys."""
+    if group.op_many is None:
+        return None
+    prods = group.op_many(S, T).reshape(len(S) * len(T), -1)
+    keys = _element_keys(prods)
+    if keys is None:
+        return None
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return prods, first, inverse
+
+
+def _pairwise(fn):
+    """op_many from an elementwise operation on broadcast coordinate arrays."""
+    return lambda S, T: fn(S[:, None, :], T[None, :, :])
+
+
 # ---------------------------------------------------------------------------
 # Constructors
 
@@ -232,6 +269,7 @@ def integer_lattice(d: int) -> Group:
         identity=(0,) * d,
         generators=gens,
         length_hint=lambda a: max(abs(x) for x in a) if a else 0,
+        op_many=_pairwise(np.add),
     )
 
 
@@ -246,8 +284,16 @@ def heisenberg_group() -> Group:
     def inv(u):
         return (-u[0], -u[1], -u[2] + u[0] * u[1])
 
+    def op_many(S, T):
+        u, v = S[:, None, :], T[None, :, :]
+        out = u + v
+        out[..., 2] += u[..., 0] * v[..., 1]
+        return out
+
     gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    return Group(name="H3", op=op, inv=inv, identity=(0, 0, 0), generators=gens)
+    return Group(
+        name="H3", op=op, inv=inv, identity=(0, 0, 0), generators=gens, op_many=op_many
+    )
 
 
 def cyclic_group(n: int) -> Group:
@@ -290,6 +336,7 @@ def cyclic_product_group(orders: tuple) -> Group:
         generators=tuple(sorted(gens)),
         length_hint=hint,
         order=order,
+        op_many=_pairwise(lambda u, v: (u + v) % np.array(orders, dtype=np.int64)),
     )
 
 
@@ -315,6 +362,7 @@ def block_group(n_blocks: int) -> Group:
         generators=gens,
         length_hint=lambda a: sum(a),
         order=2**n_blocks,
+        op_many=_pairwise(np.bitwise_xor),
     )
 
 

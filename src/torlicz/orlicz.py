@@ -117,10 +117,6 @@ def l1_norm(f: SupportedFunction) -> float:
     return float(sum(abs(v) for v in f.values.values()))
 
 
-def sup_norm(f: SupportedFunction) -> float:
-    return float(max((abs(v) for v in f.values.values()), default=0.0))
-
-
 def weighted_l1_norm(f: SupportedFunction, w) -> float:
     return float(sum(abs(v) * w(s) for s, v in f.values.items()))
 

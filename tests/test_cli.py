@@ -1,12 +1,16 @@
+import functools
 import json
+import math
 
 import pytest
 
+from torlicz import cli, twisted
 from torlicz.cli import (
     CHECK_RUNNERS,
     CHECKER_COVERAGE,
     CheckSpec,
     SUITES,
+    _jsonable,
     emit_report,
     main,
     parse_function_file,
@@ -280,3 +284,45 @@ def test_threaded_suite_matches_sequential(monkeypatch):
     a["environment"].pop("timestamp")
     b["environment"].pop("timestamp")
     assert a == b
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cmd_check_rejects_nonpositive_trials(trials, capsys):
+    assert main(["check", "holder", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "trials must be >= 1" in err
+    with pytest.raises(ValueError):
+        run_check(CheckSpec(check="holder", trials=0))
+
+
+def test_json_output_encodes_non_finite_floats(tmp_path, capsys):
+    assert _jsonable([math.inf, -math.inf, complex(math.nan, 1.0)]) == ["inf", "-inf", ["nan", 1.0]]
+    f = SupportedFunction(integer_lattice(1), {(0,): complex(math.inf, -1.0)})
+    path = str(tmp_path / "inf.json")
+    save_function_file(f, path)
+    with open(path, encoding="utf-8") as fh:
+        doc = _strict_loads(fh.read())
+    assert doc["support"][0]["re"] == "inf"
+    assert parse_function_file(path).values == f.values
+    # complex products of infinities give nan components, also printed as strings
+    assert main(["conv", "--cocycle", "one", "--in", path, path]) == 0
+    assert _strict_loads(capsys.readouterr().out)["support"][0]["re"] == "nan"
+
+
+def test_cmd_check_output_is_strict_json(capsys):
+    assert main(["check", "holder", "--trials", "2"]) == 0
+    _strict_loads(capsys.readouterr().out)
+
+
+def test_cmd_check_spectral_support_budget_exits_2(capsys, monkeypatch):
+    small_budget = functools.partial(twisted.spectral_radius_estimate, support_cap=200)
+    monkeypatch.setattr(cli, "spectral_radius_estimate", small_budget)
+    assert main(["check", "spectral", "--group", "Z^d:2", "--params", '{"n_max": 40}']) == 2
+    assert "budget error" in capsys.readouterr().err

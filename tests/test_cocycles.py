@@ -18,7 +18,7 @@ from torlicz.cocycles import (
     product_cocycle,
     verify_cocycle,
 )
-from torlicz.groups import ball_elements, cyclic_group, integer_lattice
+from torlicz.groups import ball_elements, cyclic_group, integer_lattice, parse_group
 from torlicz.orlicz import SupportedFunction, delta, l1_norm
 from torlicz.twisted import twisted_convolve
 from torlicz.weights import constant_weight, make_poly_weight
@@ -224,3 +224,51 @@ def test_parse_cocycle_specs():
     assert abs(om((1,), (1,))) == pytest.approx(3.0 / 4.0)
     with pytest.raises(ValueError):
         parse_cocycle(Z1, "mystery")
+
+
+@pytest.mark.parametrize("spec", ["Zn:4", "Zn:2x2", "Zn:4x6", "Zn:6x4", "Zn:3x3", "Zn:2x3x4"])
+def test_default_bicharacter_is_a_cocycle_on_cyclic_products(spec):
+    group = parse_group(spec)
+    om = parse_cocycle(group, "bichar:")
+    rep = verify_cocycle(om, 3)
+    assert rep.identity_residual <= 1e-10 and rep.normalization_residual <= 1e-10
+    # the table form follows the same theta as the scalar values
+    elems = ball_elements(group, 3)
+    coords = np.array(elems, dtype=np.int64)
+    table = om.table(coords, coords)
+    assert all(table[i, j] == om(s, t) for i, s in enumerate(elems) for j, t in enumerate(elems))
+
+
+@pytest.mark.parametrize("spec", ["Zn:3x4", "Zn:5x2", "Zn:1"])
+def test_default_bicharacter_rejects_coprime_end_orders(spec):
+    with pytest.raises(ValueError, match="explicit theta"):
+        parse_cocycle(parse_group(spec), "bichar:")
+
+
+@pytest.mark.parametrize("group_spec", ["Z^d:2", "H3", "Zn:4x6", "Block:4"])
+@pytest.mark.parametrize(
+    "spec",
+    ["one", "bichar:0.8", "cobound:poly:1.5", "cobound:subexp:0.5:1", "prod:cobound:poly:1*bichar:0.9"],
+)
+def test_table_equals_scalar_values_bit_for_bit(group_spec, spec):
+    group = parse_group(group_spec)
+    elems = ball_elements(group, 2)
+    coords = np.array(elems, dtype=np.int64)
+    tabled = parse_cocycle(group, spec)
+    parts = polar(parse_cocycle(group, spec))
+    tables = [tabled.table(coords, coords)] + [p.table(coords, coords) for p in parts]
+    assert not tabled._memo
+    scalar = parse_cocycle(group, spec)
+    for tab, om in zip(tables, [scalar] + list(polar(scalar))):
+        for i, s in enumerate(elems):
+            for j, t in enumerate(elems):
+                v = om(s, t)
+                assert (tab[i, j].real.hex(), tab[i, j].imag.hex()) == (v.real.hex(), v.imag.hex())
+
+
+def test_table_is_none_without_a_table_form_and_flags_zeros():
+    coords = np.array([[0], [1]], dtype=np.int64)
+    assert Cocycle(Z1, lambda s, t: 1.0, "scalar").table(coords, coords) is None
+    vanishing = Cocycle(Z1, lambda s, t: 0.0, "zero", lambda S, T, _: np.zeros((len(S), len(T)), complex))
+    with pytest.raises(ValueError, match="vanishes"):
+        vanishing.table(coords, coords)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -20,6 +21,7 @@ from torlicz.groups import (
     heisenberg_group,
     integer_lattice,
     parse_group,
+    product_classes,
     word_length,
 )
 
@@ -209,3 +211,30 @@ def test_cyclic_product_word_length():
     oracle = bfs_oracle(group, 8)
     for g, d in oracle.items():
         assert word_length(group, g) == d
+
+
+@pytest.mark.parametrize("spec", ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5"])
+def test_op_many_agrees_with_op(spec):
+    group = parse_group(spec)
+    elems = ball_elements(group, 3)
+    rng = np.random.default_rng(2)
+    left = [elems[k] for k in rng.integers(0, len(elems), 20)]
+    right = [elems[k] for k in rng.integers(0, len(elems), 15)]
+    prods = group.op_many(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
+    assert prods.shape == (20, 15, len(group.identity))
+    for i, s in enumerate(left):
+        for j, t in enumerate(right):
+            assert tuple(prods[i, j].tolist()) == group.op(s, t)
+
+
+def test_product_classes_group_equal_products_and_guard_key_overflow():
+    z3 = integer_lattice(3)
+    rows = np.array([(a, b, c) for a in (-3, 0, 5) for b in (-1, 2) for c in (0, 9, -7)], dtype=np.int64)
+    zero = np.zeros((1, 3), dtype=np.int64)
+    prods, first, inverse = product_classes(z3, np.concatenate([rows, rows[::-1]]), zero)
+    assert len(first) == len(rows)
+    assert inverse[: len(rows)].tolist() == inverse[len(rows):][::-1].tolist()
+    assert sorted(map(tuple, prods[first].tolist())) == sorted(map(tuple, rows.tolist()))
+    wide = np.array([(0, 0, 0), (2**22, 2**22, 2**22)], dtype=np.int64)
+    assert product_classes(z3, wide, zero) is None
+    assert product_classes(dataclasses.replace(z3, op_many=None), rows, zero) is None

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torlicz.cocycles import (
@@ -15,7 +15,7 @@ from torlicz.cocycles import (
     polar,
     product_cocycle,
 )
-from torlicz.groups import cyclic_group, cyclic_product_group, integer_lattice
+from torlicz.groups import BudgetError, ball_elements, cyclic_group, cyclic_product_group, integer_lattice
 from torlicz.orlicz import (
     SupportedFunction,
     delta,
@@ -339,7 +339,7 @@ def test_spectral_radius_matches_dense_eigen_oracle():
 def test_spectral_radius_support_budget():
     ctx = AlgebraContext(cocycle=one_cocycle(Z2), pair=P2)
     f = SupportedFunction(Z2, {(i, j): 1.0 for i in range(-2, 3) for j in range(-2, 3)})
-    with pytest.raises(MemoryError):
+    with pytest.raises(BudgetError):
         spectral_radius_estimate(f, ctx, norm="l1", n_max=40, support_cap=100)
 
 
@@ -396,3 +396,148 @@ def test_context_group_consistency():
         AlgebraContext(
             cocycle=one_cocycle(Z1), pair=P2, weight=make_poly_weight(Z2, 1.0)
         )
+
+
+# ---------------------------------------------------------------------------
+# Table path against the exact loop
+
+
+from torlicz.cocycles import central_extension_embed, parse_cocycle  # noqa: E402
+from torlicz.groups import parse_group  # noqa: E402
+from torlicz.twisted import (  # noqa: E402
+    TABLE_MIN_PAIRS,
+    _twisted_convolve_exact,
+    _twisted_convolve_table,
+)
+from torlicz.weights import parse_weight  # noqa: E402
+
+TABLE_GROUPS = ("Z^d:1", "Z^d:2", "Z^d:3", "H3", "Zn:8", "Zn:4x6", "Zn:3x5x6", "Block:5")
+TABLE_COCYCLES = (
+    "one",
+    "bichar",
+    "cobound:poly:1.5",
+    "cobound:subexp:0.5:1",
+    "prod",
+    "abs(prod)",
+    "phase(prod)",
+)
+
+
+def _cocycle_family(group, kind):
+    """A fresh cocycle plus every cocycle it evaluates, whose memos the
+    table path must leave empty."""
+    theta = "" if group.name.startswith("Zn:") else "0.7"
+    if kind == "bichar":
+        om = parse_cocycle(group, f"bichar:{theta}")
+        return om, [om]
+    if kind in ("prod", "abs(prod)", "phase(prod)"):
+        c1 = coboundary_from_weight(parse_weight(group, "poly:1.2"))
+        c2 = parse_cocycle(group, f"bichar:{theta}")
+        om = product_cocycle(c1, c2)
+        if kind == "prod":
+            return om, [om, c1, c2]
+        modulus, phase = polar(om)
+        part = modulus if kind == "abs(prod)" else phase
+        return part, [part, om, c1, c2]
+    om = parse_cocycle(group, kind)
+    return om, [om]
+
+
+def _bits(h):
+    """Keys in order with the exact bits of both components (-0.0 included)."""
+    return [(t, v.real.hex(), v.imag.hex()) for t, v in h.values.items()]
+
+
+DYADIC = (1.0, -1.0, 2.0, -0.5, 1j, -1j, 1.0 - 1.0j)
+
+
+@st.composite
+def _table_case(draw):
+    group = parse_group(draw(st.sampled_from(TABLE_GROUPS)))
+    kind = draw(st.sampled_from(TABLE_COCYCLES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # points from a small ball give colliding products, wide coordinates
+    # sparse supports; weights on H3 need BFS word lengths, so stay in the ball
+    weighted_h3 = group.name == "H3" and kind not in ("one", "bichar")
+    sparse = draw(st.booleans()) and not weighted_h3
+    radius = 1
+    while len(ball_elements(group, radius)) < 24 and radius < 12:
+        radius += 1
+    ball = ball_elements(group, radius)
+
+    def function(size):
+        if sparse:
+            pts = map(tuple, rng.integers(-40, 41, (size, len(group.identity))).tolist())
+        else:
+            pts = (ball[k] for k in rng.integers(0, len(ball), size))
+        # dyadic values make exact cancellations likely, gaussian ones rounding
+        return SupportedFunction(
+            group,
+            {
+                p: DYADIC[rng.integers(len(DYADIC))] if rng.random() < 0.5 else complex(*rng.normal(size=2))
+                for p in pts
+            },
+        )
+
+    return group, kind, function(draw(st.integers(1, 24))), function(draw(st.integers(1, 24)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_table_case())
+def test_table_path_matches_exact_loop_bit_for_bit(case):
+    group, kind, f, g = case
+    assume(f.values and g.values)  # canonical keys can cancel on Zn and Block
+    om, family = _cocycle_family(group, kind)
+    fast = _twisted_convolve_table(f, g, om)
+    assert fast is not None
+    assert all(not c._memo for c in family)
+    oracle, _ = _cocycle_family(group, kind)
+    exact = _twisted_convolve_exact(f, g, oracle)
+    assert _bits(fast) == _bits(exact)
+    # the public dispatch agrees on both sides of the cutover
+    assert _bits(twisted_convolve(f, g, om)) == _bits(exact)
+
+
+def test_table_path_drops_exact_cancellations():
+    group = integer_lattice(2)
+    om = one_cocycle(group)
+    f = SupportedFunction(group, {(i, 0): 1.0 for i in range(16)})
+    g = SupportedFunction(group, {(0, 0): 1.0, (1, 0): -1.0, **{(0, j): 1.0 for j in range(1, 9)}})
+    assert len(f.values) * len(g.values) >= TABLE_MIN_PAIRS
+    fast = _twisted_convolve_table(f, g, om)
+    exact = _twisted_convolve_exact(f, g, one_cocycle(group))
+    # (delta_0 - delta_1) telescopes over the row: only its two ends survive
+    assert (1, 0) not in fast.values and (16, 0) in fast.values
+    assert _bits(fast) == _bits(exact)
+    assert not om._memo
+
+
+def test_table_path_declines_and_dispatch_falls_back():
+    z3 = integer_lattice(3)
+    om = one_cocycle(z3)
+    big = 2**40
+    wide = SupportedFunction(z3, {(i * big, -i * big, i * big): 1.0 + i for i in range(12)})
+    assert _twisted_convolve_table(wide, wide, om) is None  # coordinates past the limit
+    spread = 2**22  # fits int64 per coordinate, but the packed key range does not
+    sparse = SupportedFunction(z3, {(i * spread, -i * spread, i * spread): 1.0 + i for i in range(12)})
+    assert _twisted_convolve_table(sparse, sparse, om) is None
+    assert _bits(twisted_convolve(sparse, sparse, om)) == _bits(
+        _twisted_convolve_exact(sparse, sparse, one_cocycle(z3))
+    )
+    scalar_only = Cocycle(Z2, lambda s, t: 1.0, "scalar-only")
+    box = SupportedFunction(Z2, {(i, j): 1.0 for i in range(12) for j in range(12)})
+    assert _twisted_convolve_table(box, box, scalar_only) is None
+    assert _bits(twisted_convolve(box, box, scalar_only)) == _bits(
+        _twisted_convolve_exact(box, box, one_cocycle(Z2))
+    )
+    # central extensions have no array product
+    base = cyclic_group(4)
+    phase = bicharacter_cocycle(base)
+    ext_f = central_extension_embed(
+        SupportedFunction(base, {(k,): 1.0 + k for k in range(4)}), phase, 4
+    )
+    ext_one = one_cocycle(ext_f.group)
+    assert _twisted_convolve_table(ext_f, ext_f, ext_one) is None
+    assert _bits(twisted_convolve(ext_f, ext_f, ext_one)) == _bits(
+        _twisted_convolve_exact(ext_f, ext_f, one_cocycle(ext_f.group))
+    )
