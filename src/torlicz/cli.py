@@ -6,21 +6,20 @@ Subcommands: ``norm``, ``conv``, ``growth``, ``plemma``, ``check <name>``,
 
 A suite is a list of CheckSpec entries run in dependency order; reruns
 with the same seed reproduce identical numeric report fields (the
-timestamp is the only field allowed to differ).  Set TORLICZ_THREADS to
-run independent checks of a suite on a thread pool; assembly order stays
-deterministic either way.
+timestamp is the only field allowed to differ).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
-import os
+import operator
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,24 +27,28 @@ from . import __version__
 from .cocycles import (
     DominationViolation,
     domination_from_subadditive,
+    one_cocycle,
     parse_cocycle,
     polar,
     central_extension_embed,
     verify_cocycle,
 )
-from .groups import BudgetError, ball_elements, ball_sizes, growth_degree_estimate, parse_group
+from .groups import BudgetError, ball_elements, ball_sizes, growth_degree_estimate, pair_table, parse_group
 from .orlicz import (
+    SpaceContext,
     SupportedFunction,
     dual_pairing_bound,
     function_from_json,
     function_to_json,
     l1_norm,
+    lambda_map,
     luxemburg_norm,
     modular,
     orlicz_norm,
     psi_membership_series,
     random_supported_function,
     weighted_l1_norm,
+    weighted_norm,
 )
 from .twisted import (
     AlgebraContext,
@@ -61,6 +64,7 @@ from .twisted import (
     twisted_convolve,
 )
 from .weights import (
+    PFunctionError,
     analyze_p_function,
     check_grs,
     check_lss_domination,
@@ -145,10 +149,6 @@ def _ctx(spec: CheckSpec) -> AlgebraContext:
     return AlgebraContext(cocycle=cocycle, pair=pair, weight=weight, aux_weight=aux)
 
 
-def _rng(spec: CheckSpec) -> np.random.Generator:
-    return np.random.default_rng(spec.seed)
-
-
 def _run_cocycle_verify(spec: CheckSpec) -> dict:
     ctx = _ctx(spec)
     rep = verify_cocycle(ctx.cocycle, spec.radius, seed=spec.seed)
@@ -198,10 +198,7 @@ def _domination(spec: CheckSpec):
 
 
 def _run_domination(spec: CheckSpec) -> dict:
-    try:
-        _, dom = _domination(spec)
-    except DominationViolation as exc:
-        return {"pass": False, "witness": exc.witness, "error": str(exc)}
+    _, dom = _domination(spec)
     return {
         "n_psi_u": dom.n_psi_u,
         "n_psi_v": dom.n_psi_v,
@@ -211,101 +208,10 @@ def _run_domination(spec: CheckSpec) -> dict:
     }
 
 
-def _run_algebra_bound(spec: CheckSpec) -> dict:
-    ctx, dom = _domination(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    sample_radius = spec.params.get("sample_radius", max(1, spec.radius // 4))
-    worst = math.inf
-    witness = None
-    ok = True
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=sample_radius)
-        g = random_supported_function(group, rng, radius=sample_radius)
-        rep = check_algebra_bound(f, g, ctx, dom)
-        if rep["margin"] < worst:
-            worst = rep["margin"]
-            witness = {"f": function_to_json(f), "g": function_to_json(g)}
-        ok = ok and rep["pass"]
-    return {"trials": spec.trials, "worst_margin": worst, "witness": witness, "pass": ok}
-
-
-def _run_module_bound(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    worst = math.inf
-    witness = None
-    ok = True
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 3))
-        g = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 3))
-        rep = check_module_bound(f, g, ctx)
-        if rep["margin"] < worst:
-            worst = rep["margin"]
-            witness = {"f": function_to_json(f), "g": function_to_json(g)}
-        ok = ok and rep["pass"]
-    return {"trials": spec.trials, "worst_margin": worst, "witness": witness, "pass": ok}
-
-
-def _run_assoc(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    tol = spec.params.get("tol", RESIDUAL_TOL)
-    worst = 0.0
-    witness = None
-    for _ in range(spec.trials):
-        f, g, h = (
-            random_supported_function(group, rng, radius=spec.params.get("sample_radius", 3))
-            for _ in range(3)
-        )
-        rep = check_associativity(f, g, h, ctx.cocycle)
-        if rep.value > worst:
-            worst, witness = rep.value, rep.witness
-    return {"trials": spec.trials, "worst_residual": worst, "witness": witness, "pass": worst <= tol}
-
-
-def _run_intertwine(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    if ctx.weight is None:
-        raise ValueError("intertwine needs the weight of the coboundary")
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    tol = spec.params.get("tol", RESIDUAL_TOL)
-    worst = 0.0
-    witness = None
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 4))
-        g = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 4))
-        rep = check_intertwining(f, g, ctx.weight, ctx.cocycle)
-        if rep.value > worst:
-            worst, witness = rep.value, rep.witness
-    return {"trials": spec.trials, "worst_residual": worst, "witness": witness, "pass": worst <= tol}
-
-
-def _run_differential(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    worst = math.inf
-    witness = None
-    ok = True
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 3))
-        g = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 3))
-        rep = check_differential_bound(f, g, ctx, radius=spec.radius)
-        if rep["margin"] < worst:
-            worst = rep["margin"]
-            witness = {"f": function_to_json(f), "g": function_to_json(g)}
-        ok = ok and rep["pass"]
-    return {"trials": spec.trials, "worst_margin": worst, "witness": witness, "pass": ok}
-
-
 def _run_spectral(spec: CheckSpec) -> dict:
     ctx = _ctx(spec)
-    rng = _rng(spec)
     group = ctx.cocycle.group
+    rng = np.random.default_rng(spec.seed)
     f = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 2))
     n_max = spec.params.get("n_max", 24)
     seq_phi = spectral_radius_estimate(f, ctx, norm="phi", n_max=n_max)
@@ -319,28 +225,6 @@ def _run_spectral(spec: CheckSpec) -> dict:
         "relative_gap": float(gap),
         "trend_only": group.order is None,
         "pass": bool(verdict),
-    }
-
-
-def _run_symmetry_finite(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    tol = spec.params.get("tol", EIGEN_TOL)
-    worst_real = math.inf
-    worst_imag = 0.0
-    ok = True
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=2)
-        rep = finite_symmetry_check(f, ctx, tol=tol)
-        worst_real = min(worst_real, rep.min_real / rep.scale)
-        worst_imag = max(worst_imag, rep.max_imag / rep.scale)
-        ok = ok and rep.passed
-    return {
-        "trials": spec.trials,
-        "worst_scaled_min_real": worst_real,
-        "worst_scaled_max_imag": worst_imag,
-        "pass": ok,
     }
 
 
@@ -361,29 +245,22 @@ def _run_central_ext(spec: CheckSpec) -> dict:
             lhs = central_extension_embed(twisted_convolve(f, g, ctx.cocycle), ctx.cocycle, n)
             gf = central_extension_embed(f, ctx.cocycle, n)
             gg = central_extension_embed(g, ctx.cocycle, n)
-            rhs = twisted_convolve(gf, gg, _one_on(gf.group)).scale(1.0 / n)
+            rhs = twisted_convolve(gf, gg, one_cocycle(gf.group)).scale(1.0 / n)
             resid = l1_norm(lhs.sub(rhs))
             if resid > worst:
                 worst, witness = resid, (s, t)
     return {"residual": worst, "witness": witness, "n": n, "pass": worst <= tol}
 
 
-def _one_on(group):
-    from .cocycles import one_cocycle
-
-    return one_cocycle(group)
+def _constant(rep, ok: bool) -> dict:
+    """The report of a ball-pair constant (a weights.PairCheck)."""
+    return {"radius": rep.radius, "constant": rep.constant, "witness": rep.witness, "pass": ok}
 
 
 def _run_submult(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rep = check_submultiplicative(ctx.weight, spec.radius)
+    rep = check_submultiplicative(_ctx(spec).weight, spec.radius)
     bound = spec.params.get("bound")
-    return {
-        "radius": rep.radius,
-        "constant": rep.constant,
-        "witness": rep.witness,
-        "pass": math.isfinite(rep.constant) and (bound is None or rep.constant <= bound),
-    }
+    return _constant(rep, math.isfinite(rep.constant) and (bound is None or rep.constant <= bound))
 
 
 def _run_submult_stable(spec: CheckSpec) -> dict:
@@ -403,15 +280,9 @@ def _run_submult_stable(spec: CheckSpec) -> dict:
 
 
 def _run_weak_subadd(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rep = check_weak_subadditive(ctx.weight, spec.radius)
+    rep = check_weak_subadditive(_ctx(spec).weight, spec.radius)
     bound = spec.params.get("bound")
-    return {
-        "radius": rep.radius,
-        "constant": rep.constant,
-        "witness": rep.witness,
-        "pass": bound is None or rep.constant <= bound,
-    }
+    return _constant(rep, bound is None or rep.constant <= bound)
 
 
 def _run_symmetric(spec: CheckSpec) -> dict:
@@ -442,12 +313,7 @@ def _run_lss(spec: CheckSpec) -> dict:
     if ctx.weight is None or ctx.aux_weight is None:
         raise ValueError("lss needs weight (sigma) and weight2 (omega)")
     rep = check_lss_domination(ctx.weight, ctx.aux_weight, spec.radius)
-    return {
-        "radius": rep.radius,
-        "constant": rep.constant,
-        "witness": rep.witness,
-        "pass": math.isfinite(rep.constant) and rep.constant >= 1.0,
-    }
+    return _constant(rep, math.isfinite(rep.constant) and rep.constant >= 1.0)
 
 
 def _run_plemma(spec: CheckSpec) -> dict:
@@ -480,86 +346,150 @@ def _run_psi_series(spec: CheckSpec) -> dict:
     }
 
 
-def _run_sandwich(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    slack = spec.params.get("slack", 1e-8)
-    ok = True
-    worst = math.inf
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=4)
-        n = luxemburg_norm(f, ctx.pair.phi)
-        o = orlicz_norm(f, ctx.pair)
-        low = o - n * (1.0 - slack)
-        high = 2.0 * n * (1.0 + slack) - o
-        worst = min(worst, low, high)
-        ok = ok and low >= 0 and high >= 0
-    return {"trials": spec.trials, "worst_margin": worst, "pass": ok}
-
-
-def _run_holder(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    ok = True
-    worst = math.inf
-    witness = None
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=4)
-        v = random_supported_function(group, rng, radius=4)
-        rep = dual_pairing_bound(f, v, ctx.pair)
-        margin = rep["holder_bound"] - rep["pairing_l1"]
-        if margin < worst:
-            worst = margin
-            witness = {"f": function_to_json(f), "v": function_to_json(v)}
-        ok = ok and rep["holder_ok"] and rep["dual_certificate_ok"]
-    return {"trials": spec.trials, "worst_margin": worst, "witness": witness, "pass": ok}
-
-
-def _run_lambda_isometry(spec: CheckSpec) -> dict:
-    ctx = _ctx(spec)
-    if ctx.weight is None:
-        raise ValueError("lambda-isometry needs a weight")
-    rng = _rng(spec)
-    group = ctx.cocycle.group
-    tol = spec.params.get("tol", RESIDUAL_TOL)
-    worst = 0.0
-    from .orlicz import SpaceContext, lambda_map, weighted_norm
-
-    for _ in range(spec.trials):
-        f = random_supported_function(group, rng, radius=4)
-        plain = orlicz_norm(f, ctx.pair)
-        mapped = weighted_norm(lambda_map(f, ctx.weight), SpaceContext(ctx.pair, ctx.weight))
-        worst = max(worst, abs(plain - mapped) / max(plain, 1e-300))
-    return {"trials": spec.trials, "worst_relative_gap": worst, "pass": worst <= tol}
-
-
 def _run_block_weight(spec: CheckSpec) -> dict:
     group = parse_group(spec.group)
     weight = parse_weight(group, spec.weight or "block:1,3,9,27,81")
-    elems = ball_elements(group, len(group.identity))
-    worst = -math.inf
-    witness = None
-    for s in elems:
-        for t in elems:
-            gap = weight(group.op(s, t)) - max(weight(s), weight(t))
-            if gap > worst:
-                worst, witness = gap, (s, t)
-    return {"max_excess": worst, "witness": witness, "pass": worst <= 1e-12}
+    elems, elems2, prod = pair_table(group, len(group.identity))
+    w = np.array([weight(g) for g in elems])
+    w2 = np.array([weight(g) for g in elems2])
+    excess = w2[prod] - np.maximum.outer(w, w)
+    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    worst = float(excess[i, j])
+    return {"max_excess": worst, "witness": (elems[i], elems[j]), "pass": worst <= 1e-12}
+
+
+# ---------------------------------------------------------------------------
+# Sampled-trial checks.  One loop draws random functions for each trial,
+# scores them, and keeps the worst score under each report key, with the
+# witness of the trial behind the worst first score.
+
+MIN, MAX = operator.lt, operator.gt  # a margin is worse when lower, a residual when higher
+RESIDUAL = (("worst_residual", MAX),)
+
+
+class Trial(NamedTuple):
+    spec: CheckSpec
+    ctx: AlgebraContext
+    dom: object  # the domination pair of a dominated check, else None
+
+
+@dataclass(frozen=True)
+class TrialCheck:
+    """``draws`` functions per trial from the ball of radius
+    ``sample_radius(spec)``; ``measure(trial, *fs)`` returns ``(scores, ok,
+    witness)``, one score per ``(key, MIN | MAX)`` of ``worst`` (MIN keys
+    start at inf, MAX keys at 0).  The check passes when every trial is ok.
+    ``needs`` says what a check requiring the spec's weight needs it for; a
+    ``dominated`` check gets the spec's domination pair as ``trial.dom``."""
+
+    draws: int
+    sample_radius: Callable
+    measure: Callable
+    worst: tuple = (("worst_margin", MIN),)
+    witness: bool = True
+    needs: str | None = None
+    dominated: bool = False
+
+
+def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
+    ctx, dom = _domination(spec) if check.dominated else (_ctx(spec), None)
+    if check.needs and ctx.weight is None:
+        raise ValueError(f"{spec.check} needs {check.needs}")
+    trial = Trial(spec, ctx, dom)
+    rng = np.random.default_rng(spec.seed)
+    radius = check.sample_radius(spec)
+    keys, worse = zip(*check.worst)
+    worst = [math.inf if w is MIN else 0.0 for w in worse]
+    witness, ok = None, True
+    for _ in range(spec.trials):
+        fs = [random_supported_function(ctx.cocycle.group, rng, radius=radius) for _ in range(check.draws)]
+        scores, trial_ok, found = check.measure(trial, *fs)
+        if worse[0](scores[0], worst[0]):
+            witness = found
+        worst = [x if w(x, y) else y for w, x, y in zip(worse, scores, worst)]
+        ok = ok and trial_ok
+    out = {"trials": spec.trials, **dict(zip(keys, worst)), "pass": ok}
+    if check.witness:
+        out["witness"] = witness
+    return out
+
+
+def _inputs(**fs) -> dict:
+    return {name: function_to_json(f) for name, f in fs.items()}
+
+
+def _margin(rep: dict, **fs):
+    return (rep["margin"],), rep["pass"], _inputs(**fs)
+
+
+def _residual(t: Trial, rep):
+    return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), rep.witness
+
+
+def _sandwich(t: Trial, f):
+    """N_Phi(f) <= ||f||_Phi <= 2 N_Phi(f), each side with relative slack."""
+    slack = t.spec.params.get("slack", 1e-8)
+    n, o = luxemburg_norm(f, t.ctx.pair.phi), orlicz_norm(f, t.ctx.pair)
+    low, high = o - n * (1.0 - slack), 2.0 * n * (1.0 + slack) - o
+    return (min(low, high),), low >= 0 and high >= 0, None
+
+
+def _holder(t: Trial, f, v):
+    rep = dual_pairing_bound(f, v, t.ctx.pair)
+    ok = rep["holder_ok"] and rep["dual_certificate_ok"]
+    return (rep["holder_bound"] - rep["pairing_l1"],), ok, _inputs(f=f, v=v)
+
+
+def _lambda_gap(t: Trial, f):
+    """Relative gap between ||f||_Phi and the weighted norm of Lambda_w f."""
+    pair, w = t.ctx.pair, t.ctx.weight
+    plain = orlicz_norm(f, pair)
+    gap = abs(plain - weighted_norm(lambda_map(f, w), SpaceContext(pair, w))) / max(plain, 1e-300)
+    return (gap,), gap <= t.spec.params.get("tol", RESIDUAL_TOL), None
+
+
+def _symmetry(t: Trial, f):
+    rep = finite_symmetry_check(f, t.ctx, tol=t.spec.params.get("tol", EIGEN_TOL))
+    return (rep.min_real / rep.scale, rep.max_imag / rep.scale), rep.passed, None
+
+
+def _param_radius(default: int):
+    return lambda spec: spec.params.get("sample_radius", default)
+
+
+# The measures call their checkers through this module's globals, so a
+# rebinding such as cli.check_module_bound = traced(...) reaches the loop.
+TRIAL_CHECKS = {
+    "algebra-bound": TrialCheck(
+        2, lambda spec: spec.params.get("sample_radius", max(1, spec.radius // 4)),
+        lambda t, f, g: _margin(check_algebra_bound(f, g, t.ctx, t.dom), f=f, g=g), dominated=True),
+    "module-bound": TrialCheck(
+        2, _param_radius(3), lambda t, f, g: _margin(check_module_bound(f, g, t.ctx), f=f, g=g)),
+    "differential": TrialCheck(
+        2, _param_radius(3),
+        lambda t, f, g: _margin(check_differential_bound(f, g, t.ctx, radius=t.spec.radius), f=f, g=g)),
+    "assoc": TrialCheck(
+        3, _param_radius(3),
+        lambda t, f, g, h: _residual(t, check_associativity(f, g, h, t.ctx.cocycle)), RESIDUAL),
+    "intertwine": TrialCheck(
+        2, _param_radius(4),
+        lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL,
+        needs="the weight of the coboundary"),
+    "sandwich": TrialCheck(1, lambda spec: 4, _sandwich, witness=False),
+    "holder": TrialCheck(2, lambda spec: 4, _holder),
+    "lambda-isometry": TrialCheck(
+        1, lambda spec: 4, _lambda_gap, (("worst_relative_gap", MAX),), witness=False, needs="a weight"),
+    "symmetry-finite": TrialCheck(
+        1, lambda spec: 2, _symmetry,
+        (("worst_scaled_min_real", MIN), ("worst_scaled_max_imag", MAX)), witness=False),
+}
 
 
 CHECK_RUNNERS = {
     "cocycle-verify": _run_cocycle_verify,
     "cocycle-polar": _run_cocycle_polar,
     "domination": _run_domination,
-    "algebra-bound": _run_algebra_bound,
-    "module-bound": _run_module_bound,
-    "assoc": _run_assoc,
-    "intertwine": _run_intertwine,
-    "differential": _run_differential,
     "spectral": _run_spectral,
-    "symmetry-finite": _run_symmetry_finite,
     "central-ext": _run_central_ext,
     "submult": _run_submult,
     "submult-stable": _run_submult_stable,
@@ -569,10 +499,8 @@ CHECK_RUNNERS = {
     "lss": _run_lss,
     "plemma": _run_plemma,
     "psi-series": _run_psi_series,
-    "sandwich": _run_sandwich,
-    "holder": _run_holder,
-    "lambda-isometry": _run_lambda_isometry,
     "block-weight": _run_block_weight,
+    **{name: functools.partial(_run_trials, check=check) for name, check in TRIAL_CHECKS.items()},
 }
 
 # Map from checker callables in the library modules to the CLI check names
@@ -659,11 +587,14 @@ def run_check(spec: CheckSpec) -> dict:
     if spec.trials < 1:
         raise ValueError(f"trials must be >= 1, got {spec.trials}")
     out = {"check": spec.check, "spec": asdict(spec)}
-    out.update(_jsonable(runner(spec)))
+    try:
+        out.update(_jsonable(runner(spec)))
+    except DominationViolation as exc:  # a failed result with its witness pair
+        out.update(_jsonable({"pass": False, "witness": exc.witness, "error": str(exc)}))
     return out
 
 
-def run_suite(name_or_specs, threads: int | None = None) -> Report:
+def run_suite(name_or_specs) -> Report:
     """Run a preset suite or an explicit CheckSpec list.
 
     Hard failures of prerequisite checks (cocycle validity, domination)
@@ -678,16 +609,12 @@ def run_suite(name_or_specs, threads: int | None = None) -> Report:
         suite_name = "custom"
         specs = [s if isinstance(s, CheckSpec) else CheckSpec.from_dict(s) for s in name_or_specs]
 
-    if threads is None:
-        threads = int(os.environ.get("TORLICZ_THREADS", "1"))
-
-    # cocycle validity gates domination, which gates everything downstream
-    gate_checks = {"cocycle-verify", "domination"}
+    # cocycle validity gates domination, which gates everything downstream:
+    # gates run first (sorted is stable), results keep the spec order
+    gates = {"cocycle-verify", "domination"}
     results: list[dict | None] = [None] * len(specs)
     gate_failed = False
-    gate_order = [i for i, s in enumerate(specs) if s.check in gate_checks]
-    rest = [i for i, s in enumerate(specs) if s.check not in gate_checks]
-    for i in gate_order:
+    for i in sorted(range(len(specs)), key=lambda i: specs[i].check not in gates):
         if gate_failed:
             results[i] = {
                 "check": specs[i].check,
@@ -697,25 +624,7 @@ def run_suite(name_or_specs, threads: int | None = None) -> Report:
             }
             continue
         results[i] = run_check(specs[i])
-        gate_failed = gate_failed or not results[i]["pass"]
-
-    def _one(i: int) -> dict:
-        if gate_failed:
-            return {
-                "check": specs[i].check,
-                "spec": asdict(specs[i]),
-                "skipped": "prerequisite check failed",
-                "pass": False,
-            }
-        return run_check(specs[i])
-
-    if threads > 1 and len(rest) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in zip(rest, pool.map(_one, rest)):
-                results[i] = res
-    else:
-        for i in rest:
-            results[i] = _one(i)
+        gate_failed = specs[i].check in gates and not results[i]["pass"]
 
     passed = all(r["pass"] for r in results)
     env = {
@@ -878,18 +787,8 @@ def _cmd_plemma(args) -> int:
 
 def _cmd_check(args) -> int:
     params = json.loads(args.params) if args.params else {}
-    spec = CheckSpec(
-        check=args.name,
-        group=args.group,
-        pair=args.pair,
-        weight=args.weight,
-        weight2=args.weight2,
-        cocycle=args.cocycle,
-        radius=args.radius,
-        trials=args.trials,
-        seed=args.seed,
-        params=params,
-    )
+    fields = ("group", "pair", "weight", "weight2", "cocycle", "radius", "trials", "seed")
+    spec = CheckSpec(check=args.name, params=params, **{k: getattr(args, k) for k in fields})
     res = run_check(spec)
     print(_dumps(res, indent=2))
     return 0 if res["pass"] else 1
@@ -987,7 +886,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, PFunctionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

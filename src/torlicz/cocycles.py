@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements, product_classes
+from .groups import Group, ball_elements, pair_table, product_classes
 from .orlicz import SupportedFunction
 from .weights import Weight
 
@@ -246,20 +246,15 @@ def verify_cocycle(
     """
     group = omega.group
     elems = ball_elements(group, radius)
-    elems2 = ball_elements(group, 2 * radius)
     n1 = len(elems)
 
     if n1**3 <= triple_cap:
-        index2 = {g: i for i, g in enumerate(elems2)}
+        _, elems2, prod = pair_table(group, radius)
         n2 = len(elems2)
         w = np.empty((n2, n2), dtype=complex)
         for i, s in enumerate(elems2):
             for j, t in enumerate(elems2):
                 w[i, j] = omega(s, t)
-        prod = np.empty((n1, n1), dtype=np.int64)
-        for i, s in enumerate(elems):
-            for j, t in enumerate(elems):
-                prod[i, j] = index2[group.op(s, t)]
         worst = 0.0
         witness = None
         wsub = w[:n1, :n1]
@@ -272,10 +267,8 @@ def verify_cocycle(
                 worst = float(diff.flat[k])
                 i, j = np.unravel_index(k, diff.shape)
                 witness = (elems[r], elems[i], elems[j])
-        e_idx = index2[group.identity]
-        norm_res = float(
-            max(np.abs(w[e_idx, :] - 1.0).max(), np.abs(w[:, e_idx] - 1.0).max())
-        )
+        # BFS lists the identity first
+        norm_res = float(max(np.abs(w[0, :] - 1.0).max(), np.abs(w[:, 0] - 1.0).max()))
         sup_abs = float(np.abs(w).max())
         return CocycleReport(worst, norm_res, sup_abs, witness, n1**3, False)
 

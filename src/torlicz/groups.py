@@ -247,6 +247,49 @@ def product_classes(group: Group, S: np.ndarray, T: np.ndarray):
     return prods, first, inverse
 
 
+def pair_table(group: Group, radius: int):
+    """The ball-pair product table: ``(elems, elems2, prod)`` with ``elems``
+    the radius ball, ``elems2`` the 2*radius ball (both in BFS order) and
+    ``prod[i, j]`` the index in ``elems2`` of ``elems[i] elems[j]``.
+
+    Built from ``op_many`` and one joint int64 keying of ``elems2`` and the
+    products; groups without ``op_many`` and keys that overflow int64 take
+    the exact double loop, ``_pair_index_loop``.
+    """
+    elems = ball_elements(group, radius)
+    elems2 = ball_elements(group, 2 * radius)
+    prod = _pair_index_array(group, elems, elems2)
+    if prod is None:
+        prod = _pair_index_loop(group, elems, elems2)
+    return elems, elems2, prod
+
+
+def _pair_index_array(group: Group, elems: list, elems2: list) -> np.ndarray | None:
+    if group.op_many is None:  # elements need not be flat integer tuples
+        return None
+    n, n2 = len(elems), len(elems2)
+    coords = np.array(elems, dtype=np.int64)
+    prods = group.op_many(coords, coords).reshape(n * n, -1)
+    keys = _element_keys(np.concatenate([np.array(elems2, dtype=np.int64), prods]))
+    if keys is None:
+        return None
+    order = np.argsort(keys[:n2])
+    sorted2 = keys[:n2][order]
+    pos = np.minimum(np.searchsorted(sorted2, keys[n2:]), n2 - 1)
+    if not np.array_equal(sorted2[pos], keys[n2:]):
+        return None  # a product outside elems2: the exact loop raises on it
+    return order[pos].reshape(n, n)
+
+
+def _pair_index_loop(group: Group, elems: list, elems2: list) -> np.ndarray:
+    index2 = {g: i for i, g in enumerate(elems2)}
+    prod = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for i, s in enumerate(elems):
+        for j, t in enumerate(elems):
+            prod[i, j] = index2[group.op(s, t)]
+    return prod
+
+
 def _pairwise(fn):
     """op_many from an elementwise operation on broadcast coordinate arrays."""
     return lambda S, T: fn(S[:, None, :], T[None, :, :])

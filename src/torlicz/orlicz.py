@@ -132,6 +132,15 @@ def modular(f: SupportedFunction, phi: YoungFunction) -> float:
     return total
 
 
+def _finite_magnitudes(f: SupportedFunction) -> list:
+    """|f(s)| over the support; a norm of a non-finite value is undefined
+    (and would stall the bracket search), so it is rejected."""
+    mags = [abs(v) for v in f.values.values()]
+    if not all(map(math.isfinite, mags)):
+        raise ValueError("norms need finite function values")
+    return mags
+
+
 def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
     """inf { k > 0 : modular(f / k) <= 1 } by bisection.
 
@@ -140,7 +149,7 @@ def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
     """
     if f.is_zero():
         return 0.0
-    mags = [abs(v) for v in f.values.values()]
+    mags = _finite_magnitudes(f)
 
     def feasible(k: float) -> bool:
         total = 0.0
@@ -181,7 +190,7 @@ def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
     if f.is_zero():
         return 0.0
     phi = pair.phi
-    mags = [abs(v) for v in f.values.values()]
+    mags = _finite_magnitudes(f)
 
     def objective(k: float) -> float:
         total = 1.0

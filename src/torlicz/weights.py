@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements, block_index, word_length
+from .groups import Group, ball_elements, block_index, pair_table, word_length
 
 
 class WeightParameterError(ValueError):
@@ -144,22 +144,10 @@ class PairCheck:
     radius: int
 
 
-def _pair_tables(w_group: Group, radius: int):
-    elems = ball_elements(w_group, radius)
-    elems2 = ball_elements(w_group, 2 * radius)
-    index2 = {g: i for i, g in enumerate(elems2)}
-    n = len(elems)
-    prod = np.empty((n, n), dtype=np.int64)
-    for i, s in enumerate(elems):
-        for j, t in enumerate(elems):
-            prod[i, j] = index2[w_group.op(s, t)]
-    return elems, elems2, prod
-
-
 def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
     """K = max over ball pairs of w(st) / (w(s) w(t)), with an argmax
     witness pair."""
-    elems, elems2, prod = _pair_tables(w.group, radius)
+    elems, elems2, prod = pair_table(w.group, radius)
     v = np.array([w(g) for g in elems])
     v2 = np.array([w(g) for g in elems2])
     ratios = v2[prod] / np.outer(v, v)
@@ -169,7 +157,7 @@ def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
 
 def check_weak_subadditive(w: Weight, radius: int) -> PairCheck:
     """Least C with w(st) <= C (w(s) + w(t)) over ball pairs."""
-    elems, elems2, prod = _pair_tables(w.group, radius)
+    elems, elems2, prod = pair_table(w.group, radius)
     v = np.array([w(g) for g in elems])
     v2 = np.array([w(g) for g in elems2])
     ratios = v2[prod] / (v[:, None] + v[None, :])
@@ -206,7 +194,7 @@ def check_lss_domination(sigma: Weight, omega: Weight, radius: int) -> PairCheck
     over ball pairs; equals the submultiplicative constant of sigma/omega."""
     if sigma.group is not omega.group and sigma.group.name != omega.group.name:
         raise ValueError("check_lss_domination needs weights on one group")
-    elems, elems2, prod = _pair_tables(sigma.group, radius)
+    elems, elems2, prod = pair_table(sigma.group, radius)
     sv = np.array([sigma(g) for g in elems])
     sv2 = np.array([sigma(g) for g in elems2])
     ov = np.array([omega(g) for g in elems])

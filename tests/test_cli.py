@@ -10,6 +10,7 @@ from torlicz.cli import (
     CHECKER_COVERAGE,
     CheckSpec,
     SUITES,
+    TRIAL_CHECKS,
     _jsonable,
     emit_report,
     main,
@@ -19,7 +20,8 @@ from torlicz.cli import (
     save_function_file,
 )
 from torlicz.groups import integer_lattice
-from torlicz.orlicz import SupportedFunction
+from torlicz.orlicz import SupportedFunction, function_to_json
+from torlicz.twisted import ResidualReport
 
 
 def write_json(tmp_path, name, doc):
@@ -276,16 +278,6 @@ def test_suite_determinism_modulo_timestamp():
     assert docs[0] == docs[1]
 
 
-def test_threaded_suite_matches_sequential(monkeypatch):
-    seq = run_suite("cor-poly-weight", threads=1)
-    par = run_suite("cor-poly-weight", threads=4)
-    a = json.loads(emit_report(seq, "json"))
-    b = json.loads(emit_report(par, "json"))
-    a["environment"].pop("timestamp")
-    b["environment"].pop("timestamp")
-    assert a == b
-
-
 def _strict_loads(text):
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -326,3 +318,87 @@ def test_cmd_check_spectral_support_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "spectral_radius_estimate", small_budget)
     assert main(["check", "spectral", "--group", "Z^d:2", "--params", '{"n_max": 40}']) == 2
     assert "budget error" in capsys.readouterr().err
+
+
+def test_algebra_bound_domination_violation_is_a_failed_result(capsys):
+    argv = ["check", "algebra-bound", "--group", "Z^d:1", "--cocycle", "cobound:poly:2",
+            "--weight", "poly:2", "--radius", "8", "--trials", "2", "--params", '{"C": 0.5}']
+    assert main(argv) == 1
+    res = _strict_loads(capsys.readouterr().out)
+    assert res["pass"] is False and "exceeds u(s)+v(t)" in res["error"]
+    assert len(res["witness"]) == 2
+    # the same report as the domination check on that spec
+    dom = run_check(CheckSpec(check="domination", group="Z^d:1", cocycle="cobound:poly:2",
+                              weight="poly:2", radius=8, params={"C": 0.5}))
+    assert (dom["pass"], dom["witness"], dom["error"]) == (False, res["witness"], res["error"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["plemma", "--beta", "8", "--gamma", "50", "--C", "0.01"],
+    ["check", "plemma", "--params", '{"beta": 8, "gamma": 50, "C": 0.01}'],
+])
+def test_plemma_without_x0_exits_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: no x0 below") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cmd_norm_rejects_non_finite_values(value, tmp_path, capsys):
+    doc = {"group": "Z^d:1", "support": [{"elt": [0], "re": value, "im": 0.0}]}
+    assert main(["norm", "--in", write_json(tmp_path, "f.json", doc)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+# a checker each sampled-trial check must call, by its name in cli
+TRIAL_CHECKERS = {
+    "algebra-bound": "check_algebra_bound",
+    "module-bound": "check_module_bound",
+    "differential": "check_differential_bound",
+    "assoc": "check_associativity",
+    "intertwine": "check_intertwining",
+    "sandwich": "luxemburg_norm",
+    "holder": "dual_pairing_bound",
+    "lambda-isometry": "weighted_norm",
+    "symmetry-finite": "finite_symmetry_check",
+}
+
+
+@pytest.mark.parametrize("check", sorted(TRIAL_CHECKS))
+def test_trial_checks_call_checkers_through_module_globals(check, monkeypatch):
+    assert set(TRIAL_CHECKERS) == set(TRIAL_CHECKS)
+    name = TRIAL_CHECKERS[check]
+    calls = []
+    original = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    doc = next(d for suite in SUITES.values() for d in suite if d["check"] == check)
+    res = run_check(CheckSpec.from_dict({**doc, "trials": 3}))
+    assert res["pass"] and res["trials"] == 3 and len(calls) == 3
+
+
+def test_nan_residual_fails_the_trial(monkeypatch):
+    monkeypatch.setattr(cli, "check_associativity", lambda f, g, h, omega: ResidualReport(math.nan))
+    res = run_check(CheckSpec(check="assoc", trials=2))
+    assert res["pass"] is False
+
+
+def test_trial_witness_comes_from_the_first_strictly_worse_trial(monkeypatch):
+    # a residual that never exceeds 0 reports no witness
+    monkeypatch.setattr(cli, "check_associativity", lambda f, g, h, omega: ResidualReport(0.0, (1,)))
+    res = run_check(CheckSpec(check="assoc", trials=3))
+    assert res["pass"] and res["worst_residual"] == 0.0 and res["witness"] is None
+    # tied margins keep the first trial's functions
+    seen = []
+
+    def margin(f, g, ctx):
+        seen.append(_jsonable(function_to_json(f)))
+        return {"margin": 1.0, "pass": True}
+
+    monkeypatch.setattr(cli, "check_module_bound", margin)
+    res = run_check(CheckSpec(check="module-bound", trials=3))
+    assert len(seen) == 3 and res["worst_margin"] == 1.0 and res["witness"]["f"] == seen[0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torlicz.groups as groups_mod
 from torlicz.groups import (
     BudgetError,
     ball_elements,
@@ -20,6 +21,7 @@ from torlicz.groups import (
     growth_degree_estimate,
     heisenberg_group,
     integer_lattice,
+    pair_table,
     parse_group,
     product_classes,
     word_length,
@@ -238,3 +240,35 @@ def test_product_classes_group_equal_products_and_guard_key_overflow():
     wide = np.array([(0, 0, 0), (2**22, 2**22, 2**22)], dtype=np.int64)
     assert product_classes(z3, wide, zero) is None
     assert product_classes(dataclasses.replace(z3, op_many=None), rows, zero) is None
+
+
+def _make(spec):
+    """A group from its spec; ``ext:{spec}`` is the central extension by the
+    default bicharacter, a group without ``op_many``."""
+    if not spec.startswith("ext:"):
+        return parse_group(spec)
+    from torlicz.cocycles import central_extension_group, parse_cocycle
+
+    base = parse_group(spec[4:])
+    return central_extension_group(base, parse_cocycle(base, "bichar:"), 4)
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [("Z^d:1", 5), ("Z^d:2", 3), ("Z^d:3", 2), ("H3", 3), ("Zn:8", 3), ("Zn:4x6", 3), ("Block:5", 5),
+     ("ext:Zn:4", 1)],
+)
+@pytest.mark.parametrize("keys", ["packed", "overflow"])
+def test_pair_table_matches_exact_loop(spec, radius, keys, monkeypatch):
+    if keys == "overflow":
+        monkeypatch.setattr(groups_mod, "_element_keys", lambda coords: None)
+    group = _make(spec)
+    elems, elems2, prod = pair_table(group, radius)
+    oracle = _make(spec)  # a fresh group: no BFS state shared with the table
+    assert elems == ball_elements(oracle, radius)
+    assert elems2 == ball_elements(oracle, 2 * radius)
+    exact = groups_mod._pair_index_loop(oracle, elems, elems2)
+    assert prod.dtype == exact.dtype and np.array_equal(prod, exact)
+    for i, s in enumerate(elems):
+        for j, t in enumerate(elems):
+            assert elems2[prod[i, j]] == group.op(s, t)

@@ -242,3 +242,13 @@ def test_random_function_deterministic():
     a = random_supported_function(Z2, np.random.default_rng(99))
     b = random_supported_function(Z2, np.random.default_rng(99))
     assert a.values == b.values
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, complex(1.0, -math.inf)])
+def test_norms_reject_non_finite_values(value):
+    f = SupportedFunction(integer_lattice(1), {(0,): value})
+    pair = lp_pair(2.0)
+    with pytest.raises(ValueError, match="finite"):
+        luxemburg_norm(f, pair.phi)
+    with pytest.raises(ValueError, match="finite"):
+        orlicz_norm(f, pair)
