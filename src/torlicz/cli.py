@@ -31,6 +31,8 @@ from .cocycles import (
     parse_cocycle,
     polar,
     central_extension_embed,
+    complex_product,
+    value_table,
     verify_cocycle,
 )
 from .groups import BudgetError, ball_elements, ball_sizes, growth_degree_estimate, pair_table, parse_group
@@ -168,13 +170,13 @@ def _run_cocycle_polar(spec: CheckSpec) -> dict:
     ctx = _ctx(spec)
     modulus, phase = polar(ctx.cocycle)
     elems = ball_elements(ctx.cocycle.group, spec.radius)
-    worst_recon = 0.0
-    worst_unimod = 0.0
-    for s in elems:
-        for t in elems:
-            v = ctx.cocycle(s, t)
-            worst_recon = max(worst_recon, abs(modulus(s, t) * phase(s, t) - v))
-            worst_unimod = max(worst_unimod, abs(abs(phase(s, t)) - 1.0))
+    v = value_table(ctx.cocycle, elems, elems)
+    ph = value_table(phase, elems, elems)
+    recon = complex_product(value_table(modulus, elems, elems), ph) - v
+    # fmax from 0.0: the running max(worst, x) of the pair loop, which skips NaN
+    worst_recon = float(np.fmax.reduce(np.hypot(recon.real, recon.imag), axis=None, initial=0.0))
+    unimod = np.abs(np.hypot(ph.real, ph.imag) - 1.0)
+    worst_unimod = float(np.fmax.reduce(unimod, axis=None, initial=0.0))
     parts_ok = (
         verify_cocycle(modulus, spec.radius).identity_residual <= RESIDUAL_TOL
         and verify_cocycle(phase, spec.radius).identity_residual <= RESIDUAL_TOL
@@ -378,9 +380,10 @@ class TrialCheck:
     """``draws`` functions per trial from the ball of radius
     ``sample_radius(spec)``; ``measure(trial, *fs)`` returns ``(scores, ok,
     witness)``, one score per ``(key, MIN | MAX)`` of ``worst`` (MIN keys
-    start at inf, MAX keys at 0).  The check passes when every trial is ok.
-    ``needs`` says what a check requiring the spec's weight needs it for; a
-    ``dominated`` check gets the spec's domination pair as ``trial.dom``."""
+    start at inf, MAX keys at 0; a NaN score is worse than any number).  The
+    check passes when every trial is ok.  ``needs`` says what a check
+    requiring the spec's weight needs it for; a ``dominated`` check gets the
+    spec's domination pair as ``trial.dom``."""
 
     draws: int
     sample_radius: Callable
@@ -389,6 +392,12 @@ class TrialCheck:
     witness: bool = True
     needs: str | None = None
     dominated: bool = False
+
+
+def _replaces(worse: Callable, score, worst) -> bool:
+    """Whether a trial's score becomes the worst so far: strictly worse, or
+    the first NaN (which then stays the worst)."""
+    return worse(score, worst) or (math.isnan(score) and not math.isnan(worst))
 
 
 def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
@@ -404,9 +413,9 @@ def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
     for _ in range(spec.trials):
         fs = [random_supported_function(ctx.cocycle.group, rng, radius=radius) for _ in range(check.draws)]
         scores, trial_ok, found = check.measure(trial, *fs)
-        if worse[0](scores[0], worst[0]):
+        if _replaces(worse[0], scores[0], worst[0]):
             witness = found
-        worst = [x if w(x, y) else y for w, x, y in zip(worse, scores, worst)]
+        worst = [x if _replaces(w, x, y) else y for w, x, y in zip(worse, scores, worst)]
         ok = ok and trial_ok
     out = {"trials": spec.trials, **dict(zip(keys, worst)), "pass": ok}
     if check.witness:

@@ -9,8 +9,10 @@ Cocycles are stored as callables with a memo table keyed by element pairs.
 Most also carry a table form, ``Cocycle.table(S, T)``, that fills the whole
 |S| x |T| value array at once without touching the memo and with the same
 bits as the scalar calls; the twisted convolution uses it on large supports.
-The O(ball^2) verifiers build dense value tables and vectorize the triple
-check.  Every cocycle splits uniquely as |Omega| times a unimodular
+The ball-pair checks (the cocycle identity, the domination bound and the
+polar split) read dense value tables from ``value_table``: the table form
+where the group has ``op_many`` and the cocycle a table, else the scalar
+pair loop.  Every cocycle splits uniquely as |Omega| times a unimodular
 phase, and both parts are again cocycles.
 
 The finite model of the circle extension realizes G x T as G x Z_n for
@@ -220,6 +222,30 @@ def polar(omega: Cocycle):
 # Verification
 
 
+def value_table(omega: Cocycle, A: list, B: list) -> np.ndarray:
+    """omega(s, t) for s in A, t in B (ball elements) as a complex
+    (len(A), len(B)) array.  The cocycle's table form on int64 coordinate
+    arrays when the group has ``op_many`` and the cocycle a table, leaving
+    the memo untouched; otherwise the scalar double loop, which is also the
+    exact form the tables are tested against."""
+    if omega.group.op_many is not None:
+        try:
+            tab = omega.table(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
+        except ValueError:
+            tab = None  # a zero value: the loop raises the scalar call's error
+        if tab is not None:
+            return tab
+    return _value_table_loop(omega, A, B)
+
+
+def _value_table_loop(omega: Cocycle, A: list, B: list) -> np.ndarray:
+    w = np.empty((len(A), len(B)), dtype=complex)
+    for i, s in enumerate(A):
+        for j, t in enumerate(B):
+            w[i, j] = omega(s, t)
+    return w
+
+
 @dataclass(frozen=True)
 class CocycleReport:
     identity_residual: float
@@ -250,11 +276,7 @@ def verify_cocycle(
 
     if n1**3 <= triple_cap:
         _, elems2, prod = pair_table(group, radius)
-        n2 = len(elems2)
-        w = np.empty((n2, n2), dtype=complex)
-        for i, s in enumerate(elems2):
-            for j, t in enumerate(elems2):
-                w[i, j] = omega(s, t)
+        w = value_table(omega, elems2, elems2)
         worst = 0.0
         witness = None
         wsub = w[:n1, :n1]
@@ -325,16 +347,18 @@ def domination_from_subadditive(omega: Cocycle, ell: Weight, c: float, pair, rad
     group = omega.group
     elems = ball_elements(group, radius)
     u = {s: c / ell(s) for s in elems}
+    tab = value_table(omega, elems, elems)
+    u_vals = np.array(list(u.values()))
     # relative guard: when c comes from the empirical weak-subadditivity
     # maximum, the witness pair is a genuine equality case
-    for s in elems:
-        us = u[s]
-        for t in elems:
-            if abs(omega(s, t)) > (us + u[t]) * (1.0 + 1e-12):
-                raise DominationViolation(
-                    f"|Omega({s},{t})| = {abs(omega(s, t)):g} exceeds u(s)+v(t) = {us + u[t]:g}",
-                    witness=(s, t),
-                )
+    bad = np.hypot(tab.real, tab.imag) > (u_vals[:, None] + u_vals[None, :]) * (1.0 + 1e-12)
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)  # the loop's first violation
+        s, t = elems[i], elems[j]
+        raise DominationViolation(
+            f"|Omega({s},{t})| = {abs(complex(tab[i, j])):g} exceeds u(s)+v(t) = {u[s] + u[t]:g}",
+            witness=(s, t),
+        )
     uf = SupportedFunction(group, {s: complex(x) for s, x in u.items()})
     n_psi = luxemburg_norm(uf, pair.psi)
     return DominationPair(group=group, u=u, v=dict(u), n_psi_u=n_psi, n_psi_v=n_psi, radius=radius)

@@ -5,11 +5,14 @@ symmetric generating set U.  The length function
 
     tau(g) = least n with g in U^n,   tau(e) = 0,
 
-is computed by breadth-first search over the Cayley graph; layers are
-memoized so repeated queries are cheap.  Ball sizes lambda(U^n) use the
-counting measure, which is the Haar measure throughout this package
-(all provided groups are discrete and unimodular, so the modular
-function is identically 1).
+is computed by breadth-first search over the Cayley graph, one layer at a
+time; layers are memoized so repeated queries are cheap.  Where the group
+has an array product (``op_many``) and a layer has at least
+``BFS_ARRAY_MIN_PRODUCTS`` frontier x generator products, the layer is one
+numpy step with the scalar loop's element order; otherwise the loop runs.
+Ball sizes lambda(U^n) use the counting measure, which is the Haar measure
+throughout this package (all provided groups are discrete and unimodular,
+so the modular function is identically 1).
 
 Provided constructors: the integer lattices Z^d with the generating set
 {-1,0,1}^d, the discrete Heisenberg group H3(Z), finite cyclic groups
@@ -28,6 +31,11 @@ import numpy as np
 
 DEFAULT_MAX_RADIUS = 64
 DEFAULT_MAX_ELEMENTS = 5_000_000
+
+# Frontier x generator products below which a BFS layer is built by the
+# scalar loop: numpy's fixed cost per layer loses on short layers (the
+# psi-series check walks 4,096 two-element layers of Z^1).
+BFS_ARRAY_MIN_PRODUCTS = 256
 
 
 class BudgetError(RuntimeError):
@@ -91,7 +99,6 @@ def _bfs_state(group: Group) -> dict:
         st = {
             "layers": [[group.identity]],
             "index": {group.identity: 0},
-            "frontier": [group.identity],
             "exhausted": False,
         }
         group._cache["bfs"] = st
@@ -100,27 +107,63 @@ def _bfs_state(group: Group) -> dict:
 
 def _extend_bfs(group: Group, radius: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict:
     st = _bfs_state(group)
-    while len(st["layers"]) - 1 < radius and not st["exhausted"]:
-        n = len(st["layers"])
-        index = st["index"]
-        nxt = []
-        for g in st["frontier"]:
-            for u in group.generators:
-                h = group.op(g, u)
-                if h not in index:
-                    index[h] = n
-                    nxt.append(h)
+    layers, index = st["layers"], st["index"]
+    while len(layers) - 1 < radius and not st["exhausted"]:
+        n = len(layers)
+        nxt = None
+        if group.op_many is not None and len(layers[-1]) * len(group.generators) >= BFS_ARRAY_MIN_PRODUCTS:
+            nxt = _next_layer_array(group, st)
+        if nxt is None:
+            nxt = []
+            for g in layers[-1]:
+                for u in group.generators:
+                    h = group.op(g, u)
+                    if h not in index:
+                        index[h] = n
+                        nxt.append(h)
+        else:
+            index.update(dict.fromkeys(nxt, n))
         if len(index) > max_elements:
-            raise BudgetError(
+            message = (
                 f"ball of radius {n} on {group.name} exceeds the element budget "
                 f"({len(index)} > {max_elements})"
             )
+            for h in nxt:  # leave the state as it was before this layer
+                del index[h]
+            raise BudgetError(message)
         if nxt:
-            st["layers"].append(nxt)
-            st["frontier"] = nxt
+            layers.append(nxt)
         else:
             st["exhausted"] = True
     return st
+
+
+def _next_layer_array(group: Group, st: dict) -> list | None:
+    """The next BFS layer in numpy, or None when keys overflow int64.
+
+    All products of the frontier with the generators, flattened row-major
+    (the scalar loop's discovery order), keep their first occurrences minus
+    the elements of the two previous layers.  With symmetric generators a
+    product of a layer n-1 element lies in layer n-2, n-1 or n, so no older
+    layer can reappear.  ``st["coords"]`` keeps the coordinate arrays of the
+    last two layers built here for the next call.
+    """
+    layers = st["layers"]
+    n = len(layers)
+    cached = st.get("coords", {})
+    frontier, before = (
+        cached[k] if k in cached else np.array(layers[k], dtype=np.int64) for k in (n - 1, max(n - 2, 0))
+    )
+    old = frontier if n == 1 else np.concatenate([frontier, before])
+    prods = group.op_many(frontier, np.array(group.generators, dtype=np.int64))
+    prods = prods.reshape(-1, prods.shape[-1])
+    keys = _element_keys(np.concatenate([old, prods]))
+    if keys is None:
+        return None
+    _, first = np.unique(keys, return_index=True)
+    new = prods[np.sort(first[first >= len(old)]) - len(old)]
+    st["coords"] = {n - 1: frontier, n: new}
+    return list(map(tuple, new.tolist()))
 
 
 def word_length(

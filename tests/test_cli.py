@@ -19,7 +19,8 @@ from torlicz.cli import (
     run_suite,
     save_function_file,
 )
-from torlicz.groups import integer_lattice
+from torlicz.cocycles import parse_cocycle, polar
+from torlicz.groups import ball_elements, integer_lattice, parse_group
 from torlicz.orlicz import SupportedFunction, function_to_json
 from torlicz.twisted import ResidualReport
 
@@ -382,9 +383,19 @@ def test_trial_checks_call_checkers_through_module_globals(check, monkeypatch):
 
 
 def test_nan_residual_fails_the_trial(monkeypatch):
-    monkeypatch.setattr(cli, "check_associativity", lambda f, g, h, omega: ResidualReport(math.nan))
-    res = run_check(CheckSpec(check="assoc", trials=2))
+    # trial 2 is NaN, trial 3 NaN again, trial 4 worse than trial 1
+    values = iter([0.5, math.nan, math.nan, 2.0])
+    witnesses = iter([(1,), (2,), (3,), (4,)])
+    monkeypatch.setattr(
+        cli, "check_associativity", lambda f, g, h, omega: ResidualReport(next(values), next(witnesses))
+    )
+    res = run_check(CheckSpec(check="assoc", trials=4))
     assert res["pass"] is False
+    assert res["worst_residual"] == "nan" and res["witness"] == [2]
+    # a NaN margin is the worst margin too (reports encode it as "nan")
+    monkeypatch.setattr(cli, "check_module_bound", lambda f, g, ctx: {"margin": math.nan, "pass": False})
+    res = run_check(CheckSpec(check="module-bound", trials=2))
+    assert res["pass"] is False and res["worst_margin"] == "nan" and res["witness"] is not None
 
 
 def test_trial_witness_comes_from_the_first_strictly_worse_trial(monkeypatch):
@@ -402,3 +413,26 @@ def test_trial_witness_comes_from_the_first_strictly_worse_trial(monkeypatch):
     monkeypatch.setattr(cli, "check_module_bound", margin)
     res = run_check(CheckSpec(check="module-bound", trials=3))
     assert len(seen) == 3 and res["worst_margin"] == 1.0 and res["witness"]["f"] == seen[0]
+
+
+@pytest.mark.parametrize("group", ["Z^d:1", "Z^d:2", "Z^d:3", "H3", "Zn:8", "Zn:4x6", "Block:5"])
+@pytest.mark.parametrize(
+    "cocycle",
+    # the two products reconstruct with nonzero residuals (about 1e-17) on Z^2 and H3
+    ["one", "bichar:0.8", "cobound:poly:1.5", "prod:cobound:poly:1.37*bichar:0.61", "prod:cobound:poly:2.7*bichar:1.3"],
+)
+def test_cocycle_polar_residuals_match_the_pair_loop(group, cocycle):
+    radius = 1 if group == "Z^d:3" else 3
+    res = cli._run_cocycle_polar(CheckSpec(check="cocycle-polar", group=group, cocycle=cocycle, radius=radius))
+    # the scalar pair loop the value tables replaced
+    omega = parse_cocycle(parse_group(group), cocycle)
+    modulus, phase = polar(omega)
+    recon = unimod = 0.0
+    elems = ball_elements(omega.group, radius)
+    for s in elems:
+        for t in elems:
+            recon = max(recon, abs(modulus(s, t) * phase(s, t) - omega(s, t)))
+            unimod = max(unimod, abs(abs(phase(s, t)) - 1.0))
+    assert type(res["reconstruction_residual"]) is float and type(res["unimodularity_residual"]) is float
+    assert res["reconstruction_residual"].hex() == recon.hex()
+    assert res["unimodularity_residual"].hex() == unimod.hex()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import torlicz.cocycles as cocycles_mod
 from torlicz.cocycles import (
     Cocycle,
     DominationViolation,
@@ -16,12 +17,13 @@ from torlicz.cocycles import (
     parse_cocycle,
     polar,
     product_cocycle,
+    value_table,
     verify_cocycle,
 )
 from torlicz.groups import ball_elements, cyclic_group, integer_lattice, parse_group
 from torlicz.orlicz import SupportedFunction, delta, l1_norm
 from torlicz.twisted import twisted_convolve
-from torlicz.weights import constant_weight, make_poly_weight
+from torlicz.weights import constant_weight, make_poly_weight, parse_weight
 from torlicz.young import lp_pair
 
 Z1 = integer_lattice(1)
@@ -272,3 +274,111 @@ def test_table_is_none_without_a_table_form_and_flags_zeros():
     vanishing = Cocycle(Z1, lambda s, t: 0.0, "zero", lambda S, T, _: np.zeros((len(S), len(T)), complex))
     with pytest.raises(ValueError, match="vanishes"):
         vanishing.table(coords, coords)
+
+
+# ---------------------------------------------------------------------------
+# Value tables in the verifiers against the scalar pair loop
+
+ORACLE_RADII = {"Z^d:1": 4, "Z^d:2": 2, "Z^d:3": 1, "H3": 2, "Zn:8": 2, "Zn:4x6": 2, "Block:5": 2, "ext:Zn:4": 1}
+KINDS = ["one", "bichar", "skew", "cobound", "prod", "abs", "phase", "scalar"]
+# the central extension has no op_many, and its elements ((s,), k) have no
+# coordinates for the bicharacter to pair
+ORACLE_CASES = [
+    (g, k) for g in ORACLE_RADII for k in KINDS if not (g.startswith("ext:") and k not in ("one", "cobound", "scalar"))
+]
+
+
+def _oracle_group(spec):
+    if not spec.startswith("ext:"):
+        return parse_group(spec)
+    base = parse_group(spec[4:])
+    return central_extension_group(base, parse_cocycle(base, "bichar:"), 4)
+
+
+def _oracle_cocycles(group_spec, kind):
+    """Fresh cocycles built for ``kind`` on a fresh group, the one under
+    test last; ``scalar`` is a hand-built cocycle without a table form and
+    ``skew`` a bicharacter with |Omega(s, t)| != |Omega(t, s)|."""
+    group = _oracle_group(group_spec)
+    cob = coboundary_from_weight(parse_weight(group, "poly:1.5"))
+    if kind in ("one", "cobound", "scalar"):
+        return [{"one": one_cocycle(group), "cobound": cob, "scalar": Cocycle(group, cob.fn, "scalar")}[kind]]
+    bi = bicharacter_cocycle(group, 0.8)
+    if kind in ("bichar", "skew"):
+        return [bi if kind == "bichar" else bicharacter_cocycle(group, 0.8 - 0.4j)]
+    prod = product_cocycle(cob, bi)
+    modulus, phase = polar(prod)
+    return [cob, bi, prod] + {"prod": [], "abs": [modulus], "phase": [phase]}[kind]
+
+
+def _on_table_path(cocycles):
+    return cocycles[-1].group.op_many is not None and cocycles[-1].tabulate is not None
+
+
+def _bits(x):
+    return (type(x), x.hex()) if isinstance(x, float) else (type(x), x)
+
+
+@pytest.mark.parametrize("group_spec, kind", ORACLE_CASES)
+def test_verify_cocycle_table_path_matches_the_scalar_fill(group_spec, kind, monkeypatch):
+    radius = ORACLE_RADII[group_spec]
+    fast = _oracle_cocycles(group_spec, kind)
+    report = verify_cocycle(fast[-1], radius)
+    if _on_table_path(fast):
+        assert all(not x._memo for x in fast)
+    monkeypatch.setattr(cocycles_mod, "value_table", cocycles_mod._value_table_loop)
+    exact = verify_cocycle(_oracle_cocycles(group_spec, kind)[-1], radius)
+    assert not exact.sampled
+    for name in report.__dataclass_fields__:
+        assert _bits(getattr(report, name)) == _bits(getattr(exact, name)), name
+
+
+def _domination_loop(omega, ell, c, radius):
+    """The pair loop the domination check replaced: (message, witness) of
+    its first violation in row-major order, or None."""
+    elems = ball_elements(omega.group, radius)
+    u = {s: c / ell(s) for s in elems}
+    for s in elems:
+        for t in elems:
+            if abs(omega(s, t)) > (u[s] + u[t]) * (1.0 + 1e-12):
+                return f"|Omega({s},{t})| = {abs(omega(s, t)):g} exceeds u(s)+v(t) = {u[s] + u[t]:g}", (s, t)
+    return None
+
+
+@pytest.mark.parametrize("group_spec, kind", [(g, k) for g, k in ORACLE_CASES if k in ("skew", "cobound", "prod", "abs", "scalar")])
+@pytest.mark.parametrize("c", [0.6, 100.0])
+def test_domination_table_path_matches_the_pair_loop(group_spec, kind, c):
+    radius = 2 * ORACLE_RADII[group_spec]
+    fast = _oracle_cocycles(group_spec, kind)
+    omega = _oracle_cocycles(group_spec, kind)[-1]
+    expected = _domination_loop(omega, parse_weight(omega.group, "poly:1"), c, radius)
+    assert expected is not None or c == 100.0  # C = 0.6 fails on every case
+    try:
+        dom = domination_from_subadditive(fast[-1], parse_weight(fast[-1].group, "poly:1"), c, lp_pair(2.0), radius)
+        found = None
+    except DominationViolation as exc:
+        found = (str(exc), exc.witness)
+    assert found == expected
+    if found is None:
+        u = {s: c / parse_weight(omega.group, "poly:1")(s) for s in ball_elements(omega.group, radius)}
+        assert [(s, x.hex()) for s, x in dom.u.items()] == [(s, x.hex()) for s, x in u.items()]
+    if _on_table_path(fast):
+        assert all(not x._memo for x in fast)
+
+
+def test_value_table_raises_the_scalar_calls_error_on_a_zero():
+    # c1 vanishes at a later pair than c2: the table of c1 fails first, the
+    # pair loop (and so value_table) at c2's earlier pair
+    def vanishing(name, where):
+        def tabulate(S, T, _):
+            return np.array([[0.0 if (s[0], t[0]) == where else 1.0 for t in T.tolist()] for s in S.tolist()], complex)
+
+        return Cocycle(Z1, lambda s, t: 0.0 if (s[0], t[0]) == where else 1.0, name, tabulate)
+
+    omega = product_cocycle(vanishing("late", (1, 1)), vanishing("early", (0, 1)))
+    elems = ball_elements(Z1, 1)
+    with pytest.raises(ValueError) as loop:
+        cocycles_mod._value_table_loop(omega, elems, elems)
+    with pytest.raises(ValueError) as table:
+        value_table(omega, elems, elems)
+    assert str(table.value) == str(loop.value) == "cocycle early vanishes at ((0,), (1,))"

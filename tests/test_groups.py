@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +276,69 @@ def test_pair_table_matches_exact_loop(spec, radius, keys, monkeypatch):
     for i, s in enumerate(elems):
         for j, t in enumerate(elems):
             assert elems2[prod[i, j]] == group.op(s, t)
+
+
+def _bfs_group(spec):
+    """A fresh group whose word length comes from BFS even where a closed
+    form exists."""
+    return dataclasses.replace(parse_group(spec), length_hint=None, _cache={})
+
+
+def _bfs_run(spec, radius, far):
+    """Word length of ``far`` first (BFS grows one layer per query step),
+    then the ball table and the BFS index."""
+    group = _bfs_group(spec)
+    far_length = word_length(group, far)
+    table = ball_table(group, radius)
+    index = list(groups_mod._bfs_state(group)["index"].items())
+    lengths = [word_length(group, g) for g in table.elements()]
+    return far_length, table.layers, table.sizes, index, lengths
+
+
+@pytest.mark.parametrize(
+    "spec, radius, far",
+    [
+        ("Z^d:1", 300, (50,)),
+        ("Z^d:2", 12, (5, -3)),
+        ("Z^d:3", 6, (2, 4, -1)),
+        ("H3", 9, (1, 2, 6)),
+        ("Zn:8", 6, (3,)),
+        ("Zn:4x6", 8, (2, 3)),
+        ("Zn:40x40", 45, (17, 25)),  # exhausted at radius 40, big layers on the way
+        ("Block:5", 7, (1, 0, 1, 1, 0)),
+        ("Block:10", 12, (1,) * 7 + (0,) * 3),  # exhausted at radius 10
+    ],
+)
+@pytest.mark.parametrize("path", ["cutover", "array", "overflow"])
+def test_array_bfs_matches_the_loop(spec, radius, far, path, monkeypatch):
+    monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", float("inf"))
+    expected = _bfs_run(spec, radius, far)
+    monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", 0 if path == "array" else 256)
+    if path == "overflow":
+        monkeypatch.setattr(groups_mod, "_element_keys", lambda coords: None)
+    assert _bfs_run(spec, radius, far) == expected
+
+
+@pytest.mark.parametrize("cutover", [float("inf"), 256, 0])
+def test_bfs_element_budget_leaves_the_layers_intact(cutover, monkeypatch):
+    monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", cutover)
+    group = integer_lattice(3)
+    with pytest.raises(BudgetError, match=r"^ball of radius 5 on Z\^d:3 exceeds the element budget \(1331 > 1000\)$"):
+        ball_sizes(group, 8, max_elements=1000)
+    st = groups_mod._bfs_state(group)
+    assert len(st["layers"]) == 5 and len(st["index"]) == 729
+    # a retry with a larger budget continues from the last complete layer
+    assert ball_sizes(group, 8) == [(2 * n + 1) ** 3 for n in range(1, 9)]
+
+
+def test_growth_survey_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "growth_survey.py"), "--nmax", "6"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    matches = [line.split("match=")[1] for line in proc.stdout.splitlines() if "match=" in line]
+    assert matches == ["True"] * 3
+    assert "H3: degree" in proc.stdout
