@@ -24,13 +24,10 @@ from .young import (
     YoungFunction,
     YoungPair,
     builtin_pairs,
-    check_delta2,
-    check_strong_equivalence,
     conjugate,
-    conjugate_function,
-    estimate_l,
     parse_pair,
     piecewise_linear_young,
+    piecewise_pair,
     young_function,
 )
 from .weights import (

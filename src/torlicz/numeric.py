@@ -1,9 +1,11 @@
-"""One-dimensional search utilities shared by the norm and conjugation code.
+"""One-dimensional search and stable primitives for the Young functions.
 
-Everything here works on unimodal objectives and tolerates +inf values,
-which show up whenever a Young function jumps to infinity.  The golden
-section routine reports the best point it actually evaluated, so callers
-never extrapolate below a true infimum.
+The searches work on unimodal objectives and tolerate +inf values, which
+show up whenever a Young function jumps to infinity.  The golden section
+routine reports the best point it actually evaluated, so callers never
+extrapolate below a true infimum.  ``grid_then_golden_min`` minimises the
+Amemiya objective of the Orlicz norm; ``golden_section_max`` serves only
+``young.conjugate``, the tests' reference for the exact complements.
 """
 
 from __future__ import annotations

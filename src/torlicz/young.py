@@ -1,22 +1,26 @@
-"""Young functions, numerical convex conjugation, and classification checks.
+"""Young functions and their exact complements.
 
 A Young function is a convex Phi: [0, inf) -> [0, inf] with Phi(0) = 0 and
 Phi(x) -> inf.  The value +inf is an honest member of the arithmetic here:
 the complementary function of Phi(x) = x is 0 on [0, 1] and +inf beyond,
 and norms downstream treat an infinite modular as "greater than one".
 
-The complementary (conjugate) function
+Every built-in pair and every ``pw:`` table carries its complementary
+function
 
     Psi(y) = sup { x y - Phi(x) : x >= 0 }
 
-is computed numerically by bracketing the concave objective on a geometric
-grid and refining with golden section.  Unboundedness is detected by
-sustained growth past a bracket cap; in that case the returned value is the
-+inf marker.  Pairs whose complement has a closed form carry it analytically.
+in exact form.  Where no closed form is used, Psi(y) is the objective
+x* y - Phi(x*) at the exact maximiser x* (Rockafellar, Convex Analysis,
+sections 12 and 26), so the value is an evaluated point of the objective
+and never exceeds the supremum by more than the rounding of that one
+expression.  ``conjugate`` is the generic numeric conjugate, kept as the
+tests' reference for these formulas; no pair uses it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -39,16 +43,11 @@ class YoungFunctionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
-    """A Young function given by a scalar eval.
-
-    ``finite_valued`` records whether the function is real-valued on all of
-    [0, inf); functions that jump to +inf (like the complement of x) carry
-    False.  Evals may return math.inf, never NaN.
-    """
+    """A Young function given by a scalar eval.  Evals may return math.inf
+    (a complement can jump to +inf), never NaN."""
 
     name: str
     fn: object
-    finite_valued: bool = True
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -77,14 +76,14 @@ def _validate_young(fn, name: str, samples: int = 24) -> None:
             raise YoungFunctionError(f"{name}: midpoint convexity fails near x = {mid:g}")
 
 
-def young_function(name: str, fn, finite_valued: bool = True, validate: bool = True) -> YoungFunction:
+def young_function(name: str, fn, validate: bool = True) -> YoungFunction:
     if validate:
         _validate_young(fn, name)
-    return YoungFunction(name=name, fn=fn, finite_valued=finite_valued)
+    return YoungFunction(name=name, fn=fn)
 
 
 # ---------------------------------------------------------------------------
-# Numerical conjugation
+# Numerical conjugation (the tests' reference for the exact complements)
 
 
 def conjugate(phi: YoungFunction, y: float, bracket_cap: float = CONJUGATE_BRACKET_CAP) -> float:
@@ -120,65 +119,92 @@ def conjugate(phi: YoungFunction, y: float, bracket_cap: float = CONJUGATE_BRACK
     return best
 
 
-def conjugate_function(phi: YoungFunction, name: str | None = None) -> YoungFunction:
-    """The numeric complementary function as a memoized YoungFunction."""
-    memo: dict[float, float] = {}
-
-    def fn(y: float) -> float:
-        v = memo.get(y)
-        if v is None:
-            v = conjugate(phi, y)
-            memo[y] = v
-        return v
-
-    finite = all(math.isfinite(fn(float(y))) for y in (0.5, 1.0, 4.0, 32.0))
-    return YoungFunction(
-        name=name or f"conj({phi.name})", fn=fn, finite_valued=finite
-    )
-
-
 # ---------------------------------------------------------------------------
 # Built-in complementary pairs
 
 
 @dataclass(frozen=True, eq=False)
 class YoungPair:
-    """A complementary pair (Phi, Psi); Psi is analytic when a closed form
-    exists, otherwise the numeric conjugate of Phi."""
+    """A complementary pair (Phi, Psi) with Psi exact: a closed form, or
+    the objective at the exact maximiser."""
 
     name: str
     phi: YoungFunction
     psi: YoungFunction
-    analytic_complement: bool = True
+    # every complement is exact; bench/tracer.py still reads this flag
+    analytic_complement = True
 
 
 def _psisonsuz(y: float) -> float:
     return 0.0 if y <= 1.0 else math.inf
 
 
+def _power(r: float):
+    """x^r / r, +inf where x^r overflows."""
+
+    def fn(x: float) -> float:
+        try:
+            return x**r / r
+        except OverflowError:
+            return math.inf
+
+    return fn
+
+
+def _cosh_conjugate(y: float) -> float:
+    """x* y - (cosh x* - 1) at x* = asinh(y), with cosh(asinh y) - 1 written
+    as y^2 / (1 + hypot(1, y)): no cancellation at 0, no inf/inf at huge y."""
+    return math.asinh(y) * y - y * (y / (1.0 + math.hypot(1.0, y)))
+
+
+def _xlog_conjugate(y: float) -> float:
+    """x* y - x* log(1 + x*), where x* solves log1p(x) + x/(1+x) = y.  The
+    left side increases from 0 and exceeds y at expm1(y), so bisection on
+    [0, expm1(y)] finds x* to the last bit; +inf once expm1(y) overflows."""
+    if y <= 0.0:
+        return 0.0
+    try:
+        hi = math.expm1(y)
+    except OverflowError:
+        return math.inf
+    lo = 0.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if math.log1p(mid) + mid / (1.0 + mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    # x (y - log1p x) is x y - Phi(x) without overflowing x y near y = 709
+    return hi * (y - math.log1p(hi))
+
+
 def lp_pair(p: float) -> YoungPair:
     if not p > 1.0:
         raise ValueError("Lp pair needs p > 1")
     q = p / (p - 1.0)
-    phi = young_function(f"x^{p:g}/{p:g}", lambda x: x**p / p)
-    psi = young_function(f"y^{q:g}/{q:g}", lambda y: y**q / q)
+    phi = young_function(f"x^{p:g}/{p:g}", _power(p))
+    psi = young_function(f"y^{q:g}/{q:g}", _power(q))
     return YoungPair(name=f"Lp:{p:g}", phi=phi, psi=psi)
 
 
 def l1_pair() -> YoungPair:
     phi = young_function("x", lambda x: x)
-    psi = YoungFunction(name="0 on [0,1], inf beyond", fn=_psisonsuz, finite_valued=False)
+    psi = young_function("0 on [0,1], inf beyond", _psisonsuz)
     return YoungPair(name="L1", phi=phi, psi=psi)
 
 
 def xlog_pair() -> YoungPair:
     phi = young_function("x ln(1+x)", xlog1p)
-    return YoungPair(name="xlog", phi=phi, psi=conjugate_function(phi), analytic_complement=False)
+    psi = young_function("conj(x ln(1+x))", _xlog_conjugate)
+    return YoungPair(name="xlog", phi=phi, psi=psi)
 
 
 def cosh_pair() -> YoungPair:
     phi = young_function("cosh x - 1", coshm1)
-    return YoungPair(name="cosh", phi=phi, psi=conjugate_function(phi), analytic_complement=False)
+    psi = young_function("y asinh y - sqrt(1+y^2) + 1", _cosh_conjugate)
+    return YoungPair(name="cosh", phi=phi, psi=psi)
 
 
 def expm_pair() -> YoungPair:
@@ -193,29 +219,31 @@ def entropy_pair() -> YoungPair:
     return YoungPair(name="entropy", phi=phi, psi=psi)
 
 
-BUILTIN_PAIR_NAMES = ("L1", "Lp:{p}", "xlog", "cosh", "expm", "entropy")
-
-
 def parse_pair(spec: str) -> YoungPair:
     """Pair spec strings: ``Lp:{p}``, ``L1``, ``xlog``, ``cosh``, ``expm``,
     ``entropy``, or ``pw:{path}`` for a custom piecewise-linear table in a
     JSON file (a list of [x, y] breakpoints, optionally under a "points"
-    key); the complement of a table is always the numeric conjugate."""
+    key); a table's complement is its exact Legendre transform
+    (``piecewise_pair``)."""
     spec = spec.strip()
     if spec == "L1":
         return l1_pair()
     if spec.startswith("Lp:"):
         return lp_pair(float(spec.split(":", 1)[1]))
     if spec.startswith("pw:"):
-        import json
-
         path = spec.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        points = doc["points"] if isinstance(doc, dict) else doc
+        points = doc.get("points") if isinstance(doc, dict) else doc
         name = doc.get("name", "piecewise") if isinstance(doc, dict) else "piecewise"
-        phi = piecewise_linear_young(points, name=name)
-        return YoungPair(name=name, phi=phi, psi=conjugate_function(phi), analytic_complement=False)
+        if not isinstance(points, list):
+            raise YoungFunctionError(
+                f"{path}: expected a list of [x, y] breakpoints, optionally under a \"points\" key"
+            )
+        try:
+            return piecewise_pair(points, name=name)
+        except YoungFunctionError as exc:
+            raise YoungFunctionError(f"{path}: {exc}") from None
     table = {"xlog": xlog_pair, "cosh": cosh_pair, "expm": expm_pair, "entropy": entropy_pair}
     if spec in table:
         return table[spec]()
@@ -232,13 +260,19 @@ def builtin_pairs(lp_exponents=(1.5, 2.0, 3.0)) -> list[YoungPair]:
 # Custom piecewise-linear Young functions (JSON tables)
 
 
-def piecewise_linear_young(points, name: str = "piecewise") -> YoungFunction:
-    """Young function from a sorted breakpoint table [(x0, y0), ...].
+def piecewise_pair(points, name: str = "piecewise") -> YoungPair:
+    """Pair from a sorted breakpoint table [(x0, y0), ...].
 
     The table must start at (0, 0), have nondecreasing slopes (convexity),
-    and a positive final slope; evaluation extrapolates with the last slope.
+    and a positive final slope; Phi interpolates and extrapolates with the
+    last slope.  The objective x y - Phi(x) is concave and linear between
+    breakpoints, so Psi(y) = max_i (x_i y - y_i) below the last slope and
+    +inf above it.
     """
-    pts = [(float(x), float(y)) for x, y in points]
+    try:
+        pts = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError):
+        raise YoungFunctionError("piecewise table entries must be [x, y] number pairs") from None
     if len(pts) < 2:
         raise YoungFunctionError("piecewise table needs at least 2 breakpoints")
     if pts[0] != (0.0, 0.0):
@@ -256,84 +290,19 @@ def piecewise_linear_young(points, name: str = "piecewise") -> YoungFunction:
     ya = np.asarray(ys)
     last_x, last_y, last_s = xs[-1], ys[-1], slopes[-1]
 
-    def fn(x: float) -> float:
+    def phi(x: float) -> float:
         if x <= last_x:
             return float(np.interp(x, xa, ya))
         return last_y + last_s * (x - last_x)
 
-    return young_function(name, fn)
+    def psi(y: float) -> float:
+        if y > last_s:
+            return math.inf
+        return max(x * y - v for x, v in pts)
+
+    return YoungPair(name=name, phi=young_function(name, phi), psi=young_function(f"conj({name})", psi))
 
 
-# ---------------------------------------------------------------------------
-# Classification checks
-
-
-def check_delta2(phi: YoungFunction, x_max: float = 200.0, threshold: float = 1e12):
-    """Empirical doubling constant: (K, x0) with Phi(2x) <= K Phi(x) on the
-    scan grid beyond x0, or None when the ratio diverges.
-
-    The scan is geometric; divergence means the ratio exceeded ``threshold``
-    somewhere on the grid.
-    """
-    if not phi.finite_valued:
-        raise ValueError("check_delta2 needs a finite-valued Young function")
-    xs = np.geomspace(1e-8, x_max, 400)
-    worst = 0.0
-    for x in xs:
-        fx = phi(float(x))
-        if fx <= 0.0:
-            continue
-        f2x = phi(float(2 * x))
-        ratio = f2x / fx
-        if not math.isfinite(ratio) or ratio > threshold:
-            return None
-        worst = max(worst, ratio)
-    return worst, 0.0
-
-
-def estimate_l(psi: YoungFunction, k_max: int = 40) -> float:
-    """Largest exponent l on the grid 1, 1.25, ..., 4 such that
-    Psi(x) / x^l stays bounded as x decreases to 0 (sampled at x = 2^-k).
-
-    Boundedness of the sampled ratio stands in for existence of the limit.
-    """
-    xs = [2.0**-k for k in range(1, k_max + 1)]
-    vals = [psi(x) for x in xs]
-    if any(math.isinf(v) for v in vals):
-        raise ValueError("estimate_l needs Psi finite near 0")
-    best = 1.0
-    for l in np.arange(1.0, 4.0 + 1e-9, 0.25):
-        ratios = [v / x**l for v, x in zip(vals, xs)]
-        head = max(ratios[: k_max // 2])
-        tail = ratios[-1]
-        if tail <= 8.0 * head + 1e-300:
-            best = float(l)
-    return best
-
-
-def check_strong_equivalence(psi1: YoungFunction, psi2: YoungFunction):
-    """Search a log grid of scalings (a, b) for the sandwich
-    Psi1(a x) <= Psi2(x) <= Psi1(b x) over sampled x; None when absent."""
-    xs = np.geomspace(1e-3, 1e3, 61)
-    # exact 1.0 must be on the grid so that self-equivalence returns (1, 1)
-    scales = np.unique(np.concatenate([[1.0], np.geomspace(1e-2, 1e2, 41)]))
-
-    def left_ok(a: float) -> bool:
-        return all(psi1(float(a * x)) <= psi2(float(x)) for x in xs)
-
-    def right_ok(b: float) -> bool:
-        return all(psi2(float(x)) <= psi1(float(b * x)) for x in xs)
-
-    a_best = None
-    for a in reversed(scales):
-        if left_ok(float(a)):
-            a_best = float(a)
-            break
-    b_best = None
-    for b in scales:
-        if right_ok(float(b)):
-            b_best = float(b)
-            break
-    if a_best is None or b_best is None:
-        return None
-    return a_best, b_best
+def piecewise_linear_young(points, name: str = "piecewise") -> YoungFunction:
+    """The Phi of ``piecewise_pair(points, name)``."""
+    return piecewise_pair(points, name).phi

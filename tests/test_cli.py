@@ -351,6 +351,37 @@ def test_cmd_norm_rejects_non_finite_values(value, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_cmd_norm_large_power_overflows_to_infinity(tmp_path, capsys):
+    # the Amemiya scan reaches k m near 2^50, where x^30 overflows a float
+    doc = {"group": "Z^d:2", "support": [
+        {"elt": [0, 0], "re": 1.0, "im": 0.0},
+        {"elt": [1, 0], "re": 0.5, "im": -0.25},
+        {"elt": [0, 3], "re": 2.0, "im": 0.0},
+    ]}
+    assert main(["norm", "--pair", "Lp:30", "--in", write_json(tmp_path, "f.json", doc)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lux, orl = out["luxemburg"], out["orlicz"]
+    assert lux * (1 - 1e-8) <= orl <= 2 * lux * (1 + 1e-8)
+
+
+def test_cmd_check_holder_with_large_dual_exponent(capsys):
+    # Lp:1.05 has dual exponent 21, whose powers overflow in the norms of v
+    assert main(["check", "holder", "--group", "Z^d:2", "--pair", "Lp:1.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "no-points", "table": [[0, 0], [1, 1]]},
+    {"points": {"x": 1}},
+])
+def test_cmd_norm_malformed_piecewise_table_exits_2(doc, tmp_path, capsys):
+    table = write_json(tmp_path, "phi.json", doc)
+    f = write_json(tmp_path, "f.json", DELTA_DOC)
+    assert main(["norm", "--pair", f"pw:{table}", "--in", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and table in err and "breakpoints" in err
+
+
 # a checker each sampled-trial check must call, by its name in cli
 TRIAL_CHECKERS = {
     "algebra-bound": "check_algebra_bound",

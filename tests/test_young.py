@@ -8,22 +8,28 @@ from hypothesis import strategies as st
 from torlicz.young import (
     YoungFunctionError,
     builtin_pairs,
-    check_delta2,
-    check_strong_equivalence,
     conjugate,
-    conjugate_function,
+    cosh_pair,
     entropy_pair,
-    estimate_l,
     expm_pair,
     l1_pair,
     lp_pair,
     parse_pair,
     piecewise_linear_young,
+    piecewise_pair,
     xlog_pair,
     young_function,
 )
 
 EXPM_CONJ_AT_1 = 2.0 * math.log(2.0) - 1.0  # (1+y)ln(1+y)-y at y=1
+
+# slopes 0.2, 0.8, 1.5, 4: the complement is +inf above y = 4
+PW_POINTS = [[0, 0], [0.5, 0.1], [1, 0.5], [2, 2.0], [3, 6.0]]
+PW_LAST_SLOPE = 4.0
+
+
+def pw_pair():
+    return piecewise_pair(PW_POINTS, name="pw")
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -53,15 +59,18 @@ def test_conjugate_of_exponential_pair_value():
     assert pair.psi(1.0) == pytest.approx(EXPM_CONJ_AT_1, rel=1e-12)
 
 
-@pytest.mark.parametrize("pair_fn", [expm_pair, entropy_pair, l1_pair])
+@pytest.mark.parametrize(
+    "pair_fn", [expm_pair, entropy_pair, l1_pair, xlog_pair, cosh_pair, pw_pair]
+)
 def test_numeric_conjugate_matches_analytic_complement(pair_fn):
     pair = pair_fn()
     for y in np.geomspace(0.05, 8.0, 25):
-        expected = pair.psi(float(y))
-        if not math.isfinite(expected):
-            continue
-        got = conjugate(pair.phi, float(y))
-        assert abs(got - expected) <= 1e-8 * (1.0 + abs(expected))
+        expected = conjugate(pair.phi, float(y))
+        got = pair.psi(float(y))
+        if math.isfinite(expected):
+            assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+        else:
+            assert got == math.inf
 
 
 def test_conjugate_rejects_bad_input():
@@ -74,11 +83,11 @@ def test_conjugate_rejects_bad_input():
 
 
 def test_double_conjugation_recovers_phi():
-    pair = lp_pair(2.0)
-    psi_num = conjugate_function(pair.phi)
-    for x in np.geomspace(0.05, 8.0, 12):
-        back = conjugate(psi_num, float(x))
-        assert back == pytest.approx(pair.phi(float(x)), rel=1e-7, abs=1e-10)
+    # the numeric conjugate of the exact complement gives Phi back
+    for pair in (lp_pair(2.0), xlog_pair(), cosh_pair()):
+        for x in np.geomspace(0.05, 8.0, 12):
+            back = conjugate(pair.psi, float(x))
+            assert back == pytest.approx(pair.phi(float(x)), rel=1e-7, abs=1e-10)
 
 
 def test_double_conjugation_through_infinite_complement():
@@ -111,70 +120,63 @@ def test_young_equality_at_gradient(p):
 
 
 def test_numeric_conjugate_is_young_on_samples():
-    psi = conjugate_function(xlog_pair().phi)
-    assert psi(0.0) == 0.0
-    ys = np.geomspace(1e-3, 10.0, 15)
-    vals = [psi(float(y)) for y in ys]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    for a, c in zip(ys, ys[2:]):
-        mid = 0.5 * (a + c)
-        assert psi(float(mid)) <= 0.5 * (psi(float(a)) + psi(float(c))) + 1e-9
+    # the numeric conjugate of x ln(1+x) and the exact complement alike
+    phi = xlog_pair().phi
+    for psi in (xlog_pair().psi, lambda y: conjugate(phi, y)):
+        assert psi(0.0) == 0.0
+        ys = np.geomspace(1e-3, 10.0, 15)
+        vals = [psi(float(y)) for y in ys]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        for a, c in zip(ys, ys[2:]):
+            mid = 0.5 * (a + c)
+            assert psi(float(mid)) <= 0.5 * (psi(float(a)) + psi(float(c))) + 1e-9
 
 
-def test_delta2_constants():
-    assert check_delta2(l1_pair().phi) == (pytest.approx(2.0), 0.0)
-    k, _ = check_delta2(lp_pair(2.0).phi)
-    assert k == pytest.approx(4.0, rel=1e-9)
-    k, _ = check_delta2(lp_pair(3.0).phi)
-    assert k == pytest.approx(8.0, rel=1e-9)
+EXACT_PAIRS = builtin_pairs() + [pw_pair()]
+X_GRID = [0.0] + [float(x) for x in np.geomspace(1e-6, 1e6, 241)]
 
 
-def test_delta2_absent_for_exponential_growth():
-    assert check_delta2(expm_pair().phi) is None
-    assert check_delta2(parse_pair("cosh").phi) is None
-    # x ln(1+x) and its entropy cousin stay doubling-bounded
-    assert check_delta2(xlog_pair().phi) is not None
-    assert check_delta2(entropy_pair().phi) is not None
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(EXACT_PAIRS) - 1),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 1e6),
+)
+def test_exact_complement_dominates_the_young_objective(idx, y, x_drawn):
+    pair = EXACT_PAIRS[idx]
+    psi = pair.psi(y)
+    for x in X_GRID + [x_drawn]:
+        objective = x * y - pair.phi(x)
+        assert psi >= objective - 1e-12 * (1.0 + abs(objective))
 
 
-def test_delta2_requires_finite_function():
-    with pytest.raises(ValueError):
-        check_delta2(l1_pair().psi)
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.0 * PW_LAST_SLOPE))
+def test_piecewise_complement_is_infinite_exactly_above_the_last_slope(y):
+    psi = pw_pair().psi
+    assert math.isinf(psi(y)) == (y > PW_LAST_SLOPE)
+    assert math.isfinite(psi(PW_LAST_SLOPE))
+    assert psi(math.nextafter(PW_LAST_SLOPE, math.inf)) == math.inf
 
 
-def test_estimate_l_on_builtins():
-    assert estimate_l(lp_pair(2.0).psi) == 2.0
-    assert estimate_l(lp_pair(3.0).psi) == 1.5  # dual exponent q = 1.5
-    assert estimate_l(young_function("y", lambda y: y)) == 1.0
-    cosh_m1 = parse_pair("cosh").phi
-    assert estimate_l(cosh_m1) == 2.0
-    assert estimate_l(expm_pair().psi) == 2.0  # entropy complement is quadratic at 0
-    # numeric complements keep the quadratic behaviour near zero
-    assert estimate_l(xlog_pair().psi) == 2.0
-    # the 0/inf complement of x vanishes near 0, so every grid exponent works
-    assert estimate_l(l1_pair().psi) == 4.0
+def test_xlog_complement_is_finite_and_increasing_up_to_700():
+    pair = xlog_pair()
+    psi = pair.psi
+    # equality in Young's inequality at y = Phi'(x), for maximisers past the
+    # numeric conjugate's 1e6 bracket cap
+    for x in (math.expm1(15.0), 1e12, 1e200):
+        y = math.log1p(x) + x / (1.0 + x)
+        assert psi(y) == pytest.approx(x * y - pair.phi(x), rel=1e-12)
+    vals = [psi(float(y)) for y in np.linspace(0.0, 700.0, 1401)]
+    assert all(map(math.isfinite, vals))
+    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_strong_equivalence_self_is_unit_window():
-    psi = lp_pair(2.0).psi
-    assert check_strong_equivalence(psi, psi) == (1.0, 1.0)
-
-
-def test_strong_equivalence_xlog_vs_entropy():
-    found = check_strong_equivalence(xlog_pair().phi, entropy_pair().phi)
-    assert found is not None
-    a, b = found
-    # independent verification of the returned witnesses on a finer grid
-    f1, f2 = xlog_pair().phi, entropy_pair().phi
-    for x in np.geomspace(5e-4, 5e3, 301):
-        assert f1(float(a * x)) <= f2(float(x)) * (1 + 1e-12)
-        assert f2(float(x)) <= f1(float(b * x)) * (1 + 1e-12)
-
-
-def test_strong_equivalence_absent_for_different_powers():
-    one = young_function("y", lambda y: y)
-    two = young_function("y^2", lambda y: y * y)
-    assert check_strong_equivalence(one, two) is None
+def test_power_pair_overflows_to_infinity():
+    pair = lp_pair(30.0)
+    assert pair.phi(1e20) == math.inf
+    assert lp_pair(1.05).psi(1e20) == math.inf  # dual exponent 21
+    assert pair.phi(2.0) == 2.0**30 / 30.0
 
 
 def test_piecewise_linear_young():
@@ -213,9 +215,10 @@ def test_parse_pair_piecewise_table(tmp_path):
     path.write_text(json.dumps({"name": "hinge", "points": [[0, 0], [1, 0.5], [2, 2.0]]}))
     pair = parse_pair(f"pw:{path}")
     assert pair.phi(1.0) == pytest.approx(0.5)
-    assert not pair.analytic_complement
-    # conjugate of a piecewise-linear function is finite below the top slope
-    assert math.isfinite(pair.psi(1.0))
+    # the complement of a piecewise-linear function is finite up to the top slope
+    assert pair.psi(1.0) == pytest.approx(0.5)
+    assert pair.psi(1.5) == pytest.approx(1.0)
+    assert pair.psi(1.6) == math.inf
     assert pair.phi(0.5) + pair.psi(0.5) >= 0.25 - 1e-12  # Young inequality spot check
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([[0, 0], [1, 2.0], [2, 3.0]]))
