@@ -26,7 +26,6 @@ from .young import (
     builtin_pairs,
     conjugate,
     parse_pair,
-    piecewise_linear_young,
     piecewise_pair,
     young_function,
 )
@@ -65,7 +64,6 @@ from .orlicz import (
     SupportedFunction,
     delta,
     dual_pairing_bound,
-    indicator,
     l1_norm,
     lambda_map,
     luxemburg_norm,
@@ -84,7 +82,6 @@ from .twisted import (
     check_intertwining,
     check_module_bound,
     convolution_matrix,
-    delta_action,
     finite_symmetry_check,
     involution,
     spectral_radius_estimate,

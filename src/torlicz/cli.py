@@ -31,11 +31,20 @@ from .cocycles import (
     parse_cocycle,
     polar,
     central_extension_embed,
+    central_extension_group,
     complex_product,
     value_table,
     verify_cocycle,
 )
-from .groups import BudgetError, ball_elements, ball_sizes, growth_degree_estimate, pair_table, parse_group
+from .groups import (
+    BudgetError,
+    ball_elements,
+    ball_sizes,
+    element_from_list,
+    growth_degree_estimate,
+    pair_table,
+    parse_group,
+)
 from .orlicz import (
     SpaceContext,
     SupportedFunction,
@@ -59,9 +68,7 @@ from .twisted import (
     check_differential_bound,
     check_intertwining,
     check_module_bound,
-    convolution_matrix,
     finite_symmetry_check,
-    involution,
     spectral_radius_estimate,
     twisted_convolve,
 )
@@ -172,6 +179,12 @@ def _run_cocycle_polar(spec: CheckSpec) -> dict:
     elems = ball_elements(ctx.cocycle.group, spec.radius)
     v = value_table(ctx.cocycle, elems, elems)
     ph = value_table(phase, elems, elems)
+    # complex_product rounds as the scalar (|v|, 0.0) * phase does.  numpy's
+    # own multiply gives the same bits on this product, because the modulus
+    # table is real with imaginary part +0.0 (2,000,000 of 2,000,000 real x
+    # unit-phase samples matched on x86-64 with numpy 2.4), so no test can
+    # tell the two apart here; on general complex products they differ in
+    # about 44% of samples (874,874 of 2,000,000).
     recon = complex_product(value_table(modulus, elems, elems), ph) - v
     # fmax from 0.0: the running max(worst, x) of the pair loop, which skips NaN
     worst_recon = float(np.fmax.reduce(np.hypot(recon.real, recon.imag), axis=None, initial=0.0))
@@ -191,8 +204,6 @@ def _run_cocycle_polar(spec: CheckSpec) -> dict:
 
 def _domination(spec: CheckSpec):
     ctx = _ctx(spec)
-    if ctx.weight is None:
-        raise ValueError("domination needs a weight (the weakly subadditive ell)")
     c = spec.params.get("C")
     if c is None:
         c = check_weak_subadditive(ctx.weight, spec.radius).constant
@@ -238,16 +249,18 @@ def _run_central_ext(spec: CheckSpec) -> dict:
     n = spec.params.get("n", group.order)
     tol = spec.params.get("tol", EXTENSION_TOL)
     elems = ball_elements(group, group.order)
+    ext = central_extension_group(group, ctx.cocycle, n)
+    untwisted = one_cocycle(ext)
     worst = 0.0
     witness = None
     for s in elems:
         for t in elems:
             f = SupportedFunction(group, {s: 1.0})
             g = SupportedFunction(group, {t: 1.0})
-            lhs = central_extension_embed(twisted_convolve(f, g, ctx.cocycle), ctx.cocycle, n)
-            gf = central_extension_embed(f, ctx.cocycle, n)
-            gg = central_extension_embed(g, ctx.cocycle, n)
-            rhs = twisted_convolve(gf, gg, one_cocycle(gf.group)).scale(1.0 / n)
+            lhs = central_extension_embed(twisted_convolve(f, g, ctx.cocycle), ext)
+            gf = central_extension_embed(f, ext)
+            gg = central_extension_embed(g, ext)
+            rhs = twisted_convolve(gf, gg, untwisted).scale(1.0 / n)
             resid = l1_norm(lhs.sub(rhs))
             if resid > worst:
                 worst, witness = resid, (s, t)
@@ -297,7 +310,7 @@ def _run_grs(spec: CheckSpec) -> dict:
     ctx = _ctx(spec)
     group = ctx.cocycle.group
     s = spec.params.get("element")
-    s = tuple(s) if s is not None else group.generators[-1]
+    s = group.generators[-1] if s is None else element_from_list(group, s)
     n_max = spec.params.get("n_max", 200)
     seq = check_grs(ctx.weight, s, n_max)
     bound = spec.params.get("max_final")
@@ -312,8 +325,6 @@ def _run_grs(spec: CheckSpec) -> dict:
 
 def _run_lss(spec: CheckSpec) -> dict:
     ctx = _ctx(spec)
-    if ctx.weight is None or ctx.aux_weight is None:
-        raise ValueError("lss needs weight (sigma) and weight2 (omega)")
     rep = check_lss_domination(ctx.weight, ctx.aux_weight, spec.radius)
     return _constant(rep, math.isfinite(rep.constant) and rep.constant >= 1.0)
 
@@ -381,8 +392,7 @@ class TrialCheck:
     ``sample_radius(spec)``; ``measure(trial, *fs)`` returns ``(scores, ok,
     witness)``, one score per ``(key, MIN | MAX)`` of ``worst`` (MIN keys
     start at inf, MAX keys at 0; a NaN score is worse than any number).  The
-    check passes when every trial is ok.  ``needs`` says what a check
-    requiring the spec's weight needs it for; a ``dominated`` check gets the
+    check passes when every trial is ok.  A ``dominated`` check gets the
     spec's domination pair as ``trial.dom``."""
 
     draws: int
@@ -390,7 +400,6 @@ class TrialCheck:
     measure: Callable
     worst: tuple = (("worst_margin", MIN),)
     witness: bool = True
-    needs: str | None = None
     dominated: bool = False
 
 
@@ -402,8 +411,6 @@ def _replaces(worse: Callable, score, worst) -> bool:
 
 def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
     ctx, dom = _domination(spec) if check.dominated else (_ctx(spec), None)
-    if check.needs and ctx.weight is None:
-        raise ValueError(f"{spec.check} needs {check.needs}")
     trial = Trial(spec, ctx, dom)
     rng = np.random.default_rng(spec.seed)
     radius = check.sample_radius(spec)
@@ -482,12 +489,11 @@ TRIAL_CHECKS = {
         lambda t, f, g, h: _residual(t, check_associativity(f, g, h, t.ctx.cocycle)), RESIDUAL),
     "intertwine": TrialCheck(
         2, _param_radius(4),
-        lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL,
-        needs="the weight of the coboundary"),
+        lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL),
     "sandwich": TrialCheck(1, lambda spec: 4, _sandwich, witness=False),
     "holder": TrialCheck(2, lambda spec: 4, _holder),
     "lambda-isometry": TrialCheck(
-        1, lambda spec: 4, _lambda_gap, (("worst_relative_gap", MAX),), witness=False, needs="a weight"),
+        1, lambda spec: 4, _lambda_gap, (("worst_relative_gap", MAX),), witness=False),
     "symmetry-finite": TrialCheck(
         1, lambda spec: 2, _symmetry,
         (("worst_scaled_min_real", MIN), ("worst_scaled_max_imag", MAX)), witness=False),
@@ -512,29 +518,15 @@ CHECK_RUNNERS = {
     **{name: functools.partial(_run_trials, check=check) for name, check in TRIAL_CHECKS.items()},
 }
 
-# Map from checker callables in the library modules to the CLI check names
-# that exercise them; the registry test keeps this complete.
-CHECKER_COVERAGE = {
-    "weights.check_submultiplicative": ("submult", "submult-stable"),
-    "weights.check_weak_subadditive": ("weak-subadd",),
-    "weights.check_symmetric": ("symmetric",),
-    "weights.check_grs": ("grs",),
-    "weights.check_lss_domination": ("lss",),
-    "weights.analyze_p_function": ("plemma",),
-    "cocycles.verify_cocycle": ("cocycle-verify",),
-    "cocycles.polar": ("cocycle-polar",),
-    "cocycles.domination_from_subadditive": ("domination",),
-    "cocycles.central_extension_embed": ("central-ext",),
-    "orlicz.dual_pairing_bound": ("holder",),
-    "orlicz.psi_membership_series": ("psi-series",),
-    "orlicz.lambda_map": ("lambda-isometry",),
-    "twisted.check_associativity": ("assoc",),
-    "twisted.check_module_bound": ("module-bound",),
-    "twisted.check_algebra_bound": ("algebra-bound",),
-    "twisted.check_intertwining": ("intertwine",),
-    "twisted.check_differential_bound": ("differential",),
-    "twisted.spectral_radius_estimate": ("spectral",),
-    "twisted.finite_symmetry_check": ("symmetry-finite",),
+# The spec weights each check reads: run_check rejects a spec without them
+# (exit 2) before the runner starts.
+REQUIRED_WEIGHTS = {
+    **dict.fromkeys(
+        ("submult", "submult-stable", "weak-subadd", "symmetric", "grs", "psi-series", "domination",
+         "algebra-bound", "intertwine", "lambda-isometry", "differential"),
+        ("weight",),
+    ),
+    "lss": ("weight", "weight2"),
 }
 
 
@@ -595,6 +587,9 @@ def run_check(spec: CheckSpec) -> dict:
         raise ValueError(f"unknown check {spec.check!r}; known: {sorted(CHECK_RUNNERS)}")
     if spec.trials < 1:
         raise ValueError(f"trials must be >= 1, got {spec.trials}")
+    missing = [name for name in REQUIRED_WEIGHTS.get(spec.check, ()) if not getattr(spec, name)]
+    if missing:
+        raise ValueError(f"{spec.check} needs {' and '.join(missing)}")
     out = {"check": spec.check, "spec": asdict(spec)}
     try:
         out.update(_jsonable(runner(spec)))

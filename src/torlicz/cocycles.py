@@ -5,10 +5,11 @@ A 2-cocycle is a map Omega: G x G -> C* with
     Omega(r, s) Omega(rs, t) = Omega(s, t) Omega(r, st)
     Omega(r, e) = Omega(e, r) = 1.
 
-Cocycles are stored as callables with a memo table keyed by element pairs.
-Most also carry a table form, ``Cocycle.table(S, T)``, that fills the whole
-|S| x |T| value array at once without touching the memo and with the same
-bits as the scalar calls; the twisted convolution uses it on large supports.
+A ``Cocycle`` is a frozen record: a scalar function evaluated afresh on
+every call (no value is cached) and, for most cocycles, a table form,
+``Cocycle.table(S, T)``, that fills the whole |S| x |T| value array at once
+with the same bits as the scalar calls; the twisted convolution uses it on
+large supports.
 The ball-pair checks (the cocycle identity, the domination bound and the
 polar split) read dense value tables from ``value_table``: the table form
 where the group has ``op_many`` and the cocycle a table, else the scalar
@@ -58,31 +59,23 @@ class Cocycle:
     ``groups.product_classes`` when the caller has them (else None), to the
     complex (m, n) array of fn(s, t), equal to the scalar values bit for
     bit, or to None when it cannot (then callers fall back to scalar
-    calls)."""
+    calls).  These four fields are all a cocycle holds."""
 
     group: Group
     fn: object
     name: str
     tabulate: object = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_aux", {})
-
     def __call__(self, s, t) -> complex:
-        key = (s, t)
-        v = self._memo.get(key)
-        if v is None:
-            v = complex(self.fn(s, t))
-            if v == 0:
-                raise ValueError(f"cocycle {self.name} vanishes at {key}")
-            self._memo[key] = v
+        v = complex(self.fn(s, t))
+        if v == 0:
+            raise ValueError(f"cocycle {self.name} vanishes at {(s, t)}")
         return v
 
     def table(self, S: np.ndarray, T: np.ndarray, classes=None) -> np.ndarray | None:
         """All values on S x T as a complex array, or None without a table
         form.  ``classes`` is ``product_classes(group, S, T)`` if already
-        computed.  The memo is neither read nor filled."""
+        computed."""
         if self.tabulate is None:
             return None
         tab = self.tabulate(S, T, classes)
@@ -225,9 +218,9 @@ def polar(omega: Cocycle):
 def value_table(omega: Cocycle, A: list, B: list) -> np.ndarray:
     """omega(s, t) for s in A, t in B (ball elements) as a complex
     (len(A), len(B)) array.  The cocycle's table form on int64 coordinate
-    arrays when the group has ``op_many`` and the cocycle a table, leaving
-    the memo untouched; otherwise the scalar double loop, which is also the
-    exact form the tables are tested against."""
+    arrays when the group has ``op_many`` and the cocycle a table; otherwise
+    the scalar double loop, which is also the exact form the tables are
+    tested against."""
     if omega.group.op_many is not None:
         try:
             tab = omega.table(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
@@ -378,12 +371,10 @@ def _root_exponent(value: complex, n: int, tol: float = 1e-9) -> int:
 def central_extension_group(base: Group, omega_t: Cocycle, n: int) -> Group:
     """G x Z_n with the product (s, a)(t, b) = (st, a + b + c(s, t)) where
     Omega_T(s, t) = zeta^c(s,t); requires a finite base group and phase
-    values that are exactly n-th roots of unity."""
+    values that are exactly n-th roots of unity.  Build it once and pass it
+    to every ``central_extension_embed``."""
     if base.order is None:
         raise ValueError("central extension model needs a finite base group")
-    cache = omega_t._aux.get(("extension", n))
-    if cache is not None:
-        return cache
     elems = ball_elements(base, base.order)  # exhausts the finite group
     expo = {}
     for s in elems:
@@ -401,7 +392,7 @@ def central_extension_group(base: Group, omega_t: Cocycle, n: int) -> Group:
 
     ident = (base.identity, 0)
     generators = tuple((g, k) for g in elems for k in range(n))
-    ext = Group(
+    return Group(
         name=f"{base.name}xZ{n}",
         op=op,
         inv=inv,
@@ -409,19 +400,19 @@ def central_extension_group(base: Group, omega_t: Cocycle, n: int) -> Group:
         generators=generators,
         order=base.order * n,
     )
-    omega_t._aux[("extension", n)] = ext
-    return ext
 
 
-def central_extension_embed(f: SupportedFunction, omega_t: Cocycle, n: int) -> SupportedFunction:
-    """Gamma(f)(s, k) = zeta^{-k} f(s) on the finite extension G x Z_n.
+def central_extension_embed(f: SupportedFunction, ext: Group) -> SupportedFunction:
+    """Gamma(f)(s, k) = zeta^{-k} f(s) on the finite extension
+    ext = G x Z_n built by ``central_extension_group(f.group, omega_t, n)``.
 
     Convention: with counting measure on the fiber (each point has mass 1,
     the circle it models has total mass 1), Gamma(f twisted* g) equals
-    (1/n) Gamma(f) * Gamma(g); repeated embeddings share one extension
-    group instance.
+    (1/n) Gamma(f) * Gamma(g).
     """
-    ext = central_extension_group(f.group, omega_t, n)
+    n = ext.order // f.group.order if ext.order and f.group.order else 0
+    if ext.name != f"{f.group.name}xZ{n}":
+        raise ValueError(f"{ext.name} is not a central extension of {f.group.name}")
     zeta = cmath.exp(2j * math.pi / n)
     values = {}
     for s, v in f.values.items():

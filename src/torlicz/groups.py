@@ -81,10 +81,9 @@ class BallTable:
     layers: tuple
     sizes: tuple
 
-    def elements(self, radius: int | None = None) -> list:
-        rad = len(self.layers) - 1 if radius is None else radius
+    def elements(self) -> list:
         out = []
-        for layer in self.layers[: rad + 1]:
+        for layer in self.layers:
             out.extend(layer)
         return out
 
@@ -484,7 +483,10 @@ def parse_group(spec: str) -> Group:
 
 def element_from_list(group: Group, values: list) -> tuple:
     """Canonical element from its JSON integer-array form."""
-    elt = tuple(int(v) for v in values)
+    try:
+        elt = tuple(int(v) for v in values)
+    except TypeError:
+        raise ValueError(f"element {values!r} is not an integer array") from None
     if len(elt) != len(group.identity):
         raise ValueError(
             f"element {values} has arity {len(elt)}, expected {len(group.identity)} for {group.name}"

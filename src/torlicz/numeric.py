@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+REL_TOL = 1e-12
+MAX_ITER = 200
 
 
-def golden_section_min(f, a: float, b: float, rel_tol: float = 1e-12, max_iter: int = 200):
+def golden_section_min(f, a: float, b: float):
     """Minimize a unimodal f on [a, b].
 
     Returns ``(x_best, f_best)`` where f_best is the smallest value seen at
@@ -30,7 +32,7 @@ def golden_section_min(f, a: float, b: float, rel_tol: float = 1e-12, max_iter: 
         if v < best_v:
             best_x, best_v = x, v
     it = 0
-    while (b - a) > rel_tol * (abs(a) + abs(b) + 1e-300) and it < max_iter:
+    while (b - a) > REL_TOL * (abs(a) + abs(b) + 1e-300) and it < MAX_ITER:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - INV_PHI * (b - a)
@@ -47,19 +49,19 @@ def golden_section_min(f, a: float, b: float, rel_tol: float = 1e-12, max_iter: 
     return best_x, best_v
 
 
-def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-12, max_iter: int = 200):
-    x, v = golden_section_min(lambda t: -f(t), a, b, rel_tol=rel_tol, max_iter=max_iter)
+def golden_section_max(f, a: float, b: float):
+    x, v = golden_section_min(lambda t: -f(t), a, b)
     return x, -v
 
 
-def grid_then_golden_min(f, grid, rel_tol: float = 1e-12):
+def grid_then_golden_min(f, grid):
     """Scan a sorted grid for the minimum of a unimodal f, then refine with
     golden section on the bracketing cell pair.  Returns (x_best, f_best)."""
     vals = [f(x) for x in grid]
     j = min(range(len(grid)), key=lambda i: vals[i])
     lo = grid[max(0, j - 1)]
     hi = grid[min(len(grid) - 1, j + 1)]
-    x, v = golden_section_min(f, lo, hi, rel_tol=rel_tol)
+    x, v = golden_section_min(f, lo, hi)
     if vals[j] < v:
         return grid[j], vals[j]
     return x, v

@@ -97,10 +97,6 @@ def delta(group: Group, s=None, value: complex = 1.0) -> SupportedFunction:
     return SupportedFunction(group, {s: value})
 
 
-def indicator(group: Group, elements) -> SupportedFunction:
-    return SupportedFunction(group, {s: 1.0 for s in elements})
-
-
 @dataclass(frozen=True)
 class SpaceContext:
     """A Young pair plus an optional weight for the weighted norm."""

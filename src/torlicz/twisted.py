@@ -28,7 +28,6 @@ exactly what the inequalities need.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,7 @@ FLOAT_GUARD = 1e-12
 
 # Below this many support pairs the scalar loop wins against the fixed cost
 # of the table path's numpy calls.  Measured crossover (2-core x86-64,
-# Python 3.11, numpy 2.4): 64-100 pairs with a fresh cocycle, 100-250 when
-# the scalar memo is warm.
+# Python 3.11, numpy 2.4): 64-100 pairs.
 TABLE_MIN_PAIRS = 128
 
 # Coordinates below this size keep every op_many product (H3 multiplies
@@ -149,23 +147,6 @@ def _twisted_convolve_table(f: SupportedFunction, g: SupportedFunction, omega: C
     im = np.bincount(labels, weights=terms.imag, minlength=len(order))
     points = map(tuple, prods[first[order]].tolist())
     return SupportedFunction(group, dict(zip(points, map(complex, re.tolist(), im.tolist()))))
-
-
-def delta_action(s, f: SupportedFunction, omega: Cocycle, side: str = "left") -> SupportedFunction:
-    """Point-mass action: left is (delta_s * f)(t) = f(s^{-1} t) Omega(s, s^{-1} t),
-    right is (f * delta_s)(t) = f(t s^{-1}) Omega(t s^{-1}, s)."""
-    group = f.group
-    if side == "left":
-        return SupportedFunction(
-            group,
-            {group.op(s, u): v * omega(s, u) for u, v in f.values.items()},
-        )
-    if side == "right":
-        return SupportedFunction(
-            group,
-            {group.op(u, s): v * omega(u, s) for u, v in f.values.items()},
-        )
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def involution(f: SupportedFunction, phase: Cocycle, tol: float = 1e-9) -> SupportedFunction:

@@ -53,12 +53,12 @@ class YoungFunction:
         return self.fn(x)
 
 
-def _validate_young(fn, name: str, samples: int = 24) -> None:
+def _validate_young(fn, name: str) -> None:
     v0 = fn(0.0)
     if v0 != 0.0:
         raise YoungFunctionError(f"{name}: eval(0) = {v0!r}, expected 0")
     rng = np.random.default_rng(0xA11CE)
-    xs = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(1e3), size=samples)))
+    xs = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(1e3), size=24)))
     vals = [fn(float(x)) for x in xs]
     for v in vals:
         if isinstance(v, float) and math.isnan(v):
@@ -76,9 +76,8 @@ def _validate_young(fn, name: str, samples: int = 24) -> None:
             raise YoungFunctionError(f"{name}: midpoint convexity fails near x = {mid:g}")
 
 
-def young_function(name: str, fn, validate: bool = True) -> YoungFunction:
-    if validate:
-        _validate_young(fn, name)
+def young_function(name: str, fn) -> YoungFunction:
+    _validate_young(fn, name)
     return YoungFunction(name=name, fn=fn)
 
 
@@ -86,7 +85,7 @@ def young_function(name: str, fn, validate: bool = True) -> YoungFunction:
 # Numerical conjugation (the tests' reference for the exact complements)
 
 
-def conjugate(phi: YoungFunction, y: float, bracket_cap: float = CONJUGATE_BRACKET_CAP) -> float:
+def conjugate(phi: YoungFunction, y: float) -> float:
     """sup over x >= 0 of x*y - Phi(x); +inf when the objective keeps
     growing past the bracket cap.
 
@@ -110,7 +109,7 @@ def conjugate(phi: YoungFunction, y: float, bracket_cap: float = CONJUGATE_BRACK
     grid = [0.0] + [2.0**j for j in range(-40, 22)]
     vals = [objective(x) for x in grid]
     j = max(range(len(grid)), key=lambda i: vals[i])
-    if grid[j] >= bracket_cap and vals[-1] > vals[-2] > vals[-3]:
+    if grid[j] >= CONJUGATE_BRACKET_CAP and vals[-1] > vals[-2] > vals[-3]:
         return math.inf
     lo = grid[max(0, j - 1)]
     hi = grid[min(len(grid) - 1, j + 1)]
@@ -250,8 +249,8 @@ def parse_pair(spec: str) -> YoungPair:
     raise ValueError(f"unknown Young pair spec {spec!r}")
 
 
-def builtin_pairs(lp_exponents=(1.5, 2.0, 3.0)) -> list[YoungPair]:
-    pairs = [l1_pair()] + [lp_pair(p) for p in lp_exponents]
+def builtin_pairs() -> list[YoungPair]:
+    pairs = [l1_pair()] + [lp_pair(p) for p in (1.5, 2.0, 3.0)]
     pairs += [xlog_pair(), cosh_pair(), expm_pair(), entropy_pair()]
     return pairs
 
@@ -301,8 +300,3 @@ def piecewise_pair(points, name: str = "piecewise") -> YoungPair:
         return max(x * y - v for x, v in pts)
 
     return YoungPair(name=name, phi=young_function(name, phi), psi=young_function(f"conj({name})", psi))
-
-
-def piecewise_linear_young(points, name: str = "piecewise") -> YoungFunction:
-    """The Phi of ``piecewise_pair(points, name)``."""
-    return piecewise_pair(points, name).phi

@@ -22,6 +22,7 @@ from torlicz.cocycles import (
     Cocycle,
     bicharacter_cocycle,
     central_extension_embed,
+    central_extension_group,
     coboundary_from_weight,
     domination_from_subadditive,
     one_cocycle,
@@ -322,17 +323,16 @@ def test_c10_finite_symmetry():
 def test_c11_central_extension():
     group = cyclic_group(4)
     om = bicharacter_cocycle(group)  # Omega(j, k) = i^{jk}
-    ext_one = None
+    ext = central_extension_group(group, om, 4)
+    ext_one = one_cocycle(ext)
     worst = 0.0
     for j in range(4):
         for k in range(4):
             f = delta(group, (j,))
             g = delta(group, (k,))
-            lhs = central_extension_embed(twisted_convolve(f, g, om), om, 4)
-            gf = central_extension_embed(f, om, 4)
-            gg = central_extension_embed(g, om, 4)
-            if ext_one is None:
-                ext_one = one_cocycle(gf.group)
+            lhs = central_extension_embed(twisted_convolve(f, g, om), ext)
+            gf = central_extension_embed(f, ext)
+            gg = central_extension_embed(g, ext)
             rhs = twisted_convolve(gf, gg, ext_one).scale(0.25)
             worst = max(worst, l1_norm(lhs.sub(rhs)))
     ok = worst <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 from torlicz import cli, twisted
 from torlicz.cli import (
     CHECK_RUNNERS,
-    CHECKER_COVERAGE,
+    REQUIRED_WEIGHTS,
     CheckSpec,
     SUITES,
     TRIAL_CHECKS,
@@ -232,6 +232,32 @@ def test_report_json_round_trip_eq():
     doc = json.loads(emit_report(report, "json"))
     assert doc["suite"] == "lem-p-function"
     assert all(r["pass"] for r in doc["results"])
+
+
+# Map from checker callables in the library modules to the CLI check names
+# that exercise them; the registry test keeps this complete.
+CHECKER_COVERAGE = {
+    "weights.check_submultiplicative": ("submult", "submult-stable"),
+    "weights.check_weak_subadditive": ("weak-subadd",),
+    "weights.check_symmetric": ("symmetric",),
+    "weights.check_grs": ("grs",),
+    "weights.check_lss_domination": ("lss",),
+    "weights.analyze_p_function": ("plemma",),
+    "cocycles.verify_cocycle": ("cocycle-verify",),
+    "cocycles.polar": ("cocycle-polar",),
+    "cocycles.domination_from_subadditive": ("domination",),
+    "cocycles.central_extension_embed": ("central-ext",),
+    "orlicz.dual_pairing_bound": ("holder",),
+    "orlicz.psi_membership_series": ("psi-series",),
+    "orlicz.lambda_map": ("lambda-isometry",),
+    "twisted.check_associativity": ("assoc",),
+    "twisted.check_module_bound": ("module-bound",),
+    "twisted.check_algebra_bound": ("algebra-bound",),
+    "twisted.check_intertwining": ("intertwine",),
+    "twisted.check_differential_bound": ("differential",),
+    "twisted.spectral_radius_estimate": ("spectral",),
+    "twisted.finite_symmetry_check": ("symmetry-finite",),
+}
 
 
 def test_registry_every_checker_reachable_from_a_suite():
@@ -467,3 +493,51 @@ def test_cocycle_polar_residuals_match_the_pair_loop(group, cocycle):
     assert type(res["reconstruction_residual"]) is float and type(res["unimodularity_residual"]) is float
     assert res["reconstruction_residual"].hex() == recon.hex()
     assert res["unimodularity_residual"].hex() == unimod.hex()
+
+
+# ---------------------------------------------------------------------------
+# Spec validation before any runner starts
+
+
+WEIGHTED_CHECKS = (
+    "submult", "submult-stable", "weak-subadd", "symmetric", "grs", "psi-series", "lss",
+    "domination", "algebra-bound", "intertwine", "lambda-isometry", "differential",
+)
+
+
+def test_required_weights_table_names_every_weighted_check():
+    assert set(REQUIRED_WEIGHTS) == set(WEIGHTED_CHECKS) and set(REQUIRED_WEIGHTS) <= set(CHECK_RUNNERS)
+    assert REQUIRED_WEIGHTS["lss"] == ("weight", "weight2")
+
+
+@pytest.mark.parametrize("name", WEIGHTED_CHECKS)
+def test_check_without_its_weight_exits_2(name, capsys, monkeypatch):
+    monkeypatch.setitem(CHECK_RUNNERS, name, lambda spec: pytest.fail("the runner started"))
+    argv = ["check", name, "--group", "Z^d:1"]
+    if name == "lss":
+        assert main(argv + ["--weight", "poly:1"]) == 2  # weight2 alone is missing too
+        capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "weight" in err
+
+
+def test_checks_without_a_weight_entry_run_without_one():
+    assert run_check(CheckSpec(check="module-bound", group="Z^d:1", trials=1))["pass"]
+
+
+@pytest.mark.parametrize(
+    "group, element, message",
+    [("Z^d:1", [1, 2], "arity"), ("Z^d:2", [], "arity"), ("Z^d:2", [1], "arity"), ("Z^d:1", 1, "integer array")],
+)
+def test_grs_malformed_element_exits_2(group, element, message, capsys):
+    params = json.dumps({"element": element, "n_max": 8})
+    assert main(["check", "grs", "--group", group, "--weight", "poly:1", "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_grs_element_is_canonical():
+    res = run_check(CheckSpec(check="grs", group="Zn:4", weight="poly:1", params={"element": [5], "n_max": 8}))
+    assert res["element"] == [1]

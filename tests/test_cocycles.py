@@ -161,7 +161,7 @@ def test_central_extension_trivial_fiber():
     group = cyclic_group(3)
     om = one_cocycle(group)
     f = SupportedFunction(group, {(1,): 2.0, (2,): -1.0j})
-    emb = central_extension_embed(f, om, 1)
+    emb = central_extension_embed(f, central_extension_group(group, om, 1))
     assert emb.group.order == 3
     assert {s for (s, k) in emb.support} == set(f.support)
     assert emb.values[((1,), 0)] == 2.0
@@ -171,17 +171,16 @@ def test_central_extension_z4_intertwines():
     group = cyclic_group(4)
     om = bicharacter_cocycle(group)  # values i^{jk}
     n = 4
-    one_ext = None
+    ext = central_extension_group(group, om, n)
+    one_ext = one_cocycle(ext)
     worst = 0.0
     for j in range(4):
         for k in range(4):
             f = delta(group, (j,))
             g = delta(group, (k,))
-            lhs = central_extension_embed(twisted_convolve(f, g, om), om, n)
-            gf = central_extension_embed(f, om, n)
-            gg = central_extension_embed(g, om, n)
-            if one_ext is None:
-                one_ext = one_cocycle(gf.group)
+            lhs = central_extension_embed(twisted_convolve(f, g, om), ext)
+            gf = central_extension_embed(f, ext)
+            gg = central_extension_embed(g, ext)
             rhs = twisted_convolve(gf, gg, one_ext).scale(1.0 / n)
             worst = max(worst, l1_norm(lhs.sub(rhs)))
     assert worst <= 1e-12
@@ -190,7 +189,7 @@ def test_central_extension_z4_intertwines():
 def test_central_extension_identity_value():
     group = cyclic_group(4)
     om = bicharacter_cocycle(group)
-    emb = central_extension_embed(delta(group), om, 4)
+    emb = central_extension_embed(delta(group), central_extension_group(group, om, 4))
     assert emb.values[((0,), 0)] == 1.0
     zeta = cmath.exp(2j * math.pi / 4)
     assert emb.values[((0,), 1)] == pytest.approx(zeta ** (-1))
@@ -214,6 +213,24 @@ def test_central_extension_rejects_non_roots():
     om = bicharacter_cocycle(group, 1.0)  # exp(i jk), not an n-th root lattice
     with pytest.raises(ValueError):
         central_extension_group(group, om, 4)
+
+
+def test_central_extension_embed_rejects_another_base():
+    ext = central_extension_group(cyclic_group(4), bicharacter_cocycle(cyclic_group(4)), 4)
+    with pytest.raises(ValueError, match="not a central extension"):
+        central_extension_embed(delta(cyclic_group(8)), ext)
+
+
+def test_cocycle_holds_only_its_four_fields():
+    om = parse_cocycle(Z2, "prod:cobound:poly:1*bichar:0.5")
+    family = (om, *polar(om))
+    pairs = [(s, t) for s in ball_elements(Z2, 2) for t in ball_elements(Z2, 2)]
+    first = [c(s, t) for c in family for s, t in pairs]
+    for _ in range(3):
+        assert [c(s, t) for c in family for s, t in pairs] == first
+    for c in family:
+        assert set(vars(c)) == {"group", "fn", "name", "tabulate"}
+    assert "__post_init__" not in vars(Cocycle)
 
 
 def test_parse_cocycle_specs():
@@ -252,14 +269,15 @@ def test_default_bicharacter_rejects_coprime_end_orders(spec):
     "spec",
     ["one", "bichar:0.8", "cobound:poly:1.5", "cobound:subexp:0.5:1", "prod:cobound:poly:1*bichar:0.9"],
 )
-def test_table_equals_scalar_values_bit_for_bit(group_spec, spec):
+def test_table_equals_scalar_values_bit_for_bit(group_spec, spec, count_scalar_calls):
     group = parse_group(group_spec)
     elems = ball_elements(group, 2)
     coords = np.array(elems, dtype=np.int64)
     tabled = parse_cocycle(group, spec)
-    parts = polar(parse_cocycle(group, spec))
+    parts = polar(tabled)
+    calls = count_scalar_calls([tabled])
     tables = [tabled.table(coords, coords)] + [p.table(coords, coords) for p in parts]
-    assert not tabled._memo
+    assert calls == [0]
     scalar = parse_cocycle(group, spec)
     for tab, om in zip(tables, [scalar] + list(polar(scalar))):
         for i, s in enumerate(elems):
@@ -320,12 +338,13 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("group_spec, kind", ORACLE_CASES)
-def test_verify_cocycle_table_path_matches_the_scalar_fill(group_spec, kind, monkeypatch):
+def test_verify_cocycle_table_path_matches_the_scalar_fill(group_spec, kind, monkeypatch, count_scalar_calls):
     radius = ORACLE_RADII[group_spec]
     fast = _oracle_cocycles(group_spec, kind)
+    calls = count_scalar_calls(fast)
     report = verify_cocycle(fast[-1], radius)
     if _on_table_path(fast):
-        assert all(not x._memo for x in fast)
+        assert calls == [0]
     monkeypatch.setattr(cocycles_mod, "value_table", cocycles_mod._value_table_loop)
     exact = verify_cocycle(_oracle_cocycles(group_spec, kind)[-1], radius)
     assert not exact.sampled
@@ -347,9 +366,10 @@ def _domination_loop(omega, ell, c, radius):
 
 @pytest.mark.parametrize("group_spec, kind", [(g, k) for g, k in ORACLE_CASES if k in ("skew", "cobound", "prod", "abs", "scalar")])
 @pytest.mark.parametrize("c", [0.6, 100.0])
-def test_domination_table_path_matches_the_pair_loop(group_spec, kind, c):
+def test_domination_table_path_matches_the_pair_loop(group_spec, kind, c, count_scalar_calls):
     radius = 2 * ORACLE_RADII[group_spec]
     fast = _oracle_cocycles(group_spec, kind)
+    calls = count_scalar_calls(fast)
     omega = _oracle_cocycles(group_spec, kind)[-1]
     expected = _domination_loop(omega, parse_weight(omega.group, "poly:1"), c, radius)
     assert expected is not None or c == 100.0  # C = 0.6 fails on every case
@@ -363,7 +383,7 @@ def test_domination_table_path_matches_the_pair_loop(group_spec, kind, c):
         u = {s: c / parse_weight(omega.group, "poly:1")(s) for s in ball_elements(omega.group, radius)}
         assert [(s, x.hex()) for s, x in dom.u.items()] == [(s, x.hex()) for s, x in u.items()]
     if _on_table_path(fast):
-        assert all(not x._memo for x in fast)
+        assert calls == [0]
 
 
 def test_value_table_raises_the_scalar_calls_error_on_a_zero():

@@ -40,3 +40,20 @@ def test_counters_install_and_uninstall_around_a_young_pair(tracer):
     assert t.counts["young.phi_evals"] == 1
     assert t.counts["young.psi_evals"] == 1
     assert tz_young.YoungFunction.__call__ is young_call
+
+
+def test_omega_counter_counts_every_scalar_call(tracer):
+    from torlicz.cocycles import Cocycle, parse_cocycle
+    from torlicz.groups import integer_lattice
+
+    cocycle_call = Cocycle.__call__
+    om = parse_cocycle(integer_lattice(1), "cobound:poly:2")
+    t = tracer.Tracer()
+    t.install_counters()
+    try:
+        values = [om((1,), (2,)) if k % 2 else om((-3,), (0,)) for k in range(50)]
+    finally:
+        t.uninstall()
+    assert t.counts["cocycles.omega_evals"] == 50  # repeated pairs are evaluated again
+    assert Cocycle.__call__ is cocycle_call
+    assert values[1] == om((1,), (2,)) and values[0] == om((-3,), (0,))

@@ -31,7 +31,6 @@ from torlicz.twisted import (
     check_intertwining,
     check_module_bound,
     convolution_matrix,
-    delta_action,
     finite_symmetry_check,
     involution,
     spectral_radius_estimate,
@@ -80,30 +79,18 @@ def test_point_mass_pair_general_rule():
     assert out.values[(-1,)] == pytest.approx(om(s, t))
 
 
-def test_delta_action_matches_convolution():
-    om = bicharacter_cocycle(Z2, 1.1)
-    rng = np.random.default_rng(3)
-    f = random_supported_function(Z2, rng)
-    s = (1, -2)
-    left = delta_action(s, f, om, "left")
-    right = delta_action(s, f, om, "right")
-    assert l1_norm(left.sub(twisted_convolve(delta(Z2, s), f, om))) <= 1e-12
-    assert l1_norm(right.sub(twisted_convolve(f, delta(Z2, s), om))) <= 1e-12
-    assert delta_action(Z2.identity, f, om, "left").values == f.values
-    with pytest.raises(ValueError):
-        delta_action(s, f, om, "middle")
-
-
-def test_delta_action_norm_bound():
+def test_point_mass_module_bound():
     w = make_poly_weight(Z2, 2.0)
     om = coboundary_from_weight(w)
     rng = np.random.default_rng(5)
     f = random_supported_function(Z2, rng)
     s = (2, 1)
-    sup_om = max(abs(om(s, u)) for u in f.support)
-    assert orlicz_norm(delta_action(s, f, om, "left"), P2) <= sup_om * orlicz_norm(f, P2) * (
-        1 + 1e-12
-    )
+    rep = check_module_bound(delta(Z2, s), f, AlgebraContext(cocycle=om, pair=P2))
+    assert rep["pass"]
+    # ||delta_s||_1 = 1, and C covers the pairs (s, u) of the left action
+    assert rep["left_lhs"] == orlicz_norm(twisted_convolve(delta(Z2, s), f, om), P2)
+    assert rep["c_sup"] >= max(abs(om(s, u)) for u in f.support)
+    assert rep["rhs"] == rep["c_sup"] * orlicz_norm(f, P2)
 
 
 def test_involution_real_even_untwisted():
@@ -402,7 +389,7 @@ def test_context_group_consistency():
 # Table path against the exact loop
 
 
-from torlicz.cocycles import central_extension_embed, parse_cocycle  # noqa: E402
+from torlicz.cocycles import central_extension_embed, central_extension_group, parse_cocycle  # noqa: E402
 from torlicz.groups import parse_group  # noqa: E402
 from torlicz.twisted import (  # noqa: E402
     TABLE_MIN_PAIRS,
@@ -424,8 +411,8 @@ TABLE_COCYCLES = (
 
 
 def _cocycle_family(group, kind):
-    """A fresh cocycle plus every cocycle it evaluates, whose memos the
-    table path must leave empty."""
+    """A fresh cocycle plus every cocycle it evaluates, none of which the
+    table path may call scalar-wise."""
     theta = "" if group.name.startswith("Zn:") else "0.7"
     if kind == "bichar":
         om = parse_cocycle(group, f"bichar:{theta}")
@@ -484,13 +471,14 @@ def _table_case(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_table_case())
-def test_table_path_matches_exact_loop_bit_for_bit(case):
+def test_table_path_matches_exact_loop_bit_for_bit(count_scalar_calls, case):
     group, kind, f, g = case
     assume(f.values and g.values)  # canonical keys can cancel on Zn and Block
     om, family = _cocycle_family(group, kind)
+    calls = count_scalar_calls(family)
     fast = _twisted_convolve_table(f, g, om)
     assert fast is not None
-    assert all(not c._memo for c in family)
+    assert calls == [0]
     oracle, _ = _cocycle_family(group, kind)
     exact = _twisted_convolve_exact(f, g, oracle)
     assert _bits(fast) == _bits(exact)
@@ -498,9 +486,10 @@ def test_table_path_matches_exact_loop_bit_for_bit(case):
     assert _bits(twisted_convolve(f, g, om)) == _bits(exact)
 
 
-def test_table_path_drops_exact_cancellations():
+def test_table_path_drops_exact_cancellations(count_scalar_calls):
     group = integer_lattice(2)
     om = one_cocycle(group)
+    calls = count_scalar_calls([om])
     f = SupportedFunction(group, {(i, 0): 1.0 for i in range(16)})
     g = SupportedFunction(group, {(0, 0): 1.0, (1, 0): -1.0, **{(0, j): 1.0 for j in range(1, 9)}})
     assert len(f.values) * len(g.values) >= TABLE_MIN_PAIRS
@@ -509,7 +498,7 @@ def test_table_path_drops_exact_cancellations():
     # (delta_0 - delta_1) telescopes over the row: only its two ends survive
     assert (1, 0) not in fast.values and (16, 0) in fast.values
     assert _bits(fast) == _bits(exact)
-    assert not om._memo
+    assert calls == [0]
 
 
 def test_table_path_declines_and_dispatch_falls_back():
@@ -534,7 +523,7 @@ def test_table_path_declines_and_dispatch_falls_back():
     base = cyclic_group(4)
     phase = bicharacter_cocycle(base)
     ext_f = central_extension_embed(
-        SupportedFunction(base, {(k,): 1.0 + k for k in range(4)}), phase, 4
+        SupportedFunction(base, {(k,): 1.0 + k for k in range(4)}), central_extension_group(base, phase, 4)
     )
     ext_one = one_cocycle(ext_f.group)
     assert _twisted_convolve_table(ext_f, ext_f, ext_one) is None

@@ -15,7 +15,6 @@ from torlicz.young import (
     l1_pair,
     lp_pair,
     parse_pair,
-    piecewise_linear_young,
     piecewise_pair,
     xlog_pair,
     young_function,
@@ -180,16 +179,16 @@ def test_power_pair_overflows_to_infinity():
 
 
 def test_piecewise_linear_young():
-    phi = piecewise_linear_young([(0, 0), (1, 0.5), (2, 2.0), (3, 4.5)])
+    phi = piecewise_pair([(0, 0), (1, 0.5), (2, 2.0), (3, 4.5)]).phi
     assert phi(0.0) == 0.0
     assert phi(1.5) == pytest.approx(1.25)
     assert phi(5.0) == pytest.approx(4.5 + 2.5 * 2)  # last slope extrapolation
     with pytest.raises(YoungFunctionError):
-        piecewise_linear_young([(0, 0), (1, 2.0), (2, 3.0)])  # slopes decrease
+        piecewise_pair([(0, 0), (1, 2.0), (2, 3.0)])  # slopes decrease
     with pytest.raises(YoungFunctionError):
-        piecewise_linear_young([(0, 1), (1, 2)])  # does not start at 0
+        piecewise_pair([(0, 1), (1, 2)])  # does not start at 0
     with pytest.raises(YoungFunctionError):
-        piecewise_linear_young([(0, 0), (1, 0.0)])  # flat tail never reaches inf
+        piecewise_pair([(0, 0), (1, 0.0)])  # flat tail never reaches inf
 
 
 def test_young_validation_rejects_nonconvex():
