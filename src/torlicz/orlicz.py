@@ -16,6 +16,26 @@ refines the infimum.  Both routines only ever report values they evaluated,
 so the Luxemburg result satisfies its defining modular inequality and the
 Amemiya result is an upper approximation of the true infimum.  The dual
 pairing check gives independent lower-bound certificates.
+
+From ``ARRAY_MIN_POINTS`` support points on, ``modular``, each Luxemburg
+bisection step and each Amemiya objective value form their n terms in one
+call of the Young function's array form (``YoungFunction.many``) and add
+them with ``np.cumsum``, left to right from the loop's start value, as the
+scalar loop does (``np.sum`` would add pairwise).  Below the cutover numpy's
+fixed cost per step exceeds the loop's, and the loop runs; it is also the
+tests' oracle for the array path.  numpy's ufuncs may differ from ``math``
+by an ulp, so the array path is not bit-identical.  Its contract:
+
+- each term within a few ulp of the loop's (of the larger operand where
+  the formula subtracts, as in e^x - x - 1), with +inf at the same points;
+- sums added in the same order, so a modular differs from the loop's by
+  no more than the terms do plus one rounding per addition (n eps relative);
+- norms within 1e-11 relative of the loop's.  A Luxemburg step whose
+  modular lies within those roundings of 1 may decide the other way, which
+  moves the result by at most one final bisection step, BISECT_TOL (1 + N).
+
+Forms that use the same IEEE operations as their scalar eval (``L1`` and
+``pw:`` tables) give bit-identical terms, hence bit-identical results.
 """
 
 from __future__ import annotations
@@ -30,6 +50,8 @@ from .numeric import grid_then_golden_min
 from .young import YoungFunction, YoungPair
 
 BISECT_TOL = 1e-12
+# support size from which the norms evaluate Phi as one array per step
+ARRAY_MIN_POINTS = 64
 
 
 class GroupMismatchError(ValueError):
@@ -117,8 +139,19 @@ def weighted_l1_norm(f: SupportedFunction, w) -> float:
     return float(sum(abs(v) * w(s) for s, v in f.values.items()))
 
 
+def _sum_in_loop_order(terms: np.ndarray, start: float) -> float:
+    """start + terms[0] + terms[1] + ..., added left to right as the scalar
+    loops add.  Terms are never NaN or negative, so an +inf term carries
+    through every later partial sum and the total is +inf, as the loops
+    return."""
+    return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
+
+
 def modular(f: SupportedFunction, phi: YoungFunction) -> float:
     """sum over the support of Phi(|f(s)|); may be +inf."""
+    if len(f.values) >= ARRAY_MIN_POINTS:
+        mags = np.array([abs(v) for v in f.values.values()])
+        return _sum_in_loop_order(phi.many(mags), 0.0)
     total = 0.0
     for v in f.values.values():
         t = phi(abs(v))
@@ -147,16 +180,26 @@ def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
         return 0.0
     mags = _finite_magnitudes(f)
 
-    def feasible(k: float) -> bool:
-        total = 0.0
-        for m in mags:
-            t = phi(m / k)
-            if math.isinf(t):
-                return False
-            total += t
-            if total > 1.0:
-                return False
-        return True
+    if len(mags) >= ARRAY_MIN_POINTS:
+        arr = np.array(mags)
+
+        def feasible(k: float) -> bool:
+            # partial sums of non-negative terms never decrease, so the
+            # total exceeds 1 iff the loop's early exit would have fired
+            return _sum_in_loop_order(phi.many(arr / k), 0.0) <= 1.0
+
+    else:
+
+        def feasible(k: float) -> bool:
+            total = 0.0
+            for m in mags:
+                t = phi(m / k)
+                if math.isinf(t):
+                    return False
+                total += t
+                if total > 1.0:
+                    return False
+            return True
 
     hi = max(mags)
     for _ in range(200):
@@ -188,14 +231,22 @@ def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
     phi = pair.phi
     mags = _finite_magnitudes(f)
 
-    def objective(k: float) -> float:
-        total = 1.0
-        for m in mags:
-            t = phi(k * m)
-            if math.isinf(t):
-                return math.inf
-            total += t
-        return total / k
+    if len(mags) >= ARRAY_MIN_POINTS:
+        arr = np.array(mags)
+
+        def objective(k: float) -> float:
+            return _sum_in_loop_order(phi.many(k * arr), 1.0) / k
+
+    else:
+
+        def objective(k: float) -> float:
+            total = 1.0
+            for m in mags:
+                t = phi(k * m)
+                if math.isinf(t):
+                    return math.inf
+                total += t
+            return total / k
 
     # the minimizer sits within a few decades of 1/sup|f|, so anchor the
     # scan grid there; a linear Phi pushes the infimum to the right end,
@@ -349,17 +400,31 @@ def function_to_json(f: SupportedFunction) -> dict:
 
 
 def function_from_json(doc: dict, group: Group | None = None) -> SupportedFunction:
+    """The function of a ``function_to_json`` document; ValueError on any
+    document of another shape."""
     from .groups import element_from_list, parse_group
 
+    if not isinstance(doc, dict):
+        raise ValueError('expected a JSON object with "group" and "support" keys')
     if group is None:
+        if not isinstance(doc.get("group"), str):
+            raise ValueError('no group spec: "group" must be a string such as "Z^d:2"')
         group = parse_group(doc["group"])
     elif doc.get("group") not in (None, group.name):
         raise ValueError(f"group spec mismatch: file says {doc['group']!r}, expected {group.name!r}")
+    support = doc.get("support", [])
+    if not isinstance(support, list):
+        raise ValueError('"support" must be a list of {"elt", "re", "im"} objects')
     values = {}
     seen = {}
-    for i, entry in enumerate(doc.get("support", [])):
+    for i, entry in enumerate(support):
+        if not isinstance(entry, dict) or "elt" not in entry:
+            raise ValueError(f'support entry at index {i} is not an object with an "elt" key')
         s = element_from_list(group, entry["elt"])
-        v = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        try:
+            v = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        except TypeError:
+            raise ValueError(f'support entry at index {i}: "re" and "im" must be numbers') from None
         if v == 0:
             raise ValueError(f"zero-value entry at index {i}: {entry['elt']}")
         if s in seen:

@@ -16,6 +16,14 @@ sections 12 and 26), so the value is an evaluated point of the objective
 and never exceeds the supremum by more than the rounding of that one
 expression.  ``conjugate`` is the generic numeric conjugate, kept as the
 tests' reference for these formulas; no pair uses it.
+
+Every Young function also has an array form, ``many``, which the norms use
+on large supports.  The built-ins evaluate their scalar formula with numpy
+ufuncs, whose results may differ from ``math``'s by an ulp; overflow gives
++inf, as the scalar evals return ``math.inf``.  ``pw:`` tables and ``L1``
+use the same IEEE operations as their scalar evals and agree bit for bit.
+A function without an array form (a user eval, ``xlog``'s complement)
+maps its scalar eval.
 """
 
 from __future__ import annotations
@@ -43,14 +51,21 @@ class YoungFunctionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
-    """A Young function given by a scalar eval.  Evals may return math.inf
-    (a complement can jump to +inf), never NaN."""
+    """A Young function given by a scalar eval and an optional array form.
+    Evals may return math.inf (a complement can jump to +inf), never NaN."""
 
     name: str
     fn: object
+    array_fn: object = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
+
+    def many(self, x: np.ndarray) -> np.ndarray:
+        """The eval at each entry of a float array."""
+        if self.array_fn is None:
+            return np.fromiter(map(self.fn, x.tolist()), dtype=float, count=len(x))
+        return self.array_fn(x)
 
 
 def _validate_young(fn, name: str) -> None:
@@ -76,9 +91,19 @@ def _validate_young(fn, name: str) -> None:
             raise YoungFunctionError(f"{name}: midpoint convexity fails near x = {mid:g}")
 
 
-def young_function(name: str, fn) -> YoungFunction:
+def young_function(name: str, fn, many=None) -> YoungFunction:
     _validate_young(fn, name)
-    return YoungFunction(name=name, fn=fn)
+    return YoungFunction(name=name, fn=fn, array_fn=many)
+
+
+def _overflow_to_inf(fn):
+    """An array form whose float overflow gives +inf without a warning."""
+
+    def many(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return fn(x)
+
+    return many
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +163,10 @@ def _psisonsuz(y: float) -> float:
     return 0.0 if y <= 1.0 else math.inf
 
 
+def _psisonsuz_many(y: np.ndarray) -> np.ndarray:
+    return np.where(y <= 1.0, 0.0, math.inf)
+
+
 def _power(r: float):
     """x^r / r, +inf where x^r overflows."""
 
@@ -154,6 +183,36 @@ def _cosh_conjugate(y: float) -> float:
     """x* y - (cosh x* - 1) at x* = asinh(y), with cosh(asinh y) - 1 written
     as y^2 / (1 + hypot(1, y)): no cancellation at 0, no inf/inf at huge y."""
     return math.asinh(y) * y - y * (y / (1.0 + math.hypot(1.0, y)))
+
+
+@_overflow_to_inf
+def _cosh_conjugate_many(y: np.ndarray) -> np.ndarray:
+    return np.arcsinh(y) * y - y * (y / (1.0 + np.hypot(1.0, y)))
+
+
+# array forms of numeric's coshm1, expm1mx, entropy_fn and xlog1p, formula
+# for formula
+
+
+@_overflow_to_inf
+def _coshm1_many(x: np.ndarray) -> np.ndarray:
+    s = np.sinh(0.5 * x)
+    return 2.0 * s * s
+
+
+@_overflow_to_inf
+def _expm1mx_many(x: np.ndarray) -> np.ndarray:
+    return np.expm1(x) - x
+
+
+@_overflow_to_inf
+def _entropy_many(x: np.ndarray) -> np.ndarray:
+    return (1.0 + x) * np.log1p(x) - x
+
+
+@_overflow_to_inf
+def _xlog1p_many(x: np.ndarray) -> np.ndarray:
+    return x * np.log1p(x)
 
 
 def _xlog_conjugate(y: float) -> float:
@@ -183,38 +242,39 @@ def lp_pair(p: float) -> YoungPair:
     if not p > 1.0:
         raise ValueError("Lp pair needs p > 1")
     q = p / (p - 1.0)
-    phi = young_function(f"x^{p:g}/{p:g}", _power(p))
-    psi = young_function(f"y^{q:g}/{q:g}", _power(q))
+    phi = young_function(f"x^{p:g}/{p:g}", _power(p), _overflow_to_inf(lambda x: np.power(x, p) / p))
+    psi = young_function(f"y^{q:g}/{q:g}", _power(q), _overflow_to_inf(lambda y: np.power(y, q) / q))
     return YoungPair(name=f"Lp:{p:g}", phi=phi, psi=psi)
 
 
 def l1_pair() -> YoungPair:
-    phi = young_function("x", lambda x: x)
-    psi = young_function("0 on [0,1], inf beyond", _psisonsuz)
+    phi = young_function("x", lambda x: x, lambda x: x)
+    psi = young_function("0 on [0,1], inf beyond", _psisonsuz, _psisonsuz_many)
     return YoungPair(name="L1", phi=phi, psi=psi)
 
 
 def xlog_pair() -> YoungPair:
-    phi = young_function("x ln(1+x)", xlog1p)
+    phi = young_function("x ln(1+x)", xlog1p, _xlog1p_many)
+    # no closed form: the array form maps the scalar bisection
     psi = young_function("conj(x ln(1+x))", _xlog_conjugate)
     return YoungPair(name="xlog", phi=phi, psi=psi)
 
 
 def cosh_pair() -> YoungPair:
-    phi = young_function("cosh x - 1", coshm1)
-    psi = young_function("y asinh y - sqrt(1+y^2) + 1", _cosh_conjugate)
+    phi = young_function("cosh x - 1", coshm1, _coshm1_many)
+    psi = young_function("y asinh y - sqrt(1+y^2) + 1", _cosh_conjugate, _cosh_conjugate_many)
     return YoungPair(name="cosh", phi=phi, psi=psi)
 
 
 def expm_pair() -> YoungPair:
-    phi = young_function("e^x - x - 1", expm1mx)
-    psi = young_function("(1+y)ln(1+y) - y", entropy_fn)
+    phi = young_function("e^x - x - 1", expm1mx, _expm1mx_many)
+    psi = young_function("(1+y)ln(1+y) - y", entropy_fn, _entropy_many)
     return YoungPair(name="expm", phi=phi, psi=psi)
 
 
 def entropy_pair() -> YoungPair:
-    phi = young_function("(1+x)ln(1+x) - x", entropy_fn)
-    psi = young_function("e^y - y - 1", expm1mx)
+    phi = young_function("(1+x)ln(1+x) - x", entropy_fn, _entropy_many)
+    psi = young_function("e^y - y - 1", expm1mx, _expm1mx_many)
     return YoungPair(name="entropy", phi=phi, psi=psi)
 
 
@@ -294,9 +354,20 @@ def piecewise_pair(points, name: str = "piecewise") -> YoungPair:
             return float(np.interp(x, xa, ya))
         return last_y + last_s * (x - last_x)
 
+    def phi_many(x: np.ndarray) -> np.ndarray:
+        return np.where(x <= last_x, np.interp(x, xa, ya), last_y + last_s * (x - last_x))
+
     def psi(y: float) -> float:
         if y > last_s:
             return math.inf
         return max(x * y - v for x, v in pts)
 
-    return YoungPair(name=name, phi=young_function(name, phi), psi=young_function(f"conj({name})", psi))
+    def psi_many(y: np.ndarray) -> np.ndarray:
+        best = (y[:, None] * xa - ya).max(axis=1)
+        return np.where(y > last_s, math.inf, best)
+
+    return YoungPair(
+        name=name,
+        phi=young_function(name, phi, _overflow_to_inf(phi_many)),
+        psi=young_function(f"conj({name})", psi, _overflow_to_inf(psi_many)),
+    )

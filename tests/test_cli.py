@@ -377,6 +377,21 @@ def test_cmd_norm_rejects_non_finite_values(value, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"support": [{"elt": [0], "re": 1.0}]}, 'no group spec'),
+    ({"group": "Z^d:1", "support": [{"re": 1.0, "im": 0.0}]}, "index 0"),
+    ([{"elt": [0], "re": 1.0}], "JSON object"),
+    ({"group": "Z^d:1", "support": [{"elt": [0], "re": 1.0}, [1, 2.0]]}, "index 1"),
+    ({"group": "Z^d:1", "support": {"elt": [0]}}, '"support" must be a list'),
+    ({"group": "Z^d:1", "support": [{"elt": [0], "re": None}]}, "must be numbers"),
+])
+def test_cmd_norm_malformed_function_file_exits_2(doc, message, tmp_path, capsys):
+    path = write_json(tmp_path, "f.json", doc)
+    assert main(["norm", "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1
+
+
 def test_cmd_norm_large_power_overflows_to_infinity(tmp_path, capsys):
     # the Amemiya scan reaches k m near 2^50, where x^30 overflows a float
     doc = {"group": "Z^d:2", "support": [

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torlicz import orlicz
 from torlicz.groups import cyclic_group, integer_lattice
 from torlicz.orlicz import (
+    BISECT_TOL,
     GroupMismatchError,
     SpaceContext,
     SupportedFunction,
@@ -25,7 +27,15 @@ from torlicz.orlicz import (
     weighted_norm,
 )
 from torlicz.weights import constant_weight, make_poly_weight
-from torlicz.young import YoungPair, builtin_pairs, lp_pair, l1_pair, parse_pair, young_function
+from torlicz.young import (
+    YoungPair,
+    builtin_pairs,
+    l1_pair,
+    lp_pair,
+    parse_pair,
+    piecewise_pair,
+    young_function,
+)
 
 Z1 = integer_lattice(1)
 Z2 = integer_lattice(2)
@@ -251,3 +261,102 @@ def test_norms_reject_non_finite_values(value):
         luxemburg_norm(f, pair.phi)
     with pytest.raises(ValueError, match="finite"):
         orlicz_norm(f, pair)
+
+
+# ---------------------------------------------------------------------------
+# The array path of the norms against the scalar loop
+
+
+ARRAY_PAIRS = builtin_pairs() + [
+    piecewise_pair([[0, 0], [0.5, 0.1], [1, 0.5], [2, 2.0], [3, 6.0]], name="pw")
+]
+# Young functions whose array form uses the scalar eval's IEEE operations
+BIT_EXACT_PAIRS = {"L1", "pw"}
+EPS = np.finfo(float).eps
+
+
+def _on_both_paths(fn, *args):
+    """fn(*args) with the scalar loop, then with the array path."""
+    results = []
+    for cutover in (math.inf, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orlicz, "ARRAY_MIN_POINTS", cutover)
+            results.append(fn(*args))
+    return results
+
+
+def _oriented(idx: int, dual: bool) -> YoungPair:
+    pair = ARRAY_PAIRS[idx]
+    return YoungPair(name=pair.name, phi=pair.psi, psi=pair.phi) if dual else pair
+
+
+def _feasible_at(f, phi, k) -> bool:
+    scaled = SupportedFunction(f.group, {s: abs(v) / k for s, v in f.values.items()})
+    return modular(scaled, phi) <= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    idx=st.integers(0, len(ARRAY_PAIRS) - 1),
+    dual=st.booleans(),
+    n=st.integers(1, 200),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(idx=0, dual=False, n=1, log_scale=0.0, seed=0)
+@example(idx=len(ARRAY_PAIRS) - 1, dual=True, n=200, log_scale=0.5, seed=1)
+def test_array_norms_keep_the_loop_contract(idx, dual, n, log_scale, seed):
+    pair = _oriented(idx, dual)
+    phi = pair.phi
+    rng = np.random.default_rng(seed)
+    vals = 10.0**log_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f = SupportedFunction(Z1, {(i,): complex(v) for i, v in enumerate(vals)})
+    exact = pair.name in BIT_EXACT_PAIRS
+
+    mod_loop, mod_array = _on_both_paths(modular, f, phi)
+    if exact or math.isinf(mod_loop):
+        assert mod_array == mod_loop
+    else:
+        mags = np.array([abs(v) for v in f.values.values()])
+        term_gap = np.abs(phi.many(mags) - [phi(float(m)) for m in mags]).sum()
+        assert abs(mod_array - mod_loop) <= term_gap + len(mags) * EPS * mod_loop
+
+    lux_loop, lux_array = _on_both_paths(luxemburg_norm, f, phi)
+    orl_loop, orl_array = _on_both_paths(orlicz_norm, f, pair)
+    if exact:
+        assert (lux_array, orl_array) == (lux_loop, orl_loop)
+    else:
+        assert abs(lux_array - lux_loop) <= 1e-11 * lux_loop + BISECT_TOL * (1.0 + lux_loop)
+        assert abs(orl_array - orl_loop) <= 1e-11 * orl_loop
+    for cutover, k in ((math.inf, lux_loop), (1, lux_array)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orlicz, "ARRAY_MIN_POINTS", cutover)
+            assert _feasible_at(f, phi, k)
+
+
+@pytest.mark.parametrize("idx", range(len(ARRAY_PAIRS)))
+def test_array_norms_of_zero_functions_and_point_masses(idx):
+    pair = ARRAY_PAIRS[idx]
+    zero = SupportedFunction(Z1, {})
+    for fn, args in ((modular, (zero, pair.phi)), (luxemburg_norm, (zero, pair.phi)),
+                     (orlicz_norm, (zero, pair))):
+        assert _on_both_paths(fn, *args) == [0.0, 0.0]
+    point = delta(Z1, value=0.75)
+    for fn, args in ((modular, (point, pair.phi)), (luxemburg_norm, (point, pair.phi)),
+                     (orlicz_norm, (point, pair))):
+        loop, array = _on_both_paths(fn, *args)
+        assert array == pytest.approx(loop, rel=1e-11, abs=0.0)
+
+
+def test_array_norms_of_all_infinite_modulars():
+    # Psi of L1 is +inf above 1, Phi of expm overflows past 709.8
+    for phi, value in ((l1_pair().psi, 2.0), (parse_pair("expm").phi, 800.0)):
+        f = SupportedFunction(Z1, {(i,): value * (1 + 0.01 * i) for i in range(70)})
+        assert _on_both_paths(modular, f, phi) == [math.inf, math.inf]
+        loop, array = _on_both_paths(luxemburg_norm, f, phi)
+        assert math.isfinite(loop) and array == pytest.approx(loop, rel=1e-11, abs=0.0)
+    # the Amemiya form of that Psi is the sup norm
+    dual_l1 = YoungPair(name="dual(L1)", phi=l1_pair().psi, psi=l1_pair().phi)
+    f = SupportedFunction(Z1, {(i,): 2.0 + i for i in range(70)})
+    loop, array = _on_both_paths(orlicz_norm, f, dual_l1)
+    assert array == loop == pytest.approx(71.0, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,68 @@ def test_xlog_complement_is_finite_and_increasing_up_to_700():
     vals = [psi(float(y)) for y in np.linspace(0.0, 700.0, 1401)]
     assert all(map(math.isfinite, vals))
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Array forms against the scalar evals
+
+ARRAY_GRID = np.geomspace(1e-6, 1e3, 2001)
+YOUNG_FUNCTIONS = [f for pair in EXACT_PAIRS for f in (pair.phi, pair.psi)]
+# forms that subtract nearly equal terms near 0: one ulp of the larger
+# operand is many ulp of the result there, so the tolerance is taken on
+# |value| + the subtracted term
+SUBTRAHEND = {
+    "e^x - x - 1": lambda x: x,
+    "e^y - y - 1": lambda y: y,
+    "(1+x)ln(1+x) - x": lambda x: x,
+    "(1+y)ln(1+y) - y": lambda y: y,
+    "y asinh y - sqrt(1+y^2) + 1": lambda y: y * (y / (1.0 + np.hypot(1.0, y))),
+}
+# +inf on the grid: overflow of exp and cosh past 709.8 (in xlog's
+# complement through its bracket expm1(y)), L1's complement above 1, the
+# table's complement above its last slope
+INFINITE_ON_GRID = {
+    "e^x - x - 1", "e^y - y - 1", "cosh x - 1", "conj(x ln(1+x))",
+    "0 on [0,1], inf beyond", "conj(pw)",
+}
+BIT_EXACT = [l1_pair().phi, l1_pair().psi, pw_pair().phi, pw_pair().psi]
+
+
+def _scalar_map(f, x):
+    return np.array([f(float(v)) for v in x])
+
+
+@pytest.mark.parametrize("f", YOUNG_FUNCTIONS, ids=lambda f: f.name)
+def test_array_form_matches_the_scalar_eval(f):
+    got, want = f.many(ARRAY_GRID), _scalar_map(f, ARRAY_GRID)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.isinf(want).any() == (f.name in INFINITE_ON_GRID)
+    finite = np.isfinite(want)
+    x = ARRAY_GRID[finite]
+    scale = np.abs(want[finite]) + SUBTRAHEND.get(f.name, np.zeros_like)(x)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 4.0 * np.spacing(scale))
+
+
+@pytest.mark.parametrize("f", BIT_EXACT, ids=lambda f: f.name)
+def test_l1_and_table_array_forms_are_bit_identical(f):
+    assert f.many(ARRAY_GRID).tobytes() == _scalar_map(f, ARRAY_GRID).tobytes()
+
+
+def test_array_forms_overflow_to_infinity_without_a_warning():
+    big = np.array([1.0, 1e20, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_pair(30.0).phi.many(big)[1:].tolist() == [math.inf, math.inf]
+        for pair in (expm_pair(), cosh_pair(), entropy_pair(), xlog_pair(), pw_pair()):
+            assert pair.phi.many(big)[-1] == math.inf
+        assert cosh_pair().psi.many(big)[-1] == cosh_pair().psi(1e308) == math.inf
+
+
+def test_a_user_eval_maps_its_scalar_form():
+    phi = young_function("x^2", lambda x: x * x)
+    x = np.array([0.0, 0.5, 3.0])
+    assert phi.many(x).tolist() == [0.0, 0.25, 9.0]
 
 
 def test_power_pair_overflows_to_infinity():
