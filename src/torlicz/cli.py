@@ -2,7 +2,7 @@
 
 Subcommands: ``norm``, ``conv``, ``growth``, ``plemma``, ``check <name>``,
 ``suite <preset|file>``, ``report``.  Exit codes: 0 pass, 1 check failure,
-2 usage or budget error.
+2 usage or budget error, malformed input files and check specs included.
 
 A suite is a list of CheckSpec entries run in dependency order; reruns
 with the same seed reproduce identical numeric report fields (the
@@ -88,6 +88,9 @@ RESIDUAL_TOL = 1e-10
 EXTENSION_TOL = 1e-12
 EIGEN_TOL = 1e-8
 
+# JSON types of the CheckSpec fields; the others are strings
+_FIELD_KINDS = {"radius": int, "trials": int, "seed": int, "params": dict}
+
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -106,10 +109,19 @@ class CheckSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "CheckSpec":
-        known = {f for f in CheckSpec.__dataclass_fields__}
-        unknown = set(doc) - known
+        """The spec of a JSON check entry; ValueError on an entry of another
+        shape.  A field whose default is None may also be null."""
+        if not isinstance(doc, dict) or "check" not in doc:
+            raise ValueError(f'a check entry must be an object with a "check" name, got {doc!r}')
+        fields = CheckSpec.__dataclass_fields__
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ValueError(f"unknown CheckSpec fields: {sorted(unknown)}")
+        for name, value in doc.items():
+            kind = _FIELD_KINDS.get(name, str)
+            if not (isinstance(value, kind) and not isinstance(value, bool)
+                    or value is None and fields[name].default is None):
+                raise ValueError(f"CheckSpec field {name!r} must be {kind.__name__}, got {value!r}")
         return CheckSpec(**doc)
 
 
@@ -587,6 +599,8 @@ def run_check(spec: CheckSpec) -> dict:
         raise ValueError(f"unknown check {spec.check!r}; known: {sorted(CHECK_RUNNERS)}")
     if spec.trials < 1:
         raise ValueError(f"trials must be >= 1, got {spec.trials}")
+    if spec.radius < 0:
+        raise ValueError(f"radius must be >= 0, got {spec.radius}")
     missing = [name for name in REQUIRED_WEIGHTS.get(spec.check, ()) if not getattr(spec, name)]
     if missing:
         raise ValueError(f"{spec.check} needs {' and '.join(missing)}")
@@ -792,7 +806,7 @@ def _cmd_plemma(args) -> int:
 def _cmd_check(args) -> int:
     params = json.loads(args.params) if args.params else {}
     fields = ("group", "pair", "weight", "weight2", "cocycle", "radius", "trials", "seed")
-    spec = CheckSpec(check=args.name, params=params, **{k: getattr(args, k) for k in fields})
+    spec = CheckSpec.from_dict({"check": args.name, "params": params, **{k: getattr(args, k) for k in fields}})
     res = run_check(spec)
     print(_dumps(res, indent=2))
     return 0 if res["pass"] else 1
@@ -804,7 +818,9 @@ def _cmd_suite(args) -> int:
     else:
         with open(args.name, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        specs = doc["checks"] if isinstance(doc, dict) else doc
+        specs = doc.get("checks") if isinstance(doc, dict) else doc
+        if not isinstance(specs, list):
+            raise ValueError(f'{args.name}: a suite file is a list of checks or an object with a "checks" list')
         report = run_suite([CheckSpec.from_dict(d) for d in specs])
     text = emit_report(report, args.format)
     if args.out:
@@ -818,6 +834,10 @@ def _cmd_suite(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    shape = {"suite": str, "spec": list, "results": list, "environment": dict, "pass": bool}
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), t) for k, t in shape.items())
+            and all(isinstance(r, dict) and "check" in r and "pass" in r for r in doc["results"])):
+        raise ValueError(f'{args.infile}: a report has {", ".join(shape)} and results with "check" and "pass"')
     report = Report(
         suite=doc["suite"],
         spec=tuple(doc["spec"]),

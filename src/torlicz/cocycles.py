@@ -36,6 +36,11 @@ from .groups import Group, ball_elements, pair_table, product_classes
 from .orlicz import SupportedFunction
 from .weights import Weight
 
+# verify_cocycle checks all triples up to TRIPLE_CAP of them, else a sample
+TRIPLE_CAP = 6_000_000
+SAMPLE_TRIPLES = 200_000
+ROOT_TOL = 1e-9  # distance from an n-th root of unity a value may have to count as one
+
 
 class DominationViolation(ValueError):
     def __init__(self, message, witness=None):
@@ -249,25 +254,20 @@ class CocycleReport:
     sampled: bool
 
 
-def verify_cocycle(
-    omega: Cocycle,
-    radius: int,
-    triple_cap: int = 6_000_000,
-    sample_triples: int = 200_000,
-    seed: int = 0,
-) -> CocycleReport:
+def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
     """Max residual of the cocycle identity over all triples from the
     radius ball (arguments of the identity reach the 2*radius ball), plus
     the normalization residual and sup |Omega| over the scanned pairs.
 
-    Above ``triple_cap`` total triples, a seeded random sample is checked
-    instead and the report says so.
+    Above ``TRIPLE_CAP`` total triples, a random sample of
+    ``SAMPLE_TRIPLES`` triples drawn with ``seed`` is checked instead and
+    the report says so.
     """
     group = omega.group
     elems = ball_elements(group, radius)
     n1 = len(elems)
 
-    if n1**3 <= triple_cap:
+    if n1**3 <= TRIPLE_CAP:
         _, elems2, prod = pair_table(group, radius)
         w = value_table(omega, elems2, elems2)
         worst = 0.0
@@ -291,7 +291,7 @@ def verify_cocycle(
     worst = 0.0
     witness = None
     sup_abs = 0.0
-    for _ in range(sample_triples):
+    for _ in range(SAMPLE_TRIPLES):
         r, s, t = (elems[int(k)] for k in rng.integers(0, n1, size=3))
         rs = group.op(r, s)
         st = group.op(s, t)
@@ -306,7 +306,7 @@ def verify_cocycle(
         norm_res = max(
             norm_res, abs(omega(g, group.identity) - 1.0), abs(omega(group.identity, g) - 1.0)
         )
-    return CocycleReport(worst, float(norm_res), float(sup_abs), witness, sample_triples, True)
+    return CocycleReport(worst, float(norm_res), float(sup_abs), witness, SAMPLE_TRIPLES, True)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +361,9 @@ def domination_from_subadditive(omega: Cocycle, ell: Weight, c: float, pair, rad
 # Finite central extension
 
 
-def _root_exponent(value: complex, n: int, tol: float = 1e-9) -> int:
+def _root_exponent(value: complex, n: int) -> int:
     k = round(cmath.phase(value) / (2.0 * math.pi / n)) % n
-    if abs(value - cmath.exp(2j * math.pi * k / n)) > tol:
+    if abs(value - cmath.exp(2j * math.pi * k / n)) > ROOT_TOL:
         raise ValueError(f"cocycle value {value!r} is not an {n}-th root of unity")
     return k
 

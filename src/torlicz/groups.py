@@ -29,6 +29,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+# BFS budgets: the largest radius word_length searches and the most
+# elements a BFS index may hold.  Read at call time, so rebinding them
+# takes effect at once.
 DEFAULT_MAX_RADIUS = 64
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
@@ -104,7 +107,7 @@ def _bfs_state(group: Group) -> dict:
     return st
 
 
-def _extend_bfs(group: Group, radius: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict:
+def _extend_bfs(group: Group, radius: int) -> dict:
     st = _bfs_state(group)
     layers, index = st["layers"], st["index"]
     while len(layers) - 1 < radius and not st["exhausted"]:
@@ -122,10 +125,10 @@ def _extend_bfs(group: Group, radius: int, max_elements: int = DEFAULT_MAX_ELEME
                         nxt.append(h)
         else:
             index.update(dict.fromkeys(nxt, n))
-        if len(index) > max_elements:
+        if len(index) > DEFAULT_MAX_ELEMENTS:
             message = (
                 f"ball of radius {n} on {group.name} exceeds the element budget "
-                f"({len(index)} > {max_elements})"
+                f"({len(index)} > {DEFAULT_MAX_ELEMENTS})"
             )
             for h in nxt:  # leave the state as it was before this layer
                 del index[h]
@@ -165,70 +168,47 @@ def _next_layer_array(group: Group, st: dict) -> list | None:
     return list(map(tuple, new.tolist()))
 
 
-def word_length(
-    group: Group,
-    g,
-    max_radius: int = DEFAULT_MAX_RADIUS,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> int:
+def word_length(group: Group, g) -> int:
     """Least n with g in U^n.  Uses the group's exact closed form when one
     is registered, otherwise BFS with memoized layers.
 
-    Raises BudgetError if g is not found within ``max_radius``.
+    Raises BudgetError if g is not found within ``DEFAULT_MAX_RADIUS``
+    layers, or a layer on the way takes the ball past
+    ``DEFAULT_MAX_ELEMENTS`` elements.
     """
     if group.length_hint is not None:
         return group.length_hint(g)
     st = _bfs_state(group)
-    n = st["index"].get(g)
-    if n is not None:
-        return n
-    while not st["exhausted"]:
+    index = st["index"]  # extended in place
+    while g not in index:
         reached = len(st["layers"]) - 1
-        if reached >= max_radius:
-            break
-        _extend_bfs(group, reached + 1, max_elements)
-        n = st["index"].get(g)
-        if n is not None:
-            return n
-    if st["exhausted"] and g in st["index"]:
-        return st["index"][g]
-    raise BudgetError(
-        f"element {g} of {group.name} not reached within radius {max_radius}"
-    )
+        if st["exhausted"] or reached >= DEFAULT_MAX_RADIUS:
+            raise BudgetError(f"element {g} of {group.name} not reached within radius {DEFAULT_MAX_RADIUS}")
+        _extend_bfs(group, reached + 1)
+    return index[g]
 
 
-def ball_table(
-    group: Group, radius: int, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> BallTable:
+def ball_table(group: Group, radius: int) -> BallTable:
     """BFS layers and cumulative sizes out to the given radius.
 
     For a finite group the layer sequence is padded with empty layers once
     the group is exhausted, so ``sizes`` stabilizes at the group order.
     """
-    st = _extend_bfs(group, radius, max_elements)
-    layers = [tuple(layer) for layer in st["layers"][: radius + 1]]
-    while len(layers) < radius + 1:
-        layers.append(())
-    sizes = []
-    total = 0
-    for layer in layers:
-        total += len(layer)
-        sizes.append(total)
-    return BallTable(group=group, layers=tuple(layers), sizes=tuple(sizes))
+    layers = [tuple(layer) for layer in _extend_bfs(group, radius)["layers"][: radius + 1]]
+    layers += [()] * (radius + 1 - len(layers))
+    sizes = tuple(itertools.accumulate(map(len, layers)))
+    return BallTable(group=group, layers=tuple(layers), sizes=sizes)
 
 
-def ball_elements(group: Group, radius: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list:
-    return ball_table(group, radius, max_elements).elements()
+def ball_elements(group: Group, radius: int) -> list:
+    return ball_table(group, radius).elements()
 
 
-def ball_sizes(
-    group: Group, n_max: int, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> list[int]:
+def ball_sizes(group: Group, n_max: int) -> list[int]:
     """lambda(U^1), ..., lambda(U^n_max) by BFS layer counting."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    table = ball_table(group, n_max, max_elements)
-    return list(table.sizes[1:])
+    return list(ball_table(group, n_max).sizes[1:])
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ class SeriesReport:
     n_max: int
 
 
-def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int, max_elements: int = 5_000_000) -> SeriesReport:
+def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> SeriesReport:
     """Layerwise partial sums of Psi(big_n / w(s)) over word-metric balls.
 
     Convergence is judged by dyadic block sums: geometric decay of the block
@@ -325,7 +325,7 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int, max_elem
     from .groups import ball_table  # local import to keep module deps one-way
 
     psi = pair.psi
-    table = ball_table(w.group, n_max, max_elements)
+    table = ball_table(w.group, n_max)
     partial = []
     total = 0.0
     layer_sums = []

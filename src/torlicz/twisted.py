@@ -55,6 +55,11 @@ FLOAT_GUARD = 1e-12
 # Python 3.11, numpy 2.4): 64-100 pairs.
 TABLE_MIN_PAIRS = 128
 
+# Tolerance on |Omega|: unimodular in involution, the coboundary in check_intertwining
+MODULUS_TOL = 1e-9
+# Support size of f^n above which spectral_radius_estimate raises BudgetError
+SUPPORT_CAP = 50_000
+
 # Coordinates below this size keep every op_many product (H3 multiplies
 # two of them) inside int64.
 _COORD_LIMIT = 2**31
@@ -149,7 +154,7 @@ def _twisted_convolve_table(f: SupportedFunction, g: SupportedFunction, omega: C
     return SupportedFunction(group, dict(zip(points, map(complex, re.tolist(), im.tolist()))))
 
 
-def involution(f: SupportedFunction, phase: Cocycle, tol: float = 1e-9) -> SupportedFunction:
+def involution(f: SupportedFunction, phase: Cocycle) -> SupportedFunction:
     """f^*(s) = conj(f(s^{-1})) conj(phase(s, s^{-1})); the phase cocycle
     must be unimodular on the pairs it is evaluated at."""
     group = f.group
@@ -157,7 +162,7 @@ def involution(f: SupportedFunction, phase: Cocycle, tol: float = 1e-9) -> Suppo
     for u, v in f.values.items():
         ui = group.inv(u)
         w = phase(ui, u)
-        if abs(abs(w) - 1.0) > tol:
+        if abs(abs(w) - 1.0) > MODULUS_TOL:
             raise ValueError(f"involution needs a unimodular phase; |Omega({ui},{u})| = {abs(w):g}")
         out[ui] = v.conjugate() * w.conjugate()
     return SupportedFunction(group, out)
@@ -239,7 +244,7 @@ def check_algebra_bound(f, g, ctx: AlgebraContext, dom: DominationPair) -> dict:
     }
 
 
-def check_intertwining(f, g, w: Weight, omega: Cocycle, tol: float = 1e-9) -> ResidualReport:
+def check_intertwining(f, g, w: Weight, omega: Cocycle) -> ResidualReport:
     """l1 residual of Lambda_w(f *_O g) = Lambda_w(f) *_T Lambda_w(g), where
     *_T uses the phase part of Omega.  Requires |Omega| to be the coboundary
     of w on the support pairs (validated pointwise)."""
@@ -249,7 +254,7 @@ def check_intertwining(f, g, w: Weight, omega: Cocycle, tol: float = 1e-9) -> Re
     for s in f.support:
         for t in g.support:
             cob = w(group.op(s, t)) / (w(s) * w(t))
-            if abs(abs(omega(s, t)) - cob) > tol * max(1.0, cob):
+            if abs(abs(omega(s, t)) - cob) > MODULUS_TOL * max(1.0, cob):
                 raise ValueError(
                     f"|Omega| is not the coboundary of {w.name} at ({s}, {t})"
                 )
@@ -262,16 +267,16 @@ def check_intertwining(f, g, w: Weight, omega: Cocycle, tol: float = 1e-9) -> Re
     return ResidualReport(value=value, witness=witness)
 
 
-def check_differential_bound(f, g, ctx: AlgebraContext, radius: int | None = None) -> dict:
+def check_differential_bound(f, g, ctx: AlgebraContext, radius: int) -> dict:
     """The differential-norm inequality in weighted form:
 
         ||f *_T g||_{Phi,sigma} <= C M (||f||_{1,rho} ||g||_{Phi,sigma}
                                         + ||f||_{Phi,sigma} ||g||_{1,rho})
 
     with rho = sigma/omega, C the weak-subadditivity constant of omega and
-    M the domination constant of sigma against omega, both over a ball
-    covering the supports.  Also checks the containment certificate
-    ||f||_{1,rho} <= ||f||_{Phi,sigma} N_Psi(1/omega)."""
+    M the domination constant of sigma against omega, both over the radius
+    ball, which must cover the supports.  Also checks the containment
+    certificate ||f||_{1,rho} <= ||f||_{Phi,sigma} N_Psi(1/omega)."""
     if ctx.weight is None:
         raise ValueError("differential bound needs the norm weight sigma")
     sigma = ctx.weight
@@ -279,9 +284,7 @@ def check_differential_bound(f, g, ctx: AlgebraContext, radius: int | None = Non
     group = sigma.group
     support = list(f.support) + list(g.support)
     cover = max((word_length(group, s) for s in support), default=0)
-    if radius is None:
-        radius = max(1, cover)
-    elif radius < cover:
+    if radius < cover:
         raise ValueError(f"radius {radius} does not cover the supports (need {cover})")
     c_const = check_weak_subadditive(omega_w, radius).constant
     m_const = check_lss_domination(sigma, omega_w, radius).constant
@@ -314,11 +317,7 @@ def check_differential_bound(f, g, ctx: AlgebraContext, radius: int | None = Non
 
 
 def spectral_radius_estimate(
-    f: SupportedFunction,
-    ctx: AlgebraContext,
-    norm: str = "phi",
-    n_max: int = 16,
-    support_cap: int = 50_000,
+    f: SupportedFunction, ctx: AlgebraContext, norm: str = "phi", n_max: int = 16
 ) -> np.ndarray:
     """||f^{*n}||^{1/n} for n = 1..n_max in the weighted Orlicz norm
     ("phi") or the weighted l1 norm ("l1"); a trend, and on finite groups
@@ -330,8 +329,8 @@ def spectral_radius_estimate(
     out = np.empty(n_max)
     power = f
     for n in range(1, n_max + 1):
-        if len(power.values) > support_cap:
-            raise BudgetError(f"support of f^{n} exceeds the budget ({support_cap})")
+        if len(power.values) > SUPPORT_CAP:
+            raise BudgetError(f"support of f^{n} exceeds the budget ({SUPPORT_CAP})")
         if norm == "phi":
             val = orlicz_norm(power.mul_pointwise(sigma), ctx.pair)
         elif norm == "l1":

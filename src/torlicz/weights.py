@@ -221,22 +221,22 @@ class PFunctionError(RuntimeError):
     pass
 
 
-def analyze_p_function(
-    beta: float,
-    gamma: float,
-    c: float,
-    x_max: float = 1.0e6,
-    x0_bound: float = 1.0e5,
-    scan_points: int = 4000,
-    grid_points: int = 200,
-) -> PFunctionResult:
+# analyze_p_function: range end, largest x0, scan and grid-axis points
+P_X_MAX = 1.0e6
+P_X0_BOUND = 1.0e5
+P_SCAN_POINTS = 4000
+P_GRID_POINTS = 200
+
+
+def analyze_p_function(beta: float, gamma: float, c: float) -> PFunctionResult:
     """Analyze p(x) = C x / ln(e + x)^beta - gamma ln(1 + x).
 
-    Locates x0 so that on a dense grid of [x0, x_max] the function is
-    positive with positive, decreasing finite-difference slope, then
-    computes M = max(0, max p(x+y) - p(x) - p(y)) over a log-spaced grid of
-    [x0, x_max] x [0, x_max] and verifies 0 < p(x+y) <= p(x) + p(y) + M on
-    that grid.  Raises PFunctionError when no x0 exists below x0_bound.
+    Locates x0 so that on a dense grid of [x0, P_X_MAX] (P_SCAN_POINTS
+    points from 1e-3) the function is positive with positive, decreasing
+    finite-difference slope, then computes M = max(0, max p(x+y) - p(x) -
+    p(y)) over a log-spaced P_GRID_POINTS x P_GRID_POINTS grid of
+    [x0, P_X_MAX] x [0, P_X_MAX] and verifies 0 < p(x+y) <= p(x) + p(y) + M
+    on that grid.  Raises PFunctionError when no x0 exists below P_X0_BOUND.
     """
     if beta <= 0 or gamma <= 0 or c <= 0:
         raise WeightParameterError("analyze_p_function needs beta, gamma, C > 0")
@@ -245,7 +245,7 @@ def analyze_p_function(
         x = np.asarray(x, dtype=float)
         return c * x / np.log(math.e + x) ** beta - gamma * np.log1p(x)
 
-    xs = np.geomspace(1e-3, x_max, scan_points)
+    xs = np.geomspace(1e-3, P_X_MAX, P_SCAN_POINTS)
     h = 1e-4 * (1.0 + xs)
     slopes = (p(xs + h) - p(xs - h)) / (2.0 * h)
     pv = p(xs)
@@ -254,14 +254,14 @@ def analyze_p_function(
     # smallest grid index from which every later point is good
     bad = np.nonzero(~good)[0]
     start = 0 if bad.size == 0 else int(bad[-1]) + 1
-    if start >= len(xs) or xs[start] > x0_bound:
+    if start >= len(xs) or xs[start] > P_X0_BOUND:
         raise PFunctionError(
-            f"no x0 below {x0_bound:g} for (beta, gamma, C) = ({beta:g}, {gamma:g}, {c:g})"
+            f"no x0 below {P_X0_BOUND:g} for (beta, gamma, C) = ({beta:g}, {gamma:g}, {c:g})"
         )
     x0 = float(xs[start])
 
-    xg = np.geomspace(x0, x_max, grid_points)
-    yg = np.concatenate([[0.0], np.geomspace(1e-3, x_max, grid_points - 1)])
+    xg = np.geomspace(x0, P_X_MAX, P_GRID_POINTS)
+    yg = np.concatenate([[0.0], np.geomspace(1e-3, P_X_MAX, P_GRID_POINTS - 1)])
     px = p(xg)[:, None]
     py = p(yg)[None, :]
     pxy = p(xg[:, None] + yg[None, :])

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -23,6 +22,7 @@ from torlicz.cocycles import parse_cocycle, polar
 from torlicz.groups import ball_elements, integer_lattice, parse_group
 from torlicz.orlicz import SupportedFunction, function_to_json
 from torlicz.twisted import ResidualReport
+from torlicz.weights import check_weak_subadditive, parse_weight
 
 
 def write_json(tmp_path, name, doc):
@@ -285,6 +285,32 @@ def test_registry_every_checker_reachable_from_a_suite():
     assert expected <= set(CHECKER_COVERAGE)
 
 
+def test_domination_without_c_takes_the_weak_subadditivity_constant():
+    spec = dict(check="domination", group="Z^d:1", cocycle="cobound:poly:2", weight="poly:2", radius=8)
+    c = check_weak_subadditive(parse_weight(integer_lattice(1), "poly:2"), 8).constant
+    derived = run_check(CheckSpec(**spec))
+    given = run_check(CheckSpec(**spec, params={"C": c}))
+    assert derived["pass"] and derived["algebra_constant"] == given["algebra_constant"]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["suite", "IN"], {"foo": 1}),
+    (["suite", "IN"], [1]),
+    (["suite", "IN"], {"checks": 5}),
+    (["suite", "IN"], [{"check": "submult", "weight": "poly:2", "radius": "x"}]),
+    (["suite", "IN"], {"checks": [{"check": "holder", "trials": "3"}]}),
+    (["report", "--in", "IN"], {"suite": "x"}),
+    (["check", "cocycle-verify", "--params", "[1]"], None),
+    (["check", "submult", "--weight", "poly:2", "--radius", "-1"], None),
+], ids=["suite-without-checks", "suite-entry-not-object", "suite-checks-not-list", "suite-radius-string",
+        "suite-trials-string", "report-without-spec", "check-params-list", "check-negative-radius"])
+def test_malformed_input_exits_2_with_one_error_line(argv, doc, tmp_path, capsys):
+    path = write_json(tmp_path, "in.json", doc)
+    assert main([path if a == "IN" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_checkspec_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown CheckSpec fields"):
         CheckSpec.from_dict({"check": "sandwich", "tolerance": 1})
@@ -341,8 +367,7 @@ def test_cmd_check_output_is_strict_json(capsys):
 
 
 def test_cmd_check_spectral_support_budget_exits_2(capsys, monkeypatch):
-    small_budget = functools.partial(twisted.spectral_radius_estimate, support_cap=200)
-    monkeypatch.setattr(cli, "spectral_radius_estimate", small_budget)
+    monkeypatch.setattr(twisted, "SUPPORT_CAP", 200)
     assert main(["check", "spectral", "--group", "Z^d:2", "--params", '{"n_max": 40}']) == 2
     assert "budget error" in capsys.readouterr().err
 

@@ -92,9 +92,11 @@ def test_corrupted_cocycle_detected_with_witness():
     assert abs(lhs - rhs) == pytest.approx(rep.identity_residual, rel=1e-12)
 
 
-def test_sampled_verification_path():
+def test_sampled_verification_path(monkeypatch):
+    monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 500)
     om = bicharacter_cocycle(Z2, 0.3)
-    rep = verify_cocycle(om, 6, triple_cap=10, sample_triples=500, seed=1)
+    rep = verify_cocycle(om, 6, seed=1)
     assert rep.sampled
     assert rep.identity_residual <= 1e-12
 

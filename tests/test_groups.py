@@ -176,15 +176,17 @@ def test_generators_symmetry_enforced():
         )
 
 
-def test_word_length_budget_error():
+def test_word_length_budget_error(monkeypatch):
+    monkeypatch.setattr(groups_mod, "DEFAULT_MAX_RADIUS", 5)
     group = heisenberg_group()
     with pytest.raises(BudgetError):
-        word_length(group, (50, 0, 0), max_radius=5)
+        word_length(group, (50, 0, 0))
 
 
-def test_ball_sizes_element_budget():
+def test_ball_sizes_element_budget(monkeypatch):
+    monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", 100)
     with pytest.raises(BudgetError):
-        ball_sizes(integer_lattice(3), 12, max_elements=100)
+        ball_sizes(integer_lattice(3), 12)
 
 
 def test_parse_group_round_trip():
@@ -322,23 +324,39 @@ def test_array_bfs_matches_the_loop(spec, radius, far, path, monkeypatch):
 @pytest.mark.parametrize("cutover", [float("inf"), 256, 0])
 def test_bfs_element_budget_leaves_the_layers_intact(cutover, monkeypatch):
     monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", cutover)
+    budget = groups_mod.DEFAULT_MAX_ELEMENTS
+    monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", 1000)
     group = integer_lattice(3)
     with pytest.raises(BudgetError, match=r"^ball of radius 5 on Z\^d:3 exceeds the element budget \(1331 > 1000\)$"):
-        ball_sizes(group, 8, max_elements=1000)
+        ball_sizes(group, 8)
     st = groups_mod._bfs_state(group)
     assert len(st["layers"]) == 5 and len(st["index"]) == 729
     # a retry with a larger budget continues from the last complete layer
+    monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", budget)
     assert ball_sizes(group, 8) == [(2 * n + 1) ** 3 for n in range(1, 9)]
 
 
-def test_growth_survey_script_runs():
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "growth_survey.py"), "--nmax", "6"],
+        [sys.executable, str(root / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_growth_survey_script_runs():
+    proc = _run_script("growth_survey.py", "--nmax", "6")
     matches = [line.split("match=")[1] for line in proc.stdout.splitlines() if "match=" in line]
     assert matches == ["True"] * 3
     assert "H3: degree" in proc.stdout
+
+
+@pytest.mark.parametrize("name, args, expected", [
+    ("symmetry_scan.py", ("--trials", "3"), "overall worst excursion"),
+    ("weight_constants.py", ("--radii", "10", "20"), "quot:subexp:0.5:1/poly:25 (submult):\n  r=   10"),
+])
+def test_scripts_run(name, args, expected):
+    assert expected in _run_script(name, *args).stdout

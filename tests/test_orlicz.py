@@ -295,6 +295,17 @@ def _feasible_at(f, phi, k) -> bool:
     return modular(scaled, phi) <= 1.0
 
 
+@pytest.mark.parametrize("cutover", [math.inf, 1])
+def test_luxemburg_bracket_moves_down_when_max_is_feasible(cutover, monkeypatch):
+    # Phi(2) < 1, so k = max|f| = 1 is feasible and the bracket halves downward
+    monkeypatch.setattr(orlicz, "ARRAY_MIN_POINTS", cutover)
+    phi = piecewise_pair([[0, 0], [1, 0.01], [100, 10]]).phi
+    f = SupportedFunction(Z1, {(0,): 1.0, (1,): 0.5})
+    k = luxemburg_norm(f, phi)
+    assert k == pytest.approx(0.12808, abs=1e-5)
+    assert _feasible_at(f, phi, k) and not _feasible_at(f, phi, k * (1 - 1e-9))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     idx=st.integers(0, len(ARRAY_PAIRS) - 1),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import torlicz.twisted as twisted_mod
 from torlicz.cocycles import (
     Cocycle,
     bicharacter_cocycle,
@@ -286,6 +287,8 @@ def test_differential_bound_cases():
     ctx0 = AlgebraContext(cocycle=bicharacter_cocycle(Z1, 0.9), pair=P2, weight=sigma)
     rep0 = check_differential_bound(delta(Z1, (1,)), delta(Z1, (2,)), ctx0, radius=4)
     assert rep0["pass"]
+    with pytest.raises(ValueError, match=r"radius 2 does not cover the supports \(need 3\)"):
+        check_differential_bound(delta(Z1, (3,)), delta(Z1), ctx, radius=2)
 
 
 def test_spectral_radius_point_mass_cyclic_shift():
@@ -323,11 +326,12 @@ def test_spectral_radius_matches_dense_eigen_oracle():
     assert abs(tail_l1 - r) / r <= 0.05
 
 
-def test_spectral_radius_support_budget():
+def test_spectral_radius_support_budget(monkeypatch):
+    monkeypatch.setattr(twisted_mod, "SUPPORT_CAP", 100)
     ctx = AlgebraContext(cocycle=one_cocycle(Z2), pair=P2)
     f = SupportedFunction(Z2, {(i, j): 1.0 for i in range(-2, 3) for j in range(-2, 3)})
     with pytest.raises(BudgetError):
-        spectral_radius_estimate(f, ctx, norm="l1", n_max=40, support_cap=100)
+        spectral_radius_estimate(f, ctx, norm="l1", n_max=40)
 
 
 def test_finite_symmetry_identity_point_mass():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import torlicz.weights as weights_mod
 from torlicz.groups import block_group, integer_lattice
 from torlicz.weights import (
     PFunctionError,
@@ -144,9 +145,10 @@ def test_p_function_rejects_bad_params():
         analyze_p_function(0.0, 1.0, 1.0)
 
 
-def test_p_function_x0_bound():
+def test_p_function_x0_bound(monkeypatch):
+    monkeypatch.setattr(weights_mod, "P_X0_BOUND", 1.0)
     with pytest.raises(PFunctionError):
-        analyze_p_function(2.0, 2.0, 1.0, x0_bound=1.0)
+        analyze_p_function(2.0, 2.0, 1.0)
 
 
 def test_block_weight_values():
