@@ -616,7 +616,8 @@ def run_suite(name_or_specs) -> Report:
     """Run a preset suite or an explicit CheckSpec list.
 
     Hard failures of prerequisite checks (cocycle validity, domination)
-    short-circuit the dependent remainder of the suite.
+    short-circuit the dependent remainder of the suite.  A suite without
+    checks is a ValueError: it would pass without checking anything.
     """
     if isinstance(name_or_specs, str):
         if name_or_specs not in SUITES:
@@ -626,6 +627,8 @@ def run_suite(name_or_specs) -> Report:
     else:
         suite_name = "custom"
         specs = [s if isinstance(s, CheckSpec) else CheckSpec.from_dict(s) for s in name_or_specs]
+    if not specs:
+        raise ValueError("suite has no checks")
 
     # cocycle validity gates domination, which gates everything downstream:
     # gates run first (sorted is stable), results keep the spec order
@@ -743,9 +746,29 @@ def parse_function_file(path: str, group=None) -> SupportedFunction:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _number_text(x: float) -> str:
+    return repr(x) if math.isfinite(x) else '"%r"' % x
+
+
+def function_file_text(f: SupportedFunction) -> str:
+    """The function file of f: byte for byte ``_dumps(function_to_json(f),
+    indent=2)`` (2-space indent, keys sorted, repr of finite floats, "inf",
+    "-inf" and "nan" strings), formatted with one template per support point
+    because the indented JSON encoder runs in pure Python."""
+    head = '{\n  "group": %s,\n  "support": ' % json.dumps(f.group.name)
+    if not f.values:
+        return head + "[]\n}"
+    elt = ",\n".join(["        %d"] * len(f.group.identity))
+    record = '    {\n      "elt": [\n' + elt + '\n      ],\n      "im": %s,\n      "re": %s\n    }'
+    body = ",\n".join(
+        record % (*s, _number_text(v.imag), _number_text(v.real)) for s, v in f.values.items()
+    )
+    return head + "[\n" + body + "\n  ]\n}"
+
+
 def save_function_file(f: SupportedFunction, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(function_to_json(f), indent=2) + "\n")
+        fh.write(function_file_text(f) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +800,7 @@ def _cmd_conv(args) -> int:
     if args.out:
         save_function_file(h, args.out)
     else:
-        print(_dumps(function_to_json(h), indent=2))
+        print(function_file_text(h))
     return 0
 
 

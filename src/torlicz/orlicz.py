@@ -79,6 +79,18 @@ class SupportedFunction:
             canon[key] = canon.get(key, 0) + complex(v)
         object.__setattr__(self, "values", {s: v for s, v in canon.items() if v != 0})
 
+    @classmethod
+    def from_canonical(cls, group: Group, values: dict) -> "SupportedFunction":
+        """The function with these values, for keys that are canonical and
+        distinct by construction, so they are not re-keyed through
+        ``group.op``.  Exact zeros are still dropped, and ``0 + complex(v)``
+        still turns a -0.0 part into +0.0: the result is the constructor's
+        bit for bit."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "group", group)
+        object.__setattr__(f, "values", {s: 0 + complex(v) for s, v in values.items() if v != 0})
+        return f
+
     @property
     def support(self):
         return self.values.keys()
@@ -87,7 +99,7 @@ class SupportedFunction:
         return not self.values
 
     def scale(self, c: complex) -> "SupportedFunction":
-        return SupportedFunction(self.group, {s: c * v for s, v in self.values.items()})
+        return SupportedFunction.from_canonical(self.group, {s: c * v for s, v in self.values.items()})
 
     def add(self, other: "SupportedFunction") -> "SupportedFunction":
         _require_same_group(self, other)
@@ -101,10 +113,10 @@ class SupportedFunction:
 
     def mul_pointwise(self, w) -> "SupportedFunction":
         """Pointwise product with a callable on group elements."""
-        return SupportedFunction(self.group, {s: v * w(s) for s, v in self.values.items()})
+        return SupportedFunction.from_canonical(self.group, {s: v * w(s) for s, v in self.values.items()})
 
     def div_pointwise(self, w) -> "SupportedFunction":
-        return SupportedFunction(self.group, {s: v / w(s) for s, v in self.values.items()})
+        return SupportedFunction.from_canonical(self.group, {s: v / w(s) for s, v in self.values.items()})
 
 
 def _require_same_group(f: SupportedFunction, g: SupportedFunction) -> None:
@@ -433,4 +445,4 @@ def function_from_json(doc: dict, group: Group | None = None) -> SupportedFuncti
             )
         seen[s] = i
         values[s] = v
-    return SupportedFunction(group, values)
+    return SupportedFunction.from_canonical(group, values)

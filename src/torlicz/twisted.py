@@ -112,7 +112,7 @@ def _twisted_convolve_exact(f: SupportedFunction, g: SupportedFunction, omega: C
             # complex(): a float cocycle value multiplies as (x, 0.0) and the
             # sum starts at 0j on every Python version, as in the table path
             out[t] = out.get(t, 0j) + fs * gu * complex(omega(s, u))
-    return SupportedFunction(group, out)
+    return SupportedFunction.from_canonical(group, out)
 
 
 def _coords(elements) -> np.ndarray | None:
@@ -151,7 +151,7 @@ def _twisted_convolve_table(f: SupportedFunction, g: SupportedFunction, omega: C
     re = np.bincount(labels, weights=terms.real, minlength=len(order))
     im = np.bincount(labels, weights=terms.imag, minlength=len(order))
     points = map(tuple, prods[first[order]].tolist())
-    return SupportedFunction(group, dict(zip(points, map(complex, re.tolist(), im.tolist()))))
+    return SupportedFunction.from_canonical(group, dict(zip(points, map(complex, re.tolist(), im.tolist()))))
 
 
 def involution(f: SupportedFunction, phase: Cocycle) -> SupportedFunction:

@@ -1,7 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlicz import cli, twisted
 from torlicz.cli import (
@@ -10,8 +16,10 @@ from torlicz.cli import (
     CheckSpec,
     SUITES,
     TRIAL_CHECKS,
+    _dumps,
     _jsonable,
     emit_report,
+    function_file_text,
     main,
     parse_function_file,
     run_check,
@@ -199,10 +207,10 @@ def test_suite_fails_when_weight_decays_too_slowly():
     assert report.results[0]["verdict"] == "divergent"
 
 
-def test_empty_suite_trivially_passes():
-    report = run_suite([])
-    assert report.passed
-    assert report.results == ()
+def test_empty_suite_is_rejected():
+    # a suite without checks would pass without checking anything
+    with pytest.raises(ValueError, match="suite has no checks"):
+        run_suite([])
 
 
 def test_text_report_includes_witness_on_failure():
@@ -299,11 +307,14 @@ def test_domination_without_c_takes_the_weak_subadditivity_constant():
     (["suite", "IN"], {"checks": 5}),
     (["suite", "IN"], [{"check": "submult", "weight": "poly:2", "radius": "x"}]),
     (["suite", "IN"], {"checks": [{"check": "holder", "trials": "3"}]}),
+    (["suite", "IN"], []),
+    (["suite", "IN"], {"checks": []}),
     (["report", "--in", "IN"], {"suite": "x"}),
     (["check", "cocycle-verify", "--params", "[1]"], None),
     (["check", "submult", "--weight", "poly:2", "--radius", "-1"], None),
 ], ids=["suite-without-checks", "suite-entry-not-object", "suite-checks-not-list", "suite-radius-string",
-        "suite-trials-string", "report-without-spec", "check-params-list", "check-negative-radius"])
+        "suite-trials-string", "suite-empty-list", "suite-empty-checks", "report-without-spec",
+        "check-params-list", "check-negative-radius"])
 def test_malformed_input_exits_2_with_one_error_line(argv, doc, tmp_path, capsys):
     path = write_json(tmp_path, "in.json", doc)
     assert main([path if a == "IN" else a for a in argv]) == 2
@@ -359,6 +370,46 @@ def test_json_output_encodes_non_finite_floats(tmp_path, capsys):
     # complex products of infinities give nan components, also printed as strings
     assert main(["conv", "--cocycle", "one", "--in", path, path]) == 0
     assert _strict_loads(capsys.readouterr().out)["support"][0]["re"] == "nan"
+
+
+GROUP_SPECS = ("Z^d:1", "Z^d:2", "Z^d:3", "H3", "Zn:8", "Zn:4x6", "Zn:3x5x6", "Block:5")
+# signed zeros, non-finite values, subnormals and wide exponents
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e300]), st.floats())
+
+
+@st.composite
+def _function_values(draw):
+    group = parse_group(draw(st.sampled_from(GROUP_SPECS)))
+    points = st.tuples(*[st.integers(-(2**70), 2**70)] * len(group.identity))
+    values = draw(st.dictionaries(points, st.builds(complex, PARTS, PARTS), max_size=10))
+    return group, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_function_values())
+def test_function_file_text_matches_the_json_encoder(case):
+    group, values = case
+    f = SupportedFunction(group, values)  # empty when every value is 0
+    assert function_file_text(f) == _dumps(function_to_json(f), indent=2)
+    # the constructor turns -0.0 parts into +0.0; the writer keeps whatever sign it is given
+    object.__setattr__(f, "values", {s: complex(-0.0, -v.imag) for s, v in f.values.items()})
+    assert function_file_text(f) == _dumps(function_to_json(f), indent=2)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "torlicz", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    done = run("growth", "--group", "Z^d:1", "--nmax", "4")
+    assert done.returncode == 0 and json.loads(done.stdout)["sizes"] == [3, 5, 7, 9]
+    # three radii leave two points for the growth fit: a usage error, exit 2 with one error line
+    done = run("growth", "--group", "Z^d:1", "--nmax", "3")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_cmd_check_output_is_strict_json(capsys):

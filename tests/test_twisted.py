@@ -534,3 +534,106 @@ def test_table_path_declines_and_dispatch_falls_back():
     assert _bits(twisted_convolve(ext_f, ext_f, ext_one)) == _bits(
         _twisted_convolve_exact(ext_f, ext_f, one_cocycle(ext_f.group))
     )
+
+
+# ---------------------------------------------------------------------------
+# SupportedFunction.from_canonical: the constructor the convolutions, the
+# JSON reader and the pointwise maps use, checked against the
+# re-canonicalising constructor on the values dicts they hand it.
+
+import contextlib  # noqa: E402
+from unittest import mock  # noqa: E402
+
+from torlicz.orlicz import function_from_json  # noqa: E402
+
+
+@contextlib.contextmanager
+def _trusted_inputs():
+    """Record (group, values) of every SupportedFunction.from_canonical call."""
+    seen = []
+    trusted = SupportedFunction.from_canonical.__func__
+
+    def spy(cls, group, values):
+        seen.append((group, dict(values)))
+        return trusted(cls, group, values)
+
+    with mock.patch.object(SupportedFunction, "from_canonical", classmethod(spy)):
+        yield seen
+
+
+def _assert_same_parts(a, b):
+    """Same keys in the same order and every part the same float, its sign
+    read with copysign (== does not tell -0.0 from +0.0)."""
+    assert list(a.values) == list(b.values)
+    for x, y in zip(a.values.values(), b.values.values()):
+        for p, q in ((x.real, y.real), (x.imag, y.imag)):
+            assert math.copysign(1.0, p) == math.copysign(1.0, q)
+            assert p == q or math.isnan(p) and math.isnan(q)
+
+
+def _assert_trusted_matches_oracle(seen):
+    assert seen
+    for group, values in seen:
+        _assert_same_parts(SupportedFunction.from_canonical(group, values), SupportedFunction(group, values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_case())
+def test_trusted_constructor_matches_oracle_on_convolutions(case):
+    group, kind, f, g = case
+    om, _ = _cocycle_family(group, kind)
+    with _trusted_inputs() as seen:
+        _twisted_convolve_table(f, g, om)
+        _twisted_convolve_exact(f, g, om)
+    assert len(seen) == 2
+    _assert_trusted_matches_oracle(seen)
+
+
+def test_trusted_constructor_drops_exact_cancellations():
+    om = one_cocycle(Z2)
+    f = SupportedFunction(Z2, {(i, 0): 1.0 for i in range(16)})
+    g = SupportedFunction(Z2, {(0, 0): 1.0, (1, 0): -1.0, **{(0, j): 1.0 for j in range(1, 9)}})
+    for path in (_twisted_convolve_table, _twisted_convolve_exact):
+        with _trusted_inputs() as seen:
+            h = path(f, g, om)
+        (_, raw), = seen
+        assert raw[(1, 0)] == 0 and (1, 0) not in h.values
+        _assert_trusted_matches_oracle(seen)
+
+
+def test_trusted_constructor_on_cyclic_products_has_reduced_keys():
+    group = parse_group("Zn:4x6")
+    om = parse_cocycle(group, "bichar:")
+    f = SupportedFunction(group, {(a, b): complex(a + 1, -b) for a in range(4) for b in range(6)})
+    g = SupportedFunction(group, {(3, 5): 1.5, (2, 4): -0.5j, (1, 1): 2.0})
+    for path in (_twisted_convolve_table, _twisted_convolve_exact):
+        with _trusted_inputs() as seen:
+            h = path(f, g, om)
+        assert all(0 <= a < 4 and 0 <= b < 6 for a, b in h.values)
+        _assert_trusted_matches_oracle(seen)
+    ext = central_extension_group(group, om, 2)
+    e = central_extension_embed(g, ext)
+    with _trusted_inputs() as seen:
+        _twisted_convolve_exact(e, e, one_cocycle(ext))
+    _assert_trusted_matches_oracle(seen)
+
+
+def test_trusted_constructor_turns_negative_zero_parts_positive():
+    raw = {(0,): complex(-0.0, 1.0), (1,): complex(2.0, -0.0), (2,): complex(-0.0, -0.0), (3,): 0j}
+    h = SupportedFunction.from_canonical(Z1, raw)
+    _assert_same_parts(h, SupportedFunction(Z1, raw))
+    assert list(h.values) == [(0,), (1,)]
+    assert all(math.copysign(1.0, p) == 1.0 for p in (h.values[(0,)].real, h.values[(1,)].imag))
+    # the JSON reader and the pointwise maps hand their values to the same constructor
+    doc = {"group": "Z^d:1", "support": [{"elt": [4], "re": -0.0, "im": 1.5}, {"elt": [-2], "re": 3.0, "im": -0.0}]}
+    f = function_from_json(doc)
+    weight = parse_weight(Z1, "poly:1")
+    with _trusted_inputs() as seen:
+        g = function_from_json(doc)
+        f.scale(-1.0)
+        f.scale(0)
+        f.mul_pointwise(weight)
+        f.div_pointwise(weight)
+    assert math.copysign(1.0, seen[0][1][(4,)].real) == -1.0 and math.copysign(1.0, g.values[(4,)].real) == 1.0
+    assert len(seen) == 5
+    _assert_trusted_matches_oracle(seen)
