@@ -807,12 +807,14 @@ def _cmd_conv(args) -> int:
 def _cmd_growth(args) -> int:
     group = parse_group(args.group)
     sizes = ball_sizes(group, args.nmax)
-    fit = growth_degree_estimate(sizes)
-    print(_dumps(
-        {"group": group.name, "sizes": sizes, "degree": fit.degree, "residual": fit.residual,
-         "window": list(fit.window)},
-        indent=2,
-    ))
+    out = {"group": group.name, "sizes": sizes, "degree": None, "residual": None, "window": None}
+    try:
+        fit = growth_degree_estimate(sizes)
+    except ValueError:
+        pass  # below --nmax 4 the fit's upper window has too few radii; the sizes stand alone
+    else:
+        out.update(degree=fit.degree, residual=fit.residual, window=list(fit.window))
+    print(_dumps(out, indent=2))
     return 0
 
 

@@ -123,6 +123,13 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
     return Cocycle(group, fn, f"cobound:{w.name}", tabulate)
 
 
+def _end_orders(group: Group) -> tuple:
+    """(n_first, n_last), the orders of the first and last factor of a
+    ``Zn:`` group."""
+    orders = [int(n) for n in group.name.split(":", 1)[1].split("x")]
+    return orders[0], orders[-1]
+
+
 def bicharacter_cocycle(group: Group, theta: float | None = None) -> Cocycle:
     """Unimodular bicharacter twists.
 
@@ -137,12 +144,12 @@ def bicharacter_cocycle(group: Group, theta: float | None = None) -> Cocycle:
     if theta is None:
         if not group.name.startswith("Zn:"):
             raise ValueError("theta is required for infinite groups")
-        orders = [int(n) for n in group.name.split(":", 1)[1].split("x")]
-        n = math.gcd(orders[0], orders[-1])
+        first, last = _end_orders(group)
+        n = math.gcd(first, last)
         if n == 1:
             raise ValueError(
                 f"bichar on {group.name} needs an explicit theta: the default "
-                f"2 pi / gcd({orders[0]}, {orders[-1]}) is trivial"
+                f"2 pi / gcd({first}, {last}) is trivial"
             )
         theta = 2.0 * math.pi / n
 
@@ -427,7 +434,8 @@ def central_extension_embed(f: SupportedFunction, ext: Group) -> SupportedFuncti
 
 def parse_cocycle(group: Group, spec: str) -> Cocycle:
     """Cocycle spec strings: ``cobound:{weight-spec}``, ``bichar:{theta}``
-    (``bichar:`` picks the root-of-unity default on cyclic groups),
+    (``bichar:`` picks the root-of-unity default on cyclic groups, where an
+    explicit theta must kill both end orders),
     ``prod:{c1}*{c2}``, ``one``."""
     from .weights import parse_weight
 
@@ -439,6 +447,16 @@ def parse_cocycle(group: Group, spec: str) -> Cocycle:
     if spec.startswith("bichar"):
         body = spec.split(":", 1)[1] if ":" in spec else ""
         theta = float(body) if body else None
+        if theta is not None and group.name.startswith("Zn:"):
+            # theta kills both end orders iff it is a multiple of 2 pi / gcd;
+            # a nan or infinite theta fails the comparison and is rejected
+            first, last = _end_orders(group)
+            n = math.gcd(first, last)
+            if not abs(cmath.exp(1j * theta * n) - 1.0) <= ROOT_TOL:
+                raise ValueError(
+                    f"bichar:{body} is not a cocycle on {group.name}: theta must be a "
+                    f"multiple of 2 pi / gcd({first}, {last}) = {2.0 * math.pi / n!r}"
+                )
         return bicharacter_cocycle(group, theta)
     if spec.startswith("prod:"):
         body = spec.split(":", 1)[1]

@@ -4,8 +4,10 @@ The searches work on unimodal objectives and tolerate +inf values, which
 show up whenever a Young function jumps to infinity.  The golden section
 routine reports the best point it actually evaluated, so callers never
 extrapolate below a true infimum.  ``grid_then_golden_min`` minimises the
-Amemiya objective of the Orlicz norm; ``golden_section_max`` serves only
-``young.conjugate``, the tests' reference for the exact complements.
+Amemiya objective of the Orlicz norm for every Young function other than
+x^p / p, whose minimiser the norm takes in closed form; ``golden_section_max``
+serves only ``young.conjugate``, the tests' reference for the exact
+complements.
 """
 
 from __future__ import annotations

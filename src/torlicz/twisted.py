@@ -36,6 +36,7 @@ from .cocycles import Cocycle, DominationPair, complex_product
 from .groups import BudgetError, ball_elements, product_classes, word_length
 from .orlicz import (
     SupportedFunction,
+    _leq,
     _require_same_group,
     l1_norm,
     luxemburg_norm,
@@ -44,11 +45,6 @@ from .orlicz import (
 )
 from .weights import Weight, check_lss_domination, check_weak_subadditive, constant_weight, quotient_weight
 from .young import YoungPair
-
-# Inequalities hold with mathematical slack zero; comparisons still need a
-# relative guard at true-equality points (a point mass at the identity makes
-# the module bound an equality), where the two sides round differently.
-FLOAT_GUARD = 1e-12
 
 # Below this many support pairs the scalar loop wins against the fixed cost
 # of the table path's numpy calls.  Measured crossover (2-core x86-64,
@@ -63,10 +59,6 @@ SUPPORT_CAP = 50_000
 # Coordinates below this size keep every op_many product (H3 multiplies
 # two of them) inside int64.
 _COORD_LIMIT = 2**31
-
-
-def _leq(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs * (1.0 + FLOAT_GUARD) + 1e-300
 
 
 @dataclass(frozen=True)

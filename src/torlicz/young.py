@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,11 +52,15 @@ class YoungFunctionError(ValueError):
 @dataclass(frozen=True, eq=False)
 class YoungFunction:
     """A Young function given by a scalar eval and an optional array form.
-    Evals may return math.inf (a complement can jump to +inf), never NaN."""
+    Evals may return math.inf (a complement can jump to +inf), never NaN.
+
+    ``power`` is r when the function is x^r / r (set only by ``lp_pair``);
+    the norms then use their closed forms instead of a numeric search."""
 
     name: str
     fn: object
     array_fn: object = None
+    power: float | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -238,13 +242,17 @@ def _xlog_conjugate(y: float) -> float:
     return hi * (y - math.log1p(hi))
 
 
+def _power_function(var: str, r: float) -> YoungFunction:
+    """x^r / r, marked with its exponent."""
+    fn = young_function(f"{var}^{r:g}/{r:g}", _power(r), _overflow_to_inf(lambda x: np.power(x, r) / r))
+    return replace(fn, power=r)
+
+
 def lp_pair(p: float) -> YoungPair:
     if not p > 1.0:
         raise ValueError("Lp pair needs p > 1")
     q = p / (p - 1.0)
-    phi = young_function(f"x^{p:g}/{p:g}", _power(p), _overflow_to_inf(lambda x: np.power(x, p) / p))
-    psi = young_function(f"y^{q:g}/{q:g}", _power(q), _overflow_to_inf(lambda y: np.power(y, q) / q))
-    return YoungPair(name=f"Lp:{p:g}", phi=phi, psi=psi)
+    return YoungPair(name=f"Lp:{p:g}", phi=_power_function("x", p), psi=_power_function("y", q))
 
 
 def l1_pair() -> YoungPair:

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 
@@ -20,3 +23,19 @@ def count_scalar_calls():
         return calls
 
     return wrap
+
+
+@pytest.fixture(scope="session")
+def on_group():
+    """Adapt a cocycle spec to a group: on a ``Zn:`` group each
+    ``bichar:{theta}`` is raised to the next multiple of 2 pi / gcd(n_first,
+    n_last), the thetas that are cocycles there; other groups keep the spec."""
+
+    def adapt(group_spec: str, spec: str) -> str:
+        if not group_spec.startswith("Zn:"):
+            return spec
+        orders = [int(n) for n in group_spec.split(":", 1)[1].split("x")]
+        step = 2.0 * math.pi / math.gcd(orders[0], orders[-1])
+        return re.sub(r"bichar:([0-9.]+)", lambda m: f"bichar:{math.ceil(float(m[1]) / step) * step!r}", spec)
+
+    return adapt

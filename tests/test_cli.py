@@ -119,6 +119,14 @@ def test_cmd_growth(capsys):
     assert out["sizes"] == [(2 * n + 1) ** 2 for n in range(1, 9)]
 
 
+@pytest.mark.parametrize("nmax", [1, 2, 3])
+def test_cmd_growth_below_the_fit_window_prints_the_sizes(nmax, capsys):
+    assert main(["growth", "--group", "Z^d:2", "--nmax", str(nmax)]) == 0
+    out = _strict_loads(capsys.readouterr().out)
+    assert out == {"group": "Z^d:2", "sizes": [(2 * n + 1) ** 2 for n in range(1, nmax + 1)],
+                   "degree": None, "residual": None, "window": None}
+
+
 def test_cmd_plemma(capsys):
     assert main(["plemma", "--beta", "1", "--gamma", "1", "--C", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -153,7 +161,7 @@ def test_cmd_check_unknown_name():
 def test_cmd_suite_preset_and_report_formats(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
     assert main(["suite", "central-ext", "--out", out_path]) == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(pathlib.Path(out_path).read_text())
     assert doc["pass"] is True
     capsys.readouterr()
     assert main(["report", "--in", out_path, "--format", "csv"]) == 0
@@ -322,6 +330,28 @@ def test_malformed_input_exits_2_with_one_error_line(argv, doc, tmp_path, capsys
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+ZN46 = {"group": "Zn:4x6", "support": [{"elt": [1, 2], "re": 1.0, "im": 0.5}, {"elt": [3, 5], "re": -2.0, "im": 0.0}]}
+
+
+@pytest.mark.parametrize("cocycle", ["bichar:0.7", "prod:cobound:poly:1*bichar:0.7", "bichar:nan", "bichar:inf"])
+def test_non_cocycle_bicharacter_on_cyclic_groups_exits_2(cocycle, tmp_path, capsys):
+    f = write_json(tmp_path, "f.json", ZN46)
+    bichar = cocycle.split("*")[-1]
+    for argv in (["check", "cocycle-verify", "--group", "Zn:4x6", "--cocycle", cocycle, "--radius", "6"],
+                 ["conv", "--cocycle", cocycle, "--in", f, f]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bichar} is not a cocycle on Zn:4x6") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cocycle", ["bichar:", "bichar:3.141592653589793"])
+def test_root_of_unity_bicharacters_on_cyclic_groups_pass(cocycle, tmp_path, capsys):
+    assert main(["check", "cocycle-verify", "--group", "Zn:4x6", "--cocycle", cocycle, "--radius", "6"]) == 0
+    assert _strict_loads(capsys.readouterr().out)["identity_residual"] <= 1e-12
+    f = write_json(tmp_path, "f.json", ZN46)
+    assert main(["conv", "--cocycle", cocycle, "--in", f, f]) == 0
+
+
 def test_checkspec_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown CheckSpec fields"):
         CheckSpec.from_dict({"check": "sandwich", "tolerance": 1})
@@ -406,10 +436,9 @@ def test_python_dash_m_runs_the_cli():
 
     done = run("growth", "--group", "Z^d:1", "--nmax", "4")
     assert done.returncode == 0 and json.loads(done.stdout)["sizes"] == [3, 5, 7, 9]
-    # three radii leave two points for the growth fit: a usage error, exit 2 with one error line
+    # three radii leave two points for the growth fit: the sizes without a fit
     done = run("growth", "--group", "Z^d:1", "--nmax", "3")
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert done.returncode == 0 and json.loads(done.stdout)["sizes"] == [3, 5, 7] and done.stderr == ""
 
 
 def test_cmd_check_output_is_strict_json(capsys):
@@ -569,8 +598,9 @@ def test_trial_witness_comes_from_the_first_strictly_worse_trial(monkeypatch):
     # the two products reconstruct with nonzero residuals (about 1e-17) on Z^2 and H3
     ["one", "bichar:0.8", "cobound:poly:1.5", "prod:cobound:poly:1.37*bichar:0.61", "prod:cobound:poly:2.7*bichar:1.3"],
 )
-def test_cocycle_polar_residuals_match_the_pair_loop(group, cocycle):
+def test_cocycle_polar_residuals_match_the_pair_loop(group, cocycle, on_group):
     radius = 1 if group == "Z^d:3" else 3
+    cocycle = on_group(group, cocycle)  # thetas in multiples of pi / 4 on Zn:8, of pi on Zn:4x6
     res = cli._run_cocycle_polar(CheckSpec(check="cocycle-polar", group=group, cocycle=cocycle, radius=radius))
     # the scalar pair loop the value tables replaced
     omega = parse_cocycle(parse_group(group), cocycle)

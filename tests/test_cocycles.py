@@ -271,8 +271,9 @@ def test_default_bicharacter_rejects_coprime_end_orders(spec):
     "spec",
     ["one", "bichar:0.8", "cobound:poly:1.5", "cobound:subexp:0.5:1", "prod:cobound:poly:1*bichar:0.9"],
 )
-def test_table_equals_scalar_values_bit_for_bit(group_spec, spec, count_scalar_calls):
+def test_table_equals_scalar_values_bit_for_bit(group_spec, spec, count_scalar_calls, on_group):
     group = parse_group(group_spec)
+    spec = on_group(group_spec, spec)  # bichar:pi on Zn:4x6
     elems = ball_elements(group, 2)
     coords = np.array(elems, dtype=np.int64)
     tabled = parse_cocycle(group, spec)

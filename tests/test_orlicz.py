@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -371,3 +372,109 @@ def test_array_norms_of_all_infinite_modulars():
     f = SupportedFunction(Z1, {(i,): 2.0 + i for i in range(70)})
     loop, array = _on_both_paths(orlicz_norm, f, dual_l1)
     assert array == loop == pytest.approx(71.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form norms of x^p/p against the scan, the bisection and the pairing
+
+
+def _searched(phi):
+    """phi without its exponent: the norms fall back to the scan and the
+    bisection, the oracle for the closed forms."""
+    return dataclasses.replace(phi, power=None)
+
+
+def _extremal_dual(f, p, shrink=1e-12):
+    """The v with |f v| summing to ||f||_Phi and modular(v, Psi) = 1 for
+    Phi = x^p/p, v = (q / T)^(1/q) (|f| / M)^(p-1) with M = max |f| and
+    T = sum (|f| / M)^p, shrunk by ``shrink`` onto the feasible side."""
+    q = p / (p - 1.0)
+    mags = {s: abs(x) for s, x in f.values.items()}
+    big = max(mags.values())
+    t = math.fsum((m / big) ** p for m in mags.values())
+    c = (q / t) ** (1.0 / q) * (1.0 - shrink)
+    return SupportedFunction(f.group, {s: c * (m / big) ** (p - 1.0) for s, m in mags.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.floats(1.05, 8.0),
+    dual=st.booleans(),
+    n=st.integers(1, 200),
+    log_scale=st.floats(-200.0, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=2.0, dual=False, n=63, log_scale=200.0, seed=0)
+@example(p=8.0, dual=True, n=64, log_scale=-200.0, seed=1)
+@example(p=1.05, dual=False, n=200, log_scale=200.0, seed=2)
+def test_lp_closed_forms_against_the_searches(p, dual, n, log_scale, seed):
+    pair = lp_pair(p)
+    if dual:
+        pair = YoungPair(name=f"dual({pair.name})", phi=pair.psi, psi=pair.phi)
+    phi = pair.phi
+    rng = np.random.default_rng(seed)
+    vals = 10.0**log_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f = SupportedFunction(Z1, {(i,): complex(v) for i, v in enumerate(vals)})
+
+    orl = orlicz_norm(f, pair)
+    scan = orlicz_norm(f, YoungPair(name="scan", phi=_searched(phi), psi=pair.psi))
+    assert 0.0 < orl <= scan * (1.0 + 1e-12)
+    v = _extremal_dual(f, phi.power)
+    rep = dual_pairing_bound(f, v, pair)
+    assert modular(v, pair.psi) <= 1.0 and rep["orlicz_f"] == orl
+    assert rep["pairing_l1"] <= orl and rep["dual_certificate_ok"]
+
+    lux = luxemburg_norm(f, phi)
+    bisected = luxemburg_norm(f, _searched(phi))
+    assert _feasible_at(f, phi, lux)
+    assert abs(lux - bisected) <= BISECT_TOL * (1.0 + bisected)
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 8.0])
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_lp_closed_forms_at_extreme_magnitudes(p, size):
+    # sum |f|^p overflows or underflows; the norms are formed from |f| / max |f|
+    q = p / (p - 1.0)
+    pair = lp_pair(p)
+    f = SupportedFunction(Z1, {(0,): size, (1,): -size * 1j})
+    lux, orl = luxemburg_norm(f, pair.phi), orlicz_norm(f, pair)
+    assert lux == pytest.approx(size * (2.0 / p) ** (1.0 / p), rel=1e-14)
+    assert orl == pytest.approx(size * q ** (1.0 / q) * 2.0 ** (1.0 / p), rel=1e-14)
+    dual = YoungPair(name="dual", phi=pair.psi, psi=pair.phi)
+    assert math.isfinite(luxemburg_norm(f, pair.psi)) and math.isfinite(orlicz_norm(f, dual))
+
+
+def test_dual_certificate_rejects_an_orlicz_norm_1e_10_low(monkeypatch):
+    rng = np.random.default_rng(23)
+    f = random_supported_function(Z2, rng, max_support=8)
+    v = _extremal_dual(f, 2.0, shrink=1e-13)
+    assert dual_pairing_bound(f, v, P2)["dual_certificate_ok"]
+    true_norm = orlicz.orlicz_norm
+    monkeypatch.setattr(orlicz, "orlicz_norm", lambda g, pair: true_norm(g, pair) * (1.0 - 1e-10))
+    rep = dual_pairing_bound(f, v, P2)
+    assert not rep["dual_certificate_ok"]
+
+
+# point masses at one element: ||f v||_1 = N_Phi(f) ||v||_Psi exactly
+HOLDER_EQUALITY = (
+    delta(Z2, value=-1.1368151698469047 - 0.38721200622575713j),
+    delta(Z2, value=0.2945538909301812 - 0.13776220681094836j),
+)
+
+
+def test_holder_equality_of_point_masses_passes_without_a_guard():
+    # the Amemiya value at k* alone puts the computed bound one ulp below
+    # the pairing for these values
+    f, v = HOLDER_EQUALITY
+    rep = dual_pairing_bound(f, v, P2)
+    assert rep["pairing_l1"] <= rep["holder_bound"] <= rep["pairing_l1"] * (1.0 + 1e-14)
+    assert rep["holder_ok"] and rep["dual_certificate_ok"]
+    unrounded = rep["holder_bound"] / (1.0 + orlicz.LP_ROUND_UP)
+    assert unrounded < rep["pairing_l1"]
+
+
+def test_holder_rejects_a_bound_1e_13_below_the_pairing(monkeypatch):
+    f, v = HOLDER_EQUALITY
+    true_norm = orlicz.orlicz_norm
+    monkeypatch.setattr(orlicz, "orlicz_norm", lambda g, pair: true_norm(g, pair) * (1.0 - 1e-13))
+    assert not dual_pairing_bound(f, v, P2)["holder_ok"]
