@@ -375,8 +375,8 @@ def _run_block_weight(spec: CheckSpec) -> dict:
     group = parse_group(spec.group)
     weight = parse_weight(group, spec.weight or "block:1,3,9,27,81")
     elems, elems2, prod = pair_table(group, len(group.identity))
-    w = np.array([weight(g) for g in elems])
     w2 = np.array([weight(g) for g in elems2])
+    w = w2[: len(elems)]
     excess = w2[prod] - np.maximum.outer(w, w)
     i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
     worst = float(excess[i, j])

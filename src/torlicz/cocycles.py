@@ -52,8 +52,10 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise a * b, broadcast, rounded exactly as Python's complex
     multiply (numpy's own complex multiply may differ in the last bit)."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    # inf and nan parts propagate silently, as in Python's multiply
+    with np.errstate(invalid="ignore", over="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -264,7 +266,8 @@ class CocycleReport:
 def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
     """Max residual of the cocycle identity over all triples from the
     radius ball (arguments of the identity reach the 2*radius ball), plus
-    the normalization residual and sup |Omega| over the scanned pairs.
+    the normalization residual and sup |Omega| over the scanned pairs.  A
+    NaN residual at any triple makes the identity residual NaN.
 
     Above ``TRIPLE_CAP`` total triples, a random sample of
     ``SAMPLE_TRIPLES`` triples drawn with ``seed`` is checked instead and
@@ -284,8 +287,8 @@ def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
             lhs = w[r, :n1][:, None] * w[prod[r], :n1]
             rhs = wsub * np.take(w[r], prod)
             diff = np.abs(lhs - rhs)
-            k = int(np.argmax(diff))
-            if diff.flat[k] > worst:
+            k = int(np.argmax(diff))  # the first NaN, if any
+            if not (diff.flat[k] <= worst or math.isnan(worst)):
                 worst = float(diff.flat[k])
                 i, j = np.unravel_index(k, diff.shape)
                 witness = (elems[r], elems[i], elems[j])
@@ -306,7 +309,7 @@ def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
         rhs = omega(s, t) * omega(r, st)
         sup_abs = max(sup_abs, abs(omega(r, s)), abs(omega(s, t)))
         d = abs(lhs - rhs)
-        if d > worst:
+        if not (d <= worst or math.isnan(worst)):
             worst, witness = float(d), (r, s, t)
     norm_res = 0.0
     for g in elems:
@@ -447,9 +450,10 @@ def parse_cocycle(group: Group, spec: str) -> Cocycle:
     if spec.startswith("bichar"):
         body = spec.split(":", 1)[1] if ":" in spec else ""
         theta = float(body) if body else None
+        if theta is not None and not math.isfinite(theta):
+            raise ValueError(f"bichar:{body} is not a cocycle on {group.name}: theta must be finite")
         if theta is not None and group.name.startswith("Zn:"):
-            # theta kills both end orders iff it is a multiple of 2 pi / gcd;
-            # a nan or infinite theta fails the comparison and is rejected
+            # theta kills both end orders iff it is a multiple of 2 pi / gcd
             first, last = _end_orders(group)
             n = math.gcd(first, last)
             if not abs(cmath.exp(1j * theta * n) - 1.0) <= ROOT_TOL:

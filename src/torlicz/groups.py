@@ -271,8 +271,9 @@ def product_classes(group: Group, S: np.ndarray, T: np.ndarray):
 
 def pair_table(group: Group, radius: int):
     """The ball-pair product table: ``(elems, elems2, prod)`` with ``elems``
-    the radius ball, ``elems2`` the 2*radius ball (both in BFS order) and
-    ``prod[i, j]`` the index in ``elems2`` of ``elems[i] elems[j]``.
+    the radius ball, ``elems2`` the 2*radius ball (both in BFS order, so
+    ``elems`` is a prefix of ``elems2``) and ``prod[i, j]`` the index in
+    ``elems2`` of ``elems[i] elems[j]``.
 
     Built from ``op_many`` and one joint int64 keying of ``elems2`` and the
     products; groups without ``op_many`` and keys that overflow int64 take

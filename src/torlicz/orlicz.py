@@ -25,30 +25,29 @@ and the result is the objective evaluated there, raised by the relative
 point mass the Hoelder bound is an equality, and a value a few ulps low
 fails it).  The Luxemburg norm is (S / p)^(1/p), stepped up with
 ``math.nextafter`` to the first float the feasibility predicate accepts
-(at most ``LP_MAX_STEPS`` steps, then the bisection).  S is formed as M^p sum (|f| / M)^p with M = max |f|, so no
-power of |f| itself overflows or underflows.  The scan, golden section and
-bisection serve every other Young function and are the tests' oracle for
-the closed forms.
+(at most ``LP_MAX_STEPS`` steps, then the bisection).  S is formed as
+M^p sum (|f| / M)^p with M = max |f|, so no power of |f| itself overflows
+or underflows.  The scan, golden section and bisection serve every other
+Young function and are the tests' oracle for the closed forms.
 
-From ``ARRAY_MIN_POINTS`` support points on, ``modular``, each Luxemburg
-bisection step and each Amemiya objective value form their n terms in one
-call of the Young function's array form (``YoungFunction.many``) and add
-them with ``np.cumsum``, left to right from the loop's start value, as the
-scalar loop does (``np.sum`` would add pairwise).  Below the cutover numpy's
-fixed cost per step exceeds the loop's, and the loop runs; it is also the
-tests' oracle for the array path.  numpy's ufuncs may differ from ``math``
-by an ulp, so the array path is not bit-identical.  Its contract:
+Both norms are homogeneous, so they run on |f| 2^-e, with the exact power
+of two 2^e putting max |f| 2^-e in [1, 2), and multiply the result by 2^e.
+Every step of the closed forms, the scan and the bisection commutes with
+that scaling while the scaled values stay normal floats, so it changes no
+result there; it keeps a subnormal |f| from overflowing the scan grid and
+k*, which made such norms +inf or NaN.
 
-- each term within a few ulp of the loop's (of the larger operand where
-  the formula subtracts, as in e^x - x - 1), with +inf at the same points;
-- sums added in the same order, so a modular differs from the loop's by
-  no more than the terms do plus one rounding per addition (n eps relative);
-- norms within 1e-11 relative of the loop's.  A Luxemburg step whose
-  modular lies within those roundings of 1 may decide the other way, which
-  moves the result by at most one final bisection step, BISECT_TOL (1 + N).
-
+``modular``, each Luxemburg feasibility test and each Amemiya objective
+value form their n terms in one call of the Young function's array form
+(``YoungFunction.many``) and add them with ``np.add.accumulate``, left to
+right from the start value (``np.sum`` would add pairwise).  numpy's ufuncs may
+differ from ``math`` by an ulp; ``dataclasses.replace(phi, array_fn=None)``
+maps the ``math``-based scalar eval instead and is the tests' oracle.
+Against it, each term is within a few ulp (of the larger operand where the
+formula subtracts, as in e^x - x - 1) with +inf at the same points, sums
+are added in the same order, and norms agree within 1e-11 relative.
 Forms that use the same IEEE operations as their scalar eval (``L1`` and
-``pw:`` tables) give bit-identical terms, hence bit-identical results.
+``pw:`` tables) give bit-identical results.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ from .groups import Group
 from .numeric import grid_then_golden_min
 from .young import YoungFunction, YoungPair
 
+# relative width at which the Luxemburg bisection stops
 BISECT_TOL = 1e-12
-# support size from which the norms evaluate Phi as one array per step
-ARRAY_MIN_POINTS = 64
 # nextafter steps from the closed-form Luxemburg norm of x^p/p to its
 # feasible side before the bisection takes over; 6 were the most needed over
 # 6,000 random supports of 1 to 300 points and magnitudes 1e-200 to 1e200
@@ -183,87 +181,62 @@ def weighted_l1_norm(f: SupportedFunction, w) -> float:
 
 
 def _sum_in_loop_order(terms: np.ndarray, start: float) -> float:
-    """start + terms[0] + terms[1] + ..., added left to right as the scalar
-    loops add.  Terms are never NaN or negative, so an +inf term carries
-    through every later partial sum and the total is +inf, as the loops
-    return."""
-    return float(np.cumsum(np.concatenate(((start,), terms)))[-1])
+    """start + terms[0] + terms[1] + ..., added left to right.  Terms are
+    never NaN or negative, so an +inf term carries through every later
+    partial sum and the total is +inf."""
+    return float(np.add.accumulate(np.concatenate(((start,), terms)))[-1])
 
 
 def modular(f: SupportedFunction, phi: YoungFunction) -> float:
     """sum over the support of Phi(|f(s)|); may be +inf."""
-    if len(f.values) >= ARRAY_MIN_POINTS:
-        mags = np.array([abs(v) for v in f.values.values()])
-        return _sum_in_loop_order(phi.many(mags), 0.0)
-    total = 0.0
-    for v in f.values.values():
-        t = phi(abs(v))
-        if math.isinf(t):
-            return math.inf
-        total += t
-    return total
+    # Python's abs per value: np.abs of a complex differs in the last bit
+    mags = np.fromiter(map(abs, f.values.values()), dtype=float, count=len(f.values))
+    return _sum_in_loop_order(phi.many(mags), 0.0)
 
 
-def _finite_magnitudes(f: SupportedFunction) -> list:
-    """|f(s)| over the support; a norm of a non-finite value is undefined
-    (and would stall the bracket search), so it is rejected."""
+def _normalized_magnitudes(f: SupportedFunction) -> tuple:
+    """(|f| 2^-e, max |f| 2^-e, 2^e), the maximum in [1, 2).  A norm of a
+    non-finite value is undefined (and would stall the bracket search), so
+    it is rejected."""
     mags = [abs(v) for v in f.values.values()]
     if not all(map(math.isfinite, mags)):
         raise ValueError("norms need finite function values")
-    return mags
-
-
-def _scaled_power_sum(mags: list, p: float) -> tuple:
-    """(M, T) with M = max |f| and T = sum (|f| / M)^p, so that
-    S = sum |f|^p = M^p T without overflowing or underflowing M^p."""
     big = max(mags)
-    return big, math.fsum((m / big) ** p for m in mags)
+    e = math.frexp(big)[1] - 1
+    return np.ldexp(mags, -e), math.ldexp(big, -e), 2.0**e
+
+
+def _power_sum(mags: np.ndarray, top: float, p: float) -> float:
+    """T = sum (|f| / M)^p with M = max |f| = top, so that S = sum |f|^p =
+    M^p T without overflowing or underflowing M^p."""
+    return math.fsum((m / top) ** p for m in mags.tolist())
 
 
 def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
     """inf { k > 0 : modular(f / k) <= 1 }: in closed form for x^p / p,
-    by bisection otherwise.
+    by bisection to ``BISECT_TOL`` relative width otherwise.
 
     The returned k satisfies modular(f / k) <= 1 (the feasible side), so
     N_Phi(f) <= 1 iff modular(f) <= 1 also holds for the computed value.
     """
     if f.is_zero():
         return 0.0
-    mags = _finite_magnitudes(f)
+    mags, top, unit = _normalized_magnitudes(f)
 
-    if len(mags) >= ARRAY_MIN_POINTS:
-        arr = np.array(mags)
-
-        def feasible(k: float) -> bool:
-            # partial sums of non-negative terms never decrease, so the
-            # total exceeds 1 iff the loop's early exit would have fired
-            return _sum_in_loop_order(phi.many(arr / k), 0.0) <= 1.0
-
-    else:
-
-        def feasible(k: float) -> bool:
-            total = 0.0
-            for m in mags:
-                t = phi(m / k)
-                if math.isinf(t):
-                    return False
-                total += t
-                if total > 1.0:
-                    return False
-            return True
+    def feasible(k: float) -> bool:
+        return _sum_in_loop_order(phi.many(mags / k), 0.0) <= 1.0
 
     if phi.power is not None:
         # modular(f / N) = S / (p N^p) = 1 at N = (S / p)^(1/p); step up from
         # its rounded value to the first float the predicate accepts
         p = phi.power
-        big, t = _scaled_power_sum(mags, p)
-        n = big * (t / p) ** (1.0 / p)
+        n = top * (_power_sum(mags, top, p) / p) ** (1.0 / p)
         for _ in range(LP_MAX_STEPS):
             if feasible(n):
-                return n
+                return n * unit
             n = math.nextafter(n, math.inf)
 
-    hi = max(mags)
+    hi = top
     for _ in range(200):
         if feasible(hi):
             break
@@ -271,18 +244,18 @@ def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
     else:
         raise ArithmeticError("luxemburg bracket expansion failed")
     lo = hi / 2.0
-    while lo > 1e-300 and feasible(lo):
+    while feasible(lo):
         hi = lo
         lo /= 2.0
     for _ in range(200):
-        if hi - lo <= BISECT_TOL * (1.0 + hi):
+        if hi - lo <= BISECT_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi * unit
 
 
 def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
@@ -292,38 +265,24 @@ def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
     if f.is_zero():
         return 0.0
     phi = pair.phi
-    mags = _finite_magnitudes(f)
+    mags, top, unit = _normalized_magnitudes(f)
 
-    if len(mags) >= ARRAY_MIN_POINTS:
-        arr = np.array(mags)
-
-        def objective(k: float) -> float:
-            return _sum_in_loop_order(phi.many(k * arr), 1.0) / k
-
-    else:
-
-        def objective(k: float) -> float:
-            total = 1.0
-            for m in mags:
-                t = phi(k * m)
-                if math.isinf(t):
-                    return math.inf
-                total += t
-            return total / k
+    def objective(k: float) -> float:
+        return _sum_in_loop_order(phi.many(k * mags), 1.0) / k
 
     if phi.power is not None:
         # d/dk (1/k + k^(p-1) S / p) = 0 at k^p = p / ((p - 1) S)
         p = phi.power
-        big, t = _scaled_power_sum(mags, p)
-        return objective((p / ((p - 1.0) * t)) ** (1.0 / p) / big) * (1.0 + LP_ROUND_UP)
+        k = (p / ((p - 1.0) * _power_sum(mags, top, p))) ** (1.0 / p) / top
+        return objective(k) * (1.0 + LP_ROUND_UP) * unit
 
     # the minimizer sits within a few decades of 1/sup|f|, so anchor the
     # scan grid there; a linear Phi pushes the infimum to the right end,
     # where the residual 1/k is below 1e-15 relative
-    scale = 1.0 / max(mags)
+    scale = 1.0 / top
     grid = [scale * 2.0**j for j in range(-40, 51)]
     _, best = grid_then_golden_min(objective, grid)
-    return best
+    return best * unit
 
 
 def weighted_norm(f: SupportedFunction, ctx: SpaceContext) -> float:

@@ -148,8 +148,8 @@ def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
     """K = max over ball pairs of w(st) / (w(s) w(t)), with an argmax
     witness pair."""
     elems, elems2, prod = pair_table(w.group, radius)
-    v = np.array([w(g) for g in elems])
     v2 = np.array([w(g) for g in elems2])
+    v = v2[: len(elems)]
     ratios = v2[prod] / np.outer(v, v)
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)
@@ -158,8 +158,8 @@ def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
 def check_weak_subadditive(w: Weight, radius: int) -> PairCheck:
     """Least C with w(st) <= C (w(s) + w(t)) over ball pairs."""
     elems, elems2, prod = pair_table(w.group, radius)
-    v = np.array([w(g) for g in elems])
     v2 = np.array([w(g) for g in elems2])
+    v = v2[: len(elems)]
     ratios = v2[prod] / (v[:, None] + v[None, :])
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)
@@ -195,10 +195,9 @@ def check_lss_domination(sigma: Weight, omega: Weight, radius: int) -> PairCheck
     if sigma.group is not omega.group and sigma.group.name != omega.group.name:
         raise ValueError("check_lss_domination needs weights on one group")
     elems, elems2, prod = pair_table(sigma.group, radius)
-    sv = np.array([sigma(g) for g in elems])
     sv2 = np.array([sigma(g) for g in elems2])
-    ov = np.array([omega(g) for g in elems])
     ov2 = np.array([omega(g) for g in elems2])
+    sv, ov = sv2[: len(elems)], ov2[: len(elems)]
     ratios = (sv2[prod] * np.outer(ov, ov)) / (np.outer(sv, sv) * ov2[prod])
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)

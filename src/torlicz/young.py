@@ -18,9 +18,9 @@ expression.  ``conjugate`` is the generic numeric conjugate, kept as the
 tests' reference for these formulas; no pair uses it.
 
 Every Young function also has an array form, ``many``, which the norms use
-on large supports.  The built-ins evaluate their scalar formula with numpy
-ufuncs, whose results may differ from ``math``'s by an ulp; overflow gives
-+inf, as the scalar evals return ``math.inf``.  ``pw:`` tables and ``L1``
+at every support size.  The built-ins evaluate their scalar formula with
+numpy ufuncs, whose results may differ from ``math``'s by an ulp; overflow
+gives +inf, as the scalar evals return ``math.inf``.  ``pw:`` tables and ``L1``
 use the same IEEE operations as their scalar evals and agree bit for bit.
 A function without an array form (a user eval, ``xlog``'s complement)
 maps its scalar eval.

@@ -113,6 +113,25 @@ def test_cmd_conv(tmp_path, capsys):
     assert h.values[(1, 1)] == pytest.approx(-1.0)
 
 
+def test_conv_with_non_finite_values_is_silent_on_the_table_path(tmp_path):
+    # 144 x 9 pairs take the table path; inf and nan parts meet in its products
+    box = [[i, j] for i in range(12) for j in range(12)]
+    f = write_json(tmp_path, "f.json", {"group": "Z^d:2", "support": [
+        {"elt": e, "re": "inf" if e == [3, 4] else 1.0 + 0.1 * e[0], "im": 0.5 * e[1] - 1.0} for e in box]})
+    g = write_json(tmp_path, "g.json", {"group": "Z^d:2", "support": [
+        {"elt": e, "re": "nan" if e == [1, 1] else 0.25 * e[1] + 1.0, "im": -0.5} for e in box if max(e) < 3]})
+    out_path = tmp_path / "h.json"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "torlicz", "conv", "--cocycle", "bichar:0.5", "--in", f, g,
+                           "--out", str(out_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    ff, gg = parse_function_file(f), parse_function_file(g)
+    assert len(ff.values) * len(gg.values) >= twisted.TABLE_MIN_PAIRS
+    exact = twisted._twisted_convolve_exact(ff, gg, parse_cocycle(ff.group, "bichar:0.5"))
+    assert out_path.read_text() == function_file_text(exact) + "\n"
+
+
 def test_cmd_growth(capsys):
     assert main(["growth", "--group", "Z^d:2", "--nmax", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -342,6 +361,14 @@ def test_non_cocycle_bicharacter_on_cyclic_groups_exits_2(cocycle, tmp_path, cap
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {bichar} is not a cocycle on Zn:4x6") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cocycle", ["bichar:nan", "bichar:inf"])
+@pytest.mark.parametrize("group", ["Z^d:1", "Z^d:2", "H3"])
+def test_non_finite_bicharacters_exit_2_on_every_group(group, cocycle, capsys):
+    assert main(["check", "cocycle-verify", "--group", group, "--cocycle", cocycle, "--radius", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {cocycle} is not a cocycle on {group}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cocycle", ["bichar:", "bichar:3.141592653589793"])

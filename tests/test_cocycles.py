@@ -92,6 +92,24 @@ def test_corrupted_cocycle_detected_with_witness():
     assert abs(lhs - rhs) == pytest.approx(rep.identity_residual, rel=1e-12)
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_a_nan_triple_makes_the_identity_residual_nan(sampled, monkeypatch):
+    if sampled:
+        monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+        monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 500)
+    om = corrupt(bicharacter_cocycle(Z1, 0.5), ((1,), (1,)), factor=math.nan)
+    rep = verify_cocycle(om, 2, seed=1)
+    assert rep.sampled == sampled
+    assert math.isnan(rep.identity_residual) and rep.witness is not None
+
+
+@pytest.mark.parametrize("spec", ["bichar:nan", "bichar:inf", "bichar:-inf"])
+def test_parse_cocycle_rejects_non_finite_theta(spec):
+    for group in (Z1, Z2, parse_group("H3")):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            parse_cocycle(group, spec)
+
+
 def test_sampled_verification_path(monkeypatch):
     monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
     monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 500)

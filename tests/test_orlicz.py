@@ -265,7 +265,7 @@ def test_norms_reject_non_finite_values(value):
 
 
 # ---------------------------------------------------------------------------
-# The array path of the norms against the scalar loop
+# The array forms in the norms against the mapped scalar evals
 
 
 ARRAY_PAIRS = builtin_pairs() + [
@@ -276,14 +276,17 @@ BIT_EXACT_PAIRS = {"L1", "pw"}
 EPS = np.finfo(float).eps
 
 
-def _on_both_paths(fn, *args):
-    """fn(*args) with the scalar loop, then with the array path."""
-    results = []
-    for cutover in (math.inf, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orlicz, "ARRAY_MIN_POINTS", cutover)
-            results.append(fn(*args))
-    return results
+def _scalar(phi):
+    """phi without its array form: ``many`` maps the ``math``-based scalar
+    eval, the oracle for the numpy forms."""
+    return dataclasses.replace(phi, array_fn=None)
+
+
+def _on_both_paths(fn, f, fun):
+    """fn(f, fun) with the scalar eval of Phi mapped, then with its array
+    form; fun is a Young function or a pair."""
+    scalar = dataclasses.replace(fun, phi=_scalar(fun.phi)) if isinstance(fun, YoungPair) else _scalar(fun)
+    return [fn(f, scalar), fn(f, fun)]
 
 
 def _oriented(idx: int, dual: bool) -> YoungPair:
@@ -296,11 +299,12 @@ def _feasible_at(f, phi, k) -> bool:
     return modular(scaled, phi) <= 1.0
 
 
-@pytest.mark.parametrize("cutover", [math.inf, 1])
-def test_luxemburg_bracket_moves_down_when_max_is_feasible(cutover, monkeypatch):
+@pytest.mark.parametrize("form", ["scalar", "array"])
+def test_luxemburg_bracket_moves_down_when_max_is_feasible(form):
     # Phi(2) < 1, so k = max|f| = 1 is feasible and the bracket halves downward
-    monkeypatch.setattr(orlicz, "ARRAY_MIN_POINTS", cutover)
     phi = piecewise_pair([[0, 0], [1, 0.01], [100, 10]]).phi
+    if form == "scalar":
+        phi = _scalar(phi)
     f = SupportedFunction(Z1, {(0,): 1.0, (1,): 0.5})
     k = luxemburg_norm(f, phi)
     assert k == pytest.approx(0.12808, abs=1e-5)
@@ -340,10 +344,7 @@ def test_array_norms_keep_the_loop_contract(idx, dual, n, log_scale, seed):
     else:
         assert abs(lux_array - lux_loop) <= 1e-11 * lux_loop + BISECT_TOL * (1.0 + lux_loop)
         assert abs(orl_array - orl_loop) <= 1e-11 * orl_loop
-    for cutover, k in ((math.inf, lux_loop), (1, lux_array)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orlicz, "ARRAY_MIN_POINTS", cutover)
-            assert _feasible_at(f, phi, k)
+    assert _feasible_at(f, _scalar(phi), lux_loop) and _feasible_at(f, phi, lux_array)
 
 
 @pytest.mark.parametrize("idx", range(len(ARRAY_PAIRS)))
@@ -442,6 +443,32 @@ def test_lp_closed_forms_at_extreme_magnitudes(p, size):
     assert orl == pytest.approx(size * q ** (1.0 / q) * 2.0 ** (1.0 / p), rel=1e-14)
     dual = YoungPair(name="dual", phi=pair.psi, psi=pair.phi)
     assert math.isfinite(luxemburg_norm(f, pair.psi)) and math.isfinite(orlicz_norm(f, dual))
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-9, 1e-300])
+def test_luxemburg_bisection_stops_at_a_relative_width(size):
+    # cosh(x) - 1 = 1 at x = acosh(2), so a point mass a has N_Phi = a / acosh(2)
+    phi = parse_pair("cosh").phi
+    f = delta(Z1, value=size)
+    n = luxemburg_norm(f, phi)
+    assert n == pytest.approx(size / math.acosh(2.0), rel=1e-12, abs=0.0)
+    assert _feasible_at(f, phi, n)
+
+
+def test_luxemburg_bisection_near_the_float_maximum():
+    # 2 (cosh(x) - 1) = 1 at x = acosh(1.5); unscaled, the bracket doubled to inf
+    f = SupportedFunction(Z1, {(0,): 1.7e308, (1,): 1.7e308})
+    n = luxemburg_norm(f, parse_pair("cosh").phi)
+    assert n == pytest.approx(1.7e308 / math.acosh(1.5), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 70])
+def test_norms_of_subnormal_functions_are_finite(n):
+    f = SupportedFunction(Z1, {(i,): 1e-310 for i in range(n)})
+    for pair in builtin_pairs():
+        lux, orl = luxemburg_norm(f, pair.phi), orlicz_norm(f, pair)
+        assert math.isfinite(orl) and 0.0 < lux <= orl * (1 + 1e-8)
+        assert orl <= 2 * lux * (1 + 1e-8)
 
 
 def test_dual_certificate_rejects_an_orlicz_norm_1e_10_low(monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import torlicz.weights as weights_mod
-from torlicz.groups import block_group, integer_lattice
+from torlicz import cli
+from torlicz.groups import block_group, integer_lattice, pair_table, parse_group
 from torlicz.weights import (
     PFunctionError,
     Weight,
@@ -118,6 +119,40 @@ def test_lss_domination_trivial_and_scaled():
     rep = check_lss_domination(sigma, omega, 30)
     assert math.isfinite(rep.constant)
     assert rep.constant >= 1.0  # identity pairs force M >= 1
+
+
+def _counted(w: Weight):
+    calls = [0]
+
+    def fn(s):
+        calls[0] += 1
+        return w(s)
+
+    return Weight(group=w.group, fn=fn, kind=w.kind, name=w.name), calls
+
+
+@pytest.mark.parametrize("check", ["submult", "weak-subadditive", "lss"])
+def test_pair_checks_evaluate_each_weight_once_per_element(check):
+    # the radius ball is the BFS prefix of the doubled ball, so its values are sliced out
+    n2 = len(pair_table(Z2, 5)[1])
+    sigma, sigma_calls = _counted(make_subexp_weight(Z2, 0.5, 1.0))
+    omega, omega_calls = _counted(make_poly_weight(Z2, 2.0))
+    if check == "submult":
+        check_submultiplicative(sigma, 5)
+    elif check == "weak-subadditive":
+        check_weak_subadditive(sigma, 5)
+    else:
+        check_lss_domination(sigma, omega, 5)
+    assert sigma_calls[0] == n2
+    assert omega_calls[0] == (n2 if check == "lss" else 0)
+
+
+def test_block_weight_check_evaluates_the_weight_once_per_element(monkeypatch):
+    group = parse_group("Block:6")
+    block, calls = _counted(make_block_weight(group, [1, 3, 9, 27, 81]))
+    monkeypatch.setattr(cli, "parse_weight", lambda g, spec: block)
+    assert cli.run_check(cli.CheckSpec(check="block-weight", group="Block:6"))["pass"]
+    assert calls[0] == len(pair_table(group, len(group.identity))[1])
 
 
 def test_lss_equals_quotient_submultiplicativity():
