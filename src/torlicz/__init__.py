@@ -23,7 +23,6 @@ from .groups import (
 from .young import (
     YoungFunction,
     YoungPair,
-    builtin_pairs,
     conjugate,
     parse_pair,
     piecewise_pair,

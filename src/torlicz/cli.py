@@ -258,7 +258,8 @@ def _run_central_ext(spec: CheckSpec) -> dict:
     if group.order is None:
         raise ValueError("central-ext needs a finite group")
     ctx = _ctx(spec)
-    n = spec.params.get("n", group.order)
+    n = spec.params.get("n")
+    n = group.order if n is None else n
     tol = spec.params.get("tol", EXTENSION_TOL)
     elems = ball_elements(group, group.order)
     ext = central_extension_group(group, ctx.cocycle, n)
@@ -541,6 +542,55 @@ REQUIRED_WEIGHTS = {
     "lss": ("weight", "weight2"),
 }
 
+# The params each check reads and their kinds; run_check rejects any other
+# key or kind (exit 2) before the runner starts.  A number is an int or a
+# float, never a bool; "or null" marks a param whose default is None.
+_PARAM_KINDS = {
+    "a number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "an int": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "an integer array": lambda x: isinstance(x, list),
+    '"convergent" or "divergent"': lambda x: x in ("convergent", "divergent"),
+}
+CHECK_PARAMS = {
+    "cocycle-verify": {"tol": "a number"},
+    "cocycle-polar": {},
+    "domination": {"C": "a number or null"},
+    "spectral": {"sample_radius": "an int", "n_max": "an int", "gap_tol": "a number"},
+    "central-ext": {"n": "an int or null", "tol": "a number"},
+    "submult": {"bound": "a number or null"},
+    "submult-stable": {"factor": "a number"},
+    "weak-subadd": {"bound": "a number or null"},
+    "symmetric": {},
+    "grs": {"element": "an integer array or null", "n_max": "an int", "max_final": "a number or null"},
+    "lss": {},
+    "plemma": {"beta": "a number", "gamma": "a number", "C": "a number"},
+    "psi-series": {"N": "a number", "n_max": "an int", "expect": '"convergent" or "divergent"'},
+    "block-weight": {},
+    "algebra-bound": {"C": "a number or null", "sample_radius": "an int"},
+    "module-bound": {"sample_radius": "an int"},
+    "differential": {"sample_radius": "an int"},
+    "assoc": {"sample_radius": "an int", "tol": "a number"},
+    "intertwine": {"sample_radius": "an int", "tol": "a number"},
+    "sandwich": {"slack": "a number"},
+    "holder": {},
+    "lambda-isometry": {"tol": "a number"},
+    "symmetry-finite": {"tol": "a number"},
+}
+
+
+def _check_params(spec: CheckSpec) -> None:
+    accepted = CHECK_PARAMS[spec.check]
+    for key, value in spec.params.items():
+        kind = accepted.get(key)
+        if kind is None:
+            problem = f"unknown param {key!r}"
+        elif value is None and kind.endswith(" or null") or _PARAM_KINDS[kind.removesuffix(" or null")](value):
+            continue
+        else:
+            problem = f"param {key!r} must be {kind}, got {value!r}"
+        keys = ", ".join(f"{k} ({v})" for k, v in accepted.items()) or "none"
+        raise ValueError(f"check {spec.check}: {problem}; its params: {keys}")
+
 
 # ---------------------------------------------------------------------------
 # Preset suites (named after the structural results they exercise)
@@ -604,6 +654,7 @@ def run_check(spec: CheckSpec) -> dict:
     missing = [name for name in REQUIRED_WEIGHTS.get(spec.check, ()) if not getattr(spec, name)]
     if missing:
         raise ValueError(f"{spec.check} needs {' and '.join(missing)}")
+    _check_params(spec)
     out = {"check": spec.check, "spec": asdict(spec)}
     try:
         out.update(_jsonable(runner(spec)))

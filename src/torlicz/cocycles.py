@@ -6,15 +6,17 @@ A 2-cocycle is a map Omega: G x G -> C* with
     Omega(r, e) = Omega(e, r) = 1.
 
 A ``Cocycle`` is a frozen record: a scalar function evaluated afresh on
-every call (no value is cached) and, for most cocycles, a table form,
-``Cocycle.table(S, T)``, that fills the whole |S| x |T| value array at once
-with the same bits as the scalar calls; the twisted convolution uses it on
-large supports.
+every call (no value is cached) and, for most cocycles, a table form.
+``Cocycle.table(S, T)`` gives the values on two broadcast int64 coordinate
+arrays (paired rows, or ``S[:, None]`` and ``T[None]`` for all of S x T)
+with the same bits as the scalar calls, which it maps itself where the
+cocycle has no table form; it never returns None.  The twisted convolution
+reads it on large supports, and the sampled cocycle check on paired rows.
 The ball-pair checks (the cocycle identity, the domination bound and the
-polar split) read dense value tables from ``value_table``: the table form
-where the group has ``op_many`` and the cocycle a table, else the scalar
-pair loop.  Every cocycle splits uniquely as |Omega| times a unimodular
-phase, and both parts are again cocycles.
+polar split) read dense value tables from ``value_table``: ``table`` where
+the group has ``op_many``, else the scalar pair loop.  Every cocycle splits
+uniquely as |Omega| times a unimodular phase, and both parts are again
+cocycles.
 
 The finite model of the circle extension realizes G x T as G x Z_n for
 cocycles whose phase takes values in the n-th roots of unity.  With
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements, pair_table, product_classes
+from .groups import Group, ball_elements, pair_table, product_classes, row_classes
 from .orlicz import SupportedFunction
 from .weights import Weight
 
@@ -61,12 +63,12 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Cocycle:
-    """``fn`` gives one value; ``tabulate``, when present, maps int64
-    coordinate arrays S (m, k) and T (n, k), plus their
+    """``fn`` gives one value; ``tabulate``, when present, maps broadcast
+    int64 coordinate arrays S (..., k) and T (..., k), plus their
     ``groups.product_classes`` when the caller has them (else None), to the
-    complex (m, n) array of fn(s, t), equal to the scalar values bit for
-    bit, or to None when it cannot (then callers fall back to scalar
-    calls).  These four fields are all a cocycle holds."""
+    complex array of fn(s, t) over the broadcast shape, equal to the scalar
+    values bit for bit, or to None when it cannot (then ``table`` maps the
+    scalar calls).  These four fields are all a cocycle holds."""
 
     group: Group
     fn: object
@@ -79,16 +81,20 @@ class Cocycle:
             raise ValueError(f"cocycle {self.name} vanishes at {(s, t)}")
         return v
 
-    def table(self, S: np.ndarray, T: np.ndarray, classes=None) -> np.ndarray | None:
-        """All values on S x T as a complex array, or None without a table
-        form.  ``classes`` is ``product_classes(group, S, T)`` if already
-        computed."""
-        if self.tabulate is None:
-            return None
-        tab = self.tabulate(S, T, classes)
-        if tab is not None and not tab.all():
-            i, j = np.argwhere(tab == 0)[0]
-            key = (tuple(S[i].tolist()), tuple(T[j].tolist()))
+    def table(self, S: np.ndarray, T: np.ndarray, classes=None) -> np.ndarray:
+        """The values at the row pairs of two broadcast int64 coordinate
+        arrays as a complex array of their broadcast shape.  ``classes`` is
+        ``product_classes(group, S, T)`` if already computed.  A zero value
+        raises the scalar call's error at the first vanishing pair in
+        row-major order."""
+        tab = None if self.tabulate is None else self.tabulate(S, T, classes)
+        S, T = np.broadcast_arrays(S, T)
+        if tab is None:  # no table form, or it declined: the scalar calls
+            pairs = zip(*(map(tuple, X.reshape(-1, X.shape[-1]).tolist()) for X in (S, T)))
+            return np.array([self(s, t) for s, t in pairs], dtype=complex).reshape(S.shape[:-1])
+        if not tab.all():
+            at = tuple(np.argwhere(tab == 0)[0])
+            key = (tuple(S[at].tolist()), tuple(T[at].tolist()))
             raise ValueError(f"cocycle {self.name} vanishes at {key}")
         return tab
 
@@ -97,9 +103,10 @@ class Cocycle:
 
 
 def one_cocycle(group: Group) -> Cocycle:
-    return Cocycle(
-        group, lambda s, t: 1.0, "one", lambda S, T, _: np.ones((len(S), len(T)), dtype=complex)
-    )
+    def tabulate(S, T, _):
+        return np.ones(np.broadcast_shapes(S.shape[:-1], T.shape[:-1]), dtype=complex)
+
+    return Cocycle(group, lambda s, t: 1.0, "one", tabulate)
 
 
 def coboundary_from_weight(w: Weight) -> Cocycle:
@@ -113,14 +120,14 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
     def tabulate(S, T, classes):
         if classes is None:
             classes = product_classes(group, S, T)
-        if classes is None:
+        parts = (classes, row_classes(S), row_classes(T))
+        if None in parts:  # keys overflow int64
             return None
-        prods, first, inverse = classes
-        w_st = np.array([w(tuple(p)) for p in prods[first].tolist()])[inverse]
-        w_s = np.array([w(tuple(s)) for s in S.tolist()])
-        w_t = np.array([w(tuple(t)) for t in T.tolist()])
-        ratio = w_st.reshape(len(S), len(T)) / (w_s[:, None] * w_t[None, :])
-        return ratio.astype(complex)
+        # one weight call per distinct element, then a gather
+        w_st, w_s, w_t = (
+            np.array([w(tuple(g)) for g in rows[first].tolist()])[inverse] for rows, first, inverse in parts
+        )
+        return (w_st / (w_s * w_t)).astype(complex)
 
     return Cocycle(group, fn, f"cobound:{w.name}", tabulate)
 
@@ -163,10 +170,10 @@ def bicharacter_cocycle(group: Group, theta: float | None = None) -> Cocycle:
 
     def tabulate(S, T, _):
         # one scalar exp per distinct (s_last, t_first) pair, then a gather
-        a, ia = np.unique(S[:, -1], return_inverse=True)
-        b, ib = np.unique(T[:, 0], return_inverse=True)
+        a, ia = np.unique(S[..., -1], return_inverse=True)
+        b, ib = np.unique(T[..., 0], return_inverse=True)
         vals = np.array([[pairing(x, y) for y in b.tolist()] for x in a.tolist()], dtype=complex)
-        return vals[np.ix_(ia, ib)]
+        return vals[ia.reshape(S.shape[:-1]), ib.reshape(T.shape[:-1])]
 
     return Cocycle(group, fn, f"bichar:{theta:g}", tabulate)
 
@@ -181,8 +188,7 @@ def product_cocycle(c1: Cocycle, c2: Cocycle) -> Cocycle:
         return complex(c1(s, t)) * complex(c2(s, t))
 
     def tabulate(S, T, classes):
-        t1, t2 = c1.table(S, T, classes), c2.table(S, T, classes)
-        return None if t1 is None or t2 is None else complex_product(t1, t2)
+        return complex_product(c1.table(S, T, classes), c2.table(S, T, classes))
 
     return Cocycle(c1.group, fn, f"prod:{c1.name}*{c2.name}", tabulate)
 
@@ -206,12 +212,10 @@ def polar(omega: Cocycle):
     # np.hypot rounds like abs(complex) (np.abs may not)
     def modulus_table(S, T, classes):
         tab = omega.table(S, T, classes)
-        return None if tab is None else np.hypot(tab.real, tab.imag).astype(complex)
+        return np.hypot(tab.real, tab.imag).astype(complex)
 
     def phase_table(S, T, classes):
         tab = omega.table(S, T, classes)
-        if tab is None:
-            return None
         re, im = tab.real, tab.imag
         mod = np.hypot(re, im)
         out = np.empty_like(tab)
@@ -231,17 +235,14 @@ def polar(omega: Cocycle):
 
 def value_table(omega: Cocycle, A: list, B: list) -> np.ndarray:
     """omega(s, t) for s in A, t in B (ball elements) as a complex
-    (len(A), len(B)) array.  The cocycle's table form on int64 coordinate
-    arrays when the group has ``op_many`` and the cocycle a table; otherwise
-    the scalar double loop, which is also the exact form the tables are
-    tested against."""
+    (len(A), len(B)) array.  ``Cocycle.table`` on int64 coordinate arrays
+    when the group has ``op_many``; otherwise the scalar double loop, which
+    is also the exact form the tables are tested against."""
     if omega.group.op_many is not None:
         try:
-            tab = omega.table(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64))
+            return omega.table(np.array(A, dtype=np.int64)[:, None], np.array(B, dtype=np.int64)[None])
         except ValueError:
-            tab = None  # a zero value: the loop raises the scalar call's error
-        if tab is not None:
-            return tab
+            pass  # a zero value: the loop raises the scalar call's error
     return _value_table_loop(omega, A, B)
 
 
@@ -267,17 +268,20 @@ def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
     """Max residual of the cocycle identity over all triples from the
     radius ball (arguments of the identity reach the 2*radius ball), plus
     the normalization residual and sup |Omega| over the scanned pairs.  A
-    NaN residual at any triple makes the identity residual NaN.
+    NaN residual at any triple makes the identity residual NaN, and a NaN
+    value makes ``sup_abs`` NaN.
 
     Above ``TRIPLE_CAP`` total triples, a random sample of
     ``SAMPLE_TRIPLES`` triples drawn with ``seed`` is checked instead and
-    the report says so.
+    the report says so.  The sample runs on ``op_many`` and paired-row
+    ``Cocycle.table`` arrays, so a group without ``op_many`` (the finite
+    central-extension models) takes the full check at any size.
     """
     group = omega.group
     elems = ball_elements(group, radius)
     n1 = len(elems)
 
-    if n1**3 <= TRIPLE_CAP:
+    if n1**3 <= TRIPLE_CAP or group.op_many is None:
         _, elems2, prod = pair_table(group, radius)
         w = value_table(omega, elems2, elems2)
         worst = 0.0
@@ -297,26 +301,22 @@ def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
         sup_abs = float(np.abs(w).max())
         return CocycleReport(worst, norm_res, sup_abs, witness, n1**3, False)
 
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = None
-    sup_abs = 0.0
-    for _ in range(SAMPLE_TRIPLES):
-        r, s, t = (elems[int(k)] for k in rng.integers(0, n1, size=3))
-        rs = group.op(r, s)
-        st = group.op(s, t)
-        lhs = omega(r, s) * omega(rs, t)
-        rhs = omega(s, t) * omega(r, st)
-        sup_abs = max(sup_abs, abs(omega(r, s)), abs(omega(s, t)))
-        d = abs(lhs - rhs)
-        if not (d <= worst or math.isnan(worst)):
-            worst, witness = float(d), (r, s, t)
-    norm_res = 0.0
-    for g in elems:
-        norm_res = max(
-            norm_res, abs(omega(g, group.identity) - 1.0), abs(omega(group.identity, g) - 1.0)
-        )
-    return CocycleReport(worst, float(norm_res), float(sup_abs), witness, SAMPLE_TRIPLES, True)
+    # one draw of shape (SAMPLE_TRIPLES, 3) repeats the draws of one triple at a time
+    idx = np.random.default_rng(seed).integers(0, n1, size=(SAMPLE_TRIPLES, 3))
+    r, s, t = np.array(elems, dtype=np.int64)[idx].transpose(1, 0, 2)
+    w_rs, w_rs_t = omega.table(r, s), omega.table(group.op_many(r, s), t)
+    w_st, w_r_st = omega.table(s, t), omega.table(r, group.op_many(s, t))
+    # complex_product and hypot round as Python's complex * and abs
+    d = complex_product(w_rs, w_rs_t) - complex_product(w_st, w_r_st)
+    diff = np.hypot(d.real, d.imag)
+    k = int(np.argmax(diff))  # the first NaN, if any
+    worst = float(diff[k])
+    witness = None if worst <= 0.0 else tuple(elems[int(x)] for x in idx[k])
+    sup_abs = float(np.maximum(np.hypot(w_rs.real, w_rs.imag).max(), np.hypot(w_st.real, w_st.imag).max()))
+    e = [group.identity]
+    ones = np.concatenate([value_table(omega, elems, e).ravel(), value_table(omega, e, elems).ravel()]) - 1.0
+    norm_res = float(np.hypot(ones.real, ones.imag).max())
+    return CocycleReport(worst, norm_res, sup_abs, witness, SAMPLE_TRIPLES, True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +386,7 @@ def central_extension_group(base: Group, omega_t: Cocycle, n: int) -> Group:
     if base.order is None:
         raise ValueError("central extension model needs a finite base group")
     elems = ball_elements(base, base.order)  # exhausts the finite group
-    expo = {}
-    for s in elems:
-        for t in elems:
-            expo[(s, t)] = _root_exponent(omega_t(s, t), n)
+    expo = {(s, t): _root_exponent(omega_t(s, t), n) for s in elems for t in elems}
 
     def op(x, y):
         (s, a), (t, b) = x, y
@@ -424,10 +421,7 @@ def central_extension_embed(f: SupportedFunction, ext: Group) -> SupportedFuncti
     if ext.name != f"{f.group.name}xZ{n}":
         raise ValueError(f"{ext.name} is not a central extension of {f.group.name}")
     zeta = cmath.exp(2j * math.pi / n)
-    values = {}
-    for s, v in f.values.items():
-        for k in range(n):
-            values[(s, k)] = zeta ** (-k) * v
+    values = {(s, k): zeta ** (-k) * v for s, v in f.values.items() for k in range(n)}
     return SupportedFunction(ext, values)
 
 

@@ -7,9 +7,10 @@ symmetric generating set U.  The length function
 
 is computed by breadth-first search over the Cayley graph, one layer at a
 time; layers are memoized so repeated queries are cheap.  Where the group
-has an array product (``op_many``) and a layer has at least
-``BFS_ARRAY_MIN_PRODUCTS`` frontier x generator products, the layer is one
-numpy step with the scalar loop's element order; otherwise the loop runs.
+has an array product (``op_many``, elementwise on broadcast coordinate
+arrays) and a layer has at least ``BFS_ARRAY_MIN_PRODUCTS`` frontier x
+generator products, the layer is one numpy step with the scalar loop's
+element order; otherwise the loop runs.
 Ball sizes lambda(U^n) use the counting measure, which is the Haar measure
 throughout this package (all provided groups are discrete and unimodular,
 so the modular function is identically 1).
@@ -53,6 +54,9 @@ class Group:
     the identity).  ``length_hint``, when present, is an exact closed form
     for the word length and is validated against BFS layers in the test
     suite.  ``order`` is the group order for finite groups, else None.
+    ``op_many``, when present, is ``op`` on int64 coordinate arrays of shape
+    (..., k), elementwise under numpy broadcasting: paired rows give paired
+    products, ``op_many(S[:, None], T[None])`` all of S x T.
     """
 
     name: str
@@ -85,10 +89,7 @@ class BallTable:
     sizes: tuple
 
     def elements(self) -> list:
-        out = []
-        for layer in self.layers:
-            out.extend(layer)
-        return out
+        return list(itertools.chain.from_iterable(self.layers))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def _next_layer_array(group: Group, st: dict) -> list | None:
         cached[k] if k in cached else np.array(layers[k], dtype=np.int64) for k in (n - 1, max(n - 2, 0))
     )
     old = frontier if n == 1 else np.concatenate([frontier, before])
-    prods = group.op_many(frontier, np.array(group.generators, dtype=np.int64))
+    prods = group.op_many(frontier[:, None], np.array(group.generators, dtype=np.int64)[None])
     prods = prods.reshape(-1, prods.shape[-1])
     keys = _element_keys(np.concatenate([old, prods]))
     if keys is None:
@@ -253,20 +254,29 @@ def _element_keys(coords: np.ndarray) -> np.ndarray | None:
     return keys
 
 
-def product_classes(group: Group, S: np.ndarray, T: np.ndarray):
-    """All products s t of two int64 coordinate arrays, flattened row-major
-    over S x T, with np.unique's ``first`` (index of each distinct
-    product's first occurrence, in sorted key order) and ``inverse`` (class
-    of every product).  None when the group has no ``op_many`` or the
-    products do not pack into int64 keys."""
-    if group.op_many is None:
-        return None
-    prods = group.op_many(S, T).reshape(len(S) * len(T), -1)
-    keys = _element_keys(prods)
+def row_classes(coords: np.ndarray):
+    """The rows of an int64 coordinate array (..., k), flattened row-major,
+    with np.unique's ``first`` (index of each distinct row's first
+    occurrence, in sorted key order) and ``inverse`` (class of every row,
+    shaped ``coords.shape[:-1]``).  None when the rows do not pack into
+    int64 keys."""
+    rows = coords.reshape(-1, coords.shape[-1])
+    keys = _element_keys(rows)
     if keys is None:
         return None
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return prods, first, inverse
+    # the shape of inverse changed across numpy 2.x releases
+    return rows, first, inverse.reshape(coords.shape[:-1])
+
+
+def product_classes(group: Group, S: np.ndarray, T: np.ndarray):
+    """``row_classes`` of the products s t of two broadcast int64
+    coordinate arrays (pass ``S[:, None]`` and ``T[None]`` for all of
+    S x T).  None when the group has no ``op_many`` or the products do not
+    pack into int64 keys."""
+    if group.op_many is None:
+        return None
+    return row_classes(group.op_many(S, T))
 
 
 def pair_table(group: Group, radius: int):
@@ -292,7 +302,7 @@ def _pair_index_array(group: Group, elems: list, elems2: list) -> np.ndarray | N
         return None
     n, n2 = len(elems), len(elems2)
     coords = np.array(elems, dtype=np.int64)
-    prods = group.op_many(coords, coords).reshape(n * n, -1)
+    prods = group.op_many(coords[:, None], coords[None]).reshape(n * n, -1)
     keys = _element_keys(np.concatenate([np.array(elems2, dtype=np.int64), prods]))
     if keys is None:
         return None
@@ -313,11 +323,6 @@ def _pair_index_loop(group: Group, elems: list, elems2: list) -> np.ndarray:
     return prod
 
 
-def _pairwise(fn):
-    """op_many from an elementwise operation on broadcast coordinate arrays."""
-    return lambda S, T: fn(S[:, None, :], T[None, :, :])
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 
@@ -335,7 +340,7 @@ def integer_lattice(d: int) -> Group:
         identity=(0,) * d,
         generators=gens,
         length_hint=lambda a: max(abs(x) for x in a) if a else 0,
-        op_many=_pairwise(np.add),
+        op_many=np.add,
     )
 
 
@@ -350,8 +355,7 @@ def heisenberg_group() -> Group:
     def inv(u):
         return (-u[0], -u[1], -u[2] + u[0] * u[1])
 
-    def op_many(S, T):
-        u, v = S[:, None, :], T[None, :, :]
+    def op_many(u, v):
         out = u + v
         out[..., 2] += u[..., 0] * v[..., 1]
         return out
@@ -402,7 +406,7 @@ def cyclic_product_group(orders: tuple) -> Group:
         generators=tuple(sorted(gens)),
         length_hint=hint,
         order=order,
-        op_many=_pairwise(lambda u, v: (u + v) % np.array(orders, dtype=np.int64)),
+        op_many=lambda u, v: (u + v) % np.array(orders, dtype=np.int64),
     )
 
 
@@ -428,18 +432,14 @@ def block_group(n_blocks: int) -> Group:
         generators=gens,
         length_hint=lambda a: sum(a),
         order=2**n_blocks,
-        op_many=_pairwise(np.bitwise_xor),
+        op_many=np.bitwise_xor,
     )
 
 
 def block_index(group: Group, g) -> int:
     """Largest 1-based coordinate position supporting g (0 for the identity);
     g lies in the subgroup chain member G_i exactly when block_index <= i."""
-    top = 0
-    for i, x in enumerate(g, start=1):
-        if x:
-            top = i
-    return top
+    return max((i for i, x in enumerate(g, start=1) if x), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ The twisted convolution of finitely supported f, g under a cocycle Omega is
 summed in the order of the double loop over the supports (cocycle twists
 break the translation invariance that fast transforms need).  From
 ``TABLE_MIN_PAIRS`` support pairs on, when the group has an array product
-(``Group.op_many``) and the cocycle a table form (``Cocycle.table``), all
-pair products and cocycle values are formed at once in numpy and the terms
-are accumulated with ``np.bincount`` in loop order, so the result is equal
-to the loop's bit for bit, keys in the same order.  Otherwise the scalar
+(``Group.op_many``), all pair products and cocycle values
+(``Cocycle.table``, which maps the scalar calls for a cocycle without a
+table form) are formed at once in numpy and the terms are accumulated with
+``np.bincount`` in loop order, so the result is equal to the loop's bit for
+bit, keys in the same order.  Otherwise the scalar
 loop ``_twisted_convolve_exact`` runs; it is also the test oracle for the
 table path.  All groups here are discrete, so the modular function is 1
 and the involution reads
@@ -117,25 +118,24 @@ def _coords(elements) -> np.ndarray | None:
 
 def _twisted_convolve_table(f: SupportedFunction, g: SupportedFunction, omega: Cocycle):
     """The table path, or None where it does not apply: no array product,
-    coordinates or packed keys too large for int64, no cocycle table."""
+    coordinates or packed keys too large for int64."""
     group = f.group
     if group.op_many is None:  # elements need not be flat integer tuples
         return None
     S, T = _coords(f.values), _coords(g.values)
     if S is None or T is None:
         return None
+    S, T = S[:, None], T[None]  # all support pairs
     classes = product_classes(group, S, T)
     if classes is None:
         return None
     table = omega.table(S, T, classes)
-    if table is None:
-        return None
     prods, first, inverse = classes
     # number the distinct products by first occurrence: the loop's dict order
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    labels = rank[inverse]
+    labels = rank[inverse].ravel()
     fv = np.array(list(f.values.values()), dtype=complex)
     gv = np.array(list(g.values.values()), dtype=complex)
     terms = complex_product(complex_product(fv[:, None], gv[None, :]), table).ravel()

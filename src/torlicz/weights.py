@@ -32,7 +32,6 @@ class WeightParameterError(ValueError):
 class Weight:
     group: Group
     fn: object
-    kind: str
     name: str
 
     def __call__(self, s) -> float:
@@ -42,7 +41,7 @@ class Weight:
         return f"Weight({self.name} on {self.group.name})"
 
 
-def _tau_weight(group: Group, name: str, kind: str, of_tau) -> Weight:
+def _tau_weight(group: Group, name: str, of_tau) -> Weight:
     memo: dict = {}
 
     def fn(s) -> float:
@@ -52,24 +51,24 @@ def _tau_weight(group: Group, name: str, kind: str, of_tau) -> Weight:
             memo[s] = v
         return v
 
-    return Weight(group=group, fn=fn, kind=kind, name=name)
+    return Weight(group=group, fn=fn, name=name)
 
 
 def constant_weight(group: Group) -> Weight:
-    return Weight(group=group, fn=lambda s: 1.0, kind="const", name="const")
+    return Weight(group=group, fn=lambda s: 1.0, name="const")
 
 
 def make_poly_weight(group: Group, beta: float) -> Weight:
     if beta < 0:
         raise WeightParameterError("poly weight needs beta >= 0")
-    return _tau_weight(group, f"poly:{beta:g}", "poly", lambda t: (1.0 + t) ** beta)
+    return _tau_weight(group, f"poly:{beta:g}", lambda t: (1.0 + t) ** beta)
 
 
 def make_subexp_weight(group: Group, alpha: float, c: float) -> Weight:
     if not (0.0 < alpha <= 1.0) or c <= 0:
         raise WeightParameterError("subexp weight needs 0 < alpha <= 1 and C > 0")
     return _tau_weight(
-        group, f"subexp:{alpha:g}:{c:g}", "subexp", lambda t: math.exp(c * t**alpha)
+        group, f"subexp:{alpha:g}:{c:g}", lambda t: math.exp(c * t**alpha)
     )
 
 
@@ -84,7 +83,7 @@ def make_subexp2_weight(group: Group, gamma: float, c: float) -> Weight:
             return 1.0
         return math.exp(c * t / math.log1p(t) ** gamma)
 
-    return _tau_weight(group, f"subexp2:{gamma:g}:{c:g}", "subexp2", of_tau)
+    return _tau_weight(group, f"subexp2:{gamma:g}:{c:g}", of_tau)
 
 
 def quotient_weight(sigma: Weight, omega: Weight) -> Weight:
@@ -95,7 +94,6 @@ def quotient_weight(sigma: Weight, omega: Weight) -> Weight:
     return Weight(
         group=sigma.group,
         fn=lambda s: sigma(s) / omega(s),
-        kind="quotient",
         name=f"quot:{sigma.name}/{omega.name}",
     )
 
@@ -122,7 +120,7 @@ def make_block_weight(group: Group, levels) -> Weight:
             return 1.0
         return 1.0 + levels[top - 2]
 
-    w = Weight(group=group, fn=fn, kind="block", name="block")
+    w = Weight(group=group, fn=fn, name="block")
     rng = np.random.default_rng(0xB10C)
     elems = ball_elements(group, n_coords)
     for _ in range(64):

@@ -66,10 +66,12 @@ class YoungFunction:
         return self.fn(x)
 
     def many(self, x: np.ndarray) -> np.ndarray:
-        """The eval at each entry of a float array."""
+        """The eval at each entry of a float array; float overflow in an
+        array form gives +inf without a warning."""
         if self.array_fn is None:
             return np.fromiter(map(self.fn, x.tolist()), dtype=float, count=len(x))
-        return self.array_fn(x)
+        with np.errstate(over="ignore"):
+            return self.array_fn(x)
 
 
 def _validate_young(fn, name: str) -> None:
@@ -98,16 +100,6 @@ def _validate_young(fn, name: str) -> None:
 def young_function(name: str, fn, many=None) -> YoungFunction:
     _validate_young(fn, name)
     return YoungFunction(name=name, fn=fn, array_fn=many)
-
-
-def _overflow_to_inf(fn):
-    """An array form whose float overflow gives +inf without a warning."""
-
-    def many(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return fn(x)
-
-    return many
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +181,6 @@ def _cosh_conjugate(y: float) -> float:
     return math.asinh(y) * y - y * (y / (1.0 + math.hypot(1.0, y)))
 
 
-@_overflow_to_inf
 def _cosh_conjugate_many(y: np.ndarray) -> np.ndarray:
     return np.arcsinh(y) * y - y * (y / (1.0 + np.hypot(1.0, y)))
 
@@ -198,23 +189,19 @@ def _cosh_conjugate_many(y: np.ndarray) -> np.ndarray:
 # for formula
 
 
-@_overflow_to_inf
 def _coshm1_many(x: np.ndarray) -> np.ndarray:
     s = np.sinh(0.5 * x)
     return 2.0 * s * s
 
 
-@_overflow_to_inf
 def _expm1mx_many(x: np.ndarray) -> np.ndarray:
     return np.expm1(x) - x
 
 
-@_overflow_to_inf
 def _entropy_many(x: np.ndarray) -> np.ndarray:
     return (1.0 + x) * np.log1p(x) - x
 
 
-@_overflow_to_inf
 def _xlog1p_many(x: np.ndarray) -> np.ndarray:
     return x * np.log1p(x)
 
@@ -244,7 +231,7 @@ def _xlog_conjugate(y: float) -> float:
 
 def _power_function(var: str, r: float) -> YoungFunction:
     """x^r / r, marked with its exponent."""
-    fn = young_function(f"{var}^{r:g}/{r:g}", _power(r), _overflow_to_inf(lambda x: np.power(x, r) / r))
+    fn = young_function(f"{var}^{r:g}/{r:g}", _power(r), lambda x: np.power(x, r) / r)
     return replace(fn, power=r)
 
 
@@ -317,12 +304,6 @@ def parse_pair(spec: str) -> YoungPair:
     raise ValueError(f"unknown Young pair spec {spec!r}")
 
 
-def builtin_pairs() -> list[YoungPair]:
-    pairs = [l1_pair()] + [lp_pair(p) for p in (1.5, 2.0, 3.0)]
-    pairs += [xlog_pair(), cosh_pair(), expm_pair(), entropy_pair()]
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # Custom piecewise-linear Young functions (JSON tables)
 
@@ -376,6 +357,6 @@ def piecewise_pair(points, name: str = "piecewise") -> YoungPair:
 
     return YoungPair(
         name=name,
-        phi=young_function(name, phi, _overflow_to_inf(phi_many)),
-        psi=young_function(f"conj({name})", psi, _overflow_to_inf(psi_many)),
+        phi=young_function(name, phi, phi_many),
+        psi=young_function(f"conj({name})", psi, psi_many),
     )

@@ -3,6 +3,16 @@ import re
 
 import pytest
 
+from torlicz.young import cosh_pair, entropy_pair, expm_pair, l1_pair, lp_pair, xlog_pair
+
+
+def builtin_pairs() -> list:
+    """Every built-in Young pair: L1, Lp for p = 1.5, 2, 3, xlog, cosh,
+    expm and entropy."""
+    pairs = [l1_pair()] + [lp_pair(p) for p in (1.5, 2.0, 3.0)]
+    pairs += [xlog_pair(), cosh_pair(), expm_pair(), entropy_pair()]
+    return pairs
+
 
 @pytest.fixture(scope="session")
 def count_scalar_calls():

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import builtin_pairs
 from torlicz.cli import SUITES, emit_report, run_suite
 from torlicz.cocycles import (
     Cocycle,
@@ -65,7 +66,6 @@ from torlicz.weights import (
 )
 from torlicz.young import (
     YoungPair,
-    builtin_pairs,
     conjugate,
     l1_pair,
     lp_pair,

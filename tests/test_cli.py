@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from torlicz import cli, twisted
 from torlicz.cli import (
+    CHECK_PARAMS,
     CHECK_RUNNERS,
     REQUIRED_WEIGHTS,
     CheckSpec,
@@ -689,3 +690,38 @@ def test_grs_malformed_element_exits_2(group, element, message, capsys):
 def test_grs_element_is_canonical():
     res = run_check(CheckSpec(check="grs", group="Zn:4", weight="poly:1", params={"element": [5], "n_max": 8}))
     assert res["element"] == [1]
+
+
+# ---------------------------------------------------------------------------
+# Check params: each check accepts exactly the keys its runner reads
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "sandwich", "--params", '{"slak": 0.5}'], "unknown param 'slak'"),
+    (["check", "holder", "--params", '{"sample_radius": 9}'], "unknown param 'sample_radius'"),
+    (["check", "cocycle-verify", "--params", '{"tol": "abc"}'], "param 'tol' must be a number, got 'abc'"),
+    (["check", "assoc", "--params", '{"tol": null}'], "param 'tol' must be a number, got None"),
+    (["check", "grs", "--weight", "poly:1", "--params", '{"n_max": 2.5}'], "param 'n_max' must be an int"),
+    (["check", "psi-series", "--weight", "poly:1", "--params", '{"expect": "converges"}'],
+     "param 'expect' must be \"convergent\" or \"divergent\""),
+    (["check", "cocycle-verify", "--params", '{"tol": true}'], "param 'tol' must be a number, got True"),
+], ids=["unknown-key", "unread-key", "string-number", "null-number", "float-int", "unknown-expect", "bool-number"])
+def test_check_params_are_rejected_before_the_runner_starts(argv, message, capsys, monkeypatch):
+    monkeypatch.setitem(cli.CHECK_RUNNERS, argv[1], lambda spec: pytest.fail("the runner started"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: check {argv[1]}: {message}") and "its params: " in err
+
+
+def test_every_check_declares_its_params():
+    assert set(CHECK_PARAMS) == set(CHECK_RUNNERS)
+
+
+def test_null_params_take_their_defaults_and_specs_keep_params_as_given():
+    given = {"element": None, "n_max": 8, "max_final": None}
+    res = run_check(CheckSpec(check="grs", weight="poly:1", params=given))
+    assert res["spec"]["params"] == given and res["element"] == [1]
+    res = run_check(CheckSpec(check="central-ext", group="Zn:4", cocycle="bichar:", params={"n": None, "tol": 1}))
+    assert res["n"] == 4 and res["pass"] and res["spec"]["params"] == {"n": None, "tol": 1}
+    assert run_check(CheckSpec(check="domination", cocycle="cobound:poly:2", weight="poly:2", params={"C": None}))["pass"]

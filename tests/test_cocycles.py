@@ -7,6 +7,7 @@ import pytest
 import torlicz.cocycles as cocycles_mod
 from torlicz.cocycles import (
     Cocycle,
+    CocycleReport,
     DominationViolation,
     bicharacter_cocycle,
     central_extension_embed,
@@ -101,6 +102,7 @@ def test_a_nan_triple_makes_the_identity_residual_nan(sampled, monkeypatch):
     rep = verify_cocycle(om, 2, seed=1)
     assert rep.sampled == sampled
     assert math.isnan(rep.identity_residual) and rep.witness is not None
+    assert math.isnan(rep.sup_abs)
 
 
 @pytest.mark.parametrize("spec", ["bichar:nan", "bichar:inf", "bichar:-inf"])
@@ -274,7 +276,7 @@ def test_default_bicharacter_is_a_cocycle_on_cyclic_products(spec):
     # the table form follows the same theta as the scalar values
     elems = ball_elements(group, 3)
     coords = np.array(elems, dtype=np.int64)
-    table = om.table(coords, coords)
+    table = om.table(coords[:, None], coords[None])
     assert all(table[i, j] == om(s, t) for i, s in enumerate(elems) for j, t in enumerate(elems))
 
 
@@ -297,7 +299,7 @@ def test_table_equals_scalar_values_bit_for_bit(group_spec, spec, count_scalar_c
     tabled = parse_cocycle(group, spec)
     parts = polar(tabled)
     calls = count_scalar_calls([tabled])
-    tables = [tabled.table(coords, coords)] + [p.table(coords, coords) for p in parts]
+    tables = [tabled.table(coords[:, None], coords[None])] + [p.table(coords[:, None], coords[None]) for p in parts]
     assert calls == [0]
     scalar = parse_cocycle(group, spec)
     for tab, om in zip(tables, [scalar] + list(polar(scalar))):
@@ -307,12 +309,20 @@ def test_table_equals_scalar_values_bit_for_bit(group_spec, spec, count_scalar_c
                 assert (tab[i, j].real.hex(), tab[i, j].imag.hex()) == (v.real.hex(), v.imag.hex())
 
 
-def test_table_is_none_without_a_table_form_and_flags_zeros():
+def test_table_maps_the_scalar_calls_without_a_table_form_and_flags_zeros():
     coords = np.array([[0], [1]], dtype=np.int64)
-    assert Cocycle(Z1, lambda s, t: 1.0, "scalar").table(coords, coords) is None
-    vanishing = Cocycle(Z1, lambda s, t: 0.0, "zero", lambda S, T, _: np.zeros((len(S), len(T)), complex))
-    with pytest.raises(ValueError, match="vanishes"):
-        vanishing.table(coords, coords)
+    fn = lambda s, t: 1.0 + s[0] + 2.0 * t[0]  # noqa: E731
+    for tabulate in (None, lambda S, T, _: None):  # no table form, or one that declines
+        scalar = Cocycle(Z1, fn, "scalar", tabulate)
+        assert scalar.table(coords[:, None], coords[None]).tolist() == [[1, 3], [2, 4]]
+        assert scalar.table(coords, coords[::-1]).tolist() == [3, 2]
+    zeros = lambda S, T, _: np.zeros(np.broadcast_shapes(S.shape[:-1], T.shape[:-1]), complex)  # noqa: E731
+    vanishing = Cocycle(Z1, lambda s, t: 0.0, "zero", zeros)
+    with pytest.raises(ValueError) as table:
+        vanishing.table(coords[::-1, None], coords[None])
+    with pytest.raises(ValueError) as scalar_call:
+        vanishing((1,), (0,))
+    assert str(table.value) == str(scalar_call.value) == "cocycle zero vanishes at ((1,), (0,))"
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +422,7 @@ def test_value_table_raises_the_scalar_calls_error_on_a_zero():
     # pair loop (and so value_table) at c2's earlier pair
     def vanishing(name, where):
         def tabulate(S, T, _):
-            return np.array([[0.0 if (s[0], t[0]) == where else 1.0 for t in T.tolist()] for s in S.tolist()], complex)
+            return np.where((S[..., 0] == where[0]) & (T[..., 0] == where[1]), 0.0, 1.0).astype(complex)
 
         return Cocycle(Z1, lambda s, t: 0.0 if (s[0], t[0]) == where else 1.0, name, tabulate)
 
@@ -423,3 +433,86 @@ def test_value_table_raises_the_scalar_calls_error_on_a_zero():
     with pytest.raises(ValueError) as table:
         value_table(omega, elems, elems)
     assert str(table.value) == str(loop.value) == "cocycle early vanishes at ((0,), (1,))"
+
+
+# ---------------------------------------------------------------------------
+# The sampled cocycle check against the per-triple loop it replaced
+
+
+def _sampled_loop(omega, radius, seed=0):
+    """The scalar per-triple sampled check: six omega calls and two group
+    products per triple.  Its Python ``max`` drops NaN values from
+    ``sup_abs`` and the normalization residual."""
+    group = omega.group
+    elems = ball_elements(group, radius)
+    n1 = len(elems)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witness = None
+    sup_abs = 0.0
+    for _ in range(cocycles_mod.SAMPLE_TRIPLES):
+        r, s, t = (elems[int(k)] for k in rng.integers(0, n1, size=3))
+        rs = group.op(r, s)
+        st = group.op(s, t)
+        lhs = omega(r, s) * omega(rs, t)
+        rhs = omega(s, t) * omega(r, st)
+        sup_abs = max(sup_abs, abs(omega(r, s)), abs(omega(s, t)))
+        d = abs(lhs - rhs)
+        if not (d <= worst or math.isnan(worst)):
+            worst, witness = float(d), (r, s, t)
+    norm_res = 0.0
+    for g in elems:
+        norm_res = max(norm_res, abs(omega(g, group.identity) - 1.0), abs(omega(group.identity, g) - 1.0))
+    return CocycleReport(worst, float(norm_res), float(sup_abs), witness, cocycles_mod.SAMPLE_TRIPLES, True)
+
+
+def _sampled_cocycle(group_spec, kind, on_group):
+    """``tabled`` a product with a table form (not a cocycle on H3),
+    ``scalar`` the same values without one, ``failing`` a tabled cocycle
+    with one value doubled."""
+    group = parse_group(group_spec)
+    tabled = parse_cocycle(group, on_group(group_spec, "prod:cobound:poly:1.5*bichar:0.8"))
+    if kind == "tabled":
+        return tabled
+    if kind == "scalar":
+        return Cocycle(group, tabled.fn, "scalar")
+    elems = ball_elements(group, 1)
+    return corrupt(tabled, (elems[1], elems[2]))
+
+
+@pytest.mark.parametrize("group_spec, radius", [("Z^d:2", 3), ("H3", 3), ("Zn:4x6", 3)])
+@pytest.mark.parametrize("kind", ["tabled", "scalar", "failing"])
+def test_sampled_path_matches_the_per_triple_loop(group_spec, radius, kind, monkeypatch, on_group):
+    monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 3000)
+    report = verify_cocycle(_sampled_cocycle(group_spec, kind, on_group), radius, seed=5)
+    exact = _sampled_loop(_sampled_cocycle(group_spec, kind, on_group), radius, seed=5)
+    assert report.sampled
+    if kind == "failing" or group_spec == "H3":
+        assert report.identity_residual > 1e-3
+    for name in report.__dataclass_fields__:
+        assert _bits(getattr(report, name)) == _bits(getattr(exact, name)), name
+
+
+def test_sampled_path_makes_no_scalar_calls_with_a_table_form(monkeypatch, count_scalar_calls):
+    monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 3000)
+    family = _oracle_cocycles("Z^d:2", "prod")
+    calls = count_scalar_calls(family)
+    assert verify_cocycle(family[-1], 3).sampled
+    assert calls == [0]
+
+
+@pytest.mark.parametrize("n1", [5, 17, 49, 225, 2197])
+def test_one_draw_of_all_triples_repeats_the_per_triple_draws(n1):
+    rng = np.random.default_rng(3)
+    one_at_a_time = [rng.integers(0, n1, size=3).tolist() for _ in range(500)]
+    assert np.random.default_rng(3).integers(0, n1, size=(500, 3)).tolist() == one_at_a_time
+
+
+def test_a_group_without_op_many_takes_the_full_check_above_the_cap(monkeypatch):
+    monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    ext = _oracle_group("ext:Zn:4")
+    rep = verify_cocycle(coboundary_from_weight(parse_weight(ext, "poly:1.5")), 1)
+    assert not rep.sampled and rep.n_triples == 16**3
+    assert rep.identity_residual <= 1e-12 and rep.normalization_residual == 0.0

@@ -228,11 +228,23 @@ def test_op_many_agrees_with_op(spec):
     rng = np.random.default_rng(2)
     left = [elems[k] for k in rng.integers(0, len(elems), 20)]
     right = [elems[k] for k in rng.integers(0, len(elems), 15)]
-    prods = group.op_many(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64))
+    prods = group.op_many(np.array(left, dtype=np.int64)[:, None], np.array(right, dtype=np.int64)[None])
     assert prods.shape == (20, 15, len(group.identity))
     for i, s in enumerate(left):
         for j, t in enumerate(right):
             assert tuple(prods[i, j].tolist()) == group.op(s, t)
+
+
+@pytest.mark.parametrize("spec", ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5"])
+def test_op_many_on_paired_rows_agrees_with_op(spec):
+    group = parse_group(spec)
+    elems = ball_elements(group, 3)
+    rng = np.random.default_rng(4)
+    pairs = [(elems[i], elems[j]) for i, j in rng.integers(0, len(elems), (40, 2))]
+    left, right = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    prods = group.op_many(left, right)
+    assert prods.shape == (40, len(group.identity))
+    assert [tuple(p) for p in prods.tolist()] == [group.op(s, t) for s, t in pairs]
 
 
 def test_product_classes_group_equal_products_and_guard_key_overflow():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import builtin_pairs
 from torlicz import orlicz
 from torlicz.groups import cyclic_group, integer_lattice
 from torlicz.orlicz import (
@@ -30,7 +31,6 @@ from torlicz.orlicz import (
 from torlicz.weights import constant_weight, make_poly_weight
 from torlicz.young import (
     YoungPair,
-    builtin_pairs,
     l1_pair,
     lp_pair,
     parse_pair,

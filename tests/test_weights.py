@@ -96,7 +96,7 @@ def test_subexp_not_weakly_subadditive():
 def test_symmetry_checks():
     assert check_symmetric(make_poly_weight(Z1, 2.0), 16)
     assert check_symmetric(make_subexp_weight(Z1, 0.5, 1.0), 16)
-    lopsided = Weight(group=Z1, fn=lambda s: 2.0 ** s[0], kind="custom", name="2^s")
+    lopsided = Weight(group=Z1, fn=lambda s: 2.0 ** s[0], name="2^s")
     assert not check_symmetric(lopsided, 4)
 
 
@@ -107,7 +107,7 @@ def test_grs_trends():
     assert seq[-1] < 1.02
     const = check_grs(constant_weight(Z1), (1,), 50)
     assert np.all(const == 1.0)
-    expw = Weight(group=Z1, fn=lambda s: 2.0 ** abs(s[0]), kind="custom", name="2^|s|")
+    expw = Weight(group=Z1, fn=lambda s: 2.0 ** abs(s[0]), name="2^|s|")
     assert np.all(check_grs(expw, (1,), 60) == pytest.approx(2.0))
 
 
@@ -128,7 +128,7 @@ def _counted(w: Weight):
         calls[0] += 1
         return w(s)
 
-    return Weight(group=w.group, fn=fn, kind=w.kind, name=w.name), calls
+    return Weight(group=w.group, fn=fn, name=w.name), calls
 
 
 @pytest.mark.parametrize("check", ["submult", "weak-subadditive", "lss"])
@@ -218,10 +218,10 @@ def test_weight_positivity_and_identity_normalization():
 
 
 def test_parse_weight_specs():
-    assert parse_weight(Z1, "poly:2.5").kind == "poly"
-    assert parse_weight(Z1, "subexp:0.5:2").kind == "subexp"
-    assert parse_weight(Z1, "subexp2:1:1").kind == "subexp2"
-    assert parse_weight(Z1, "quot:poly:2/poly:1").kind == "quotient"
-    assert parse_weight(block_group(4), "block:1,3,9").kind == "block"
+    assert parse_weight(Z1, "poly:2.5").name == "poly:2.5"
+    assert parse_weight(Z1, "subexp:0.5:2").name == "subexp:0.5:2"
+    assert parse_weight(Z1, "subexp2:1:1").name == "subexp2:1:1"
+    assert parse_weight(Z1, "quot:poly:2/poly:1").name == "quot:poly:2/poly:1"
+    assert parse_weight(block_group(4), "block:1,3,9").name == "block"
     with pytest.raises(ValueError):
         parse_weight(Z1, "exp:1")

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import builtin_pairs
 from torlicz.young import (
     YoungFunctionError,
-    builtin_pairs,
     conjugate,
     cosh_pair,
     entropy_pair,
