@@ -46,6 +46,7 @@ from .groups import (
     parse_group,
 )
 from .orlicz import (
+    FLOAT_GUARD,
     SpaceContext,
     SupportedFunction,
     dual_pairing_bound,
@@ -456,8 +457,9 @@ def _residual(t: Trial, rep):
 
 
 def _sandwich(t: Trial, f):
-    """N_Phi(f) <= ||f||_Phi <= 2 N_Phi(f), each side with relative slack."""
-    slack = t.spec.params.get("slack", 1e-8)
+    """N_Phi(f) <= ||f||_Phi <= 2 N_Phi(f), each side with relative slack
+    (by default the float guard of the other one-sided checks)."""
+    slack = t.spec.params.get("slack", FLOAT_GUARD)
     n, o = luxemburg_norm(f, t.ctx.pair.phi), orlicz_norm(f, t.ctx.pair)
     low, high = o - n * (1.0 - slack), 2.0 * n * (1.0 + slack) - o
     return (min(low, high),), low >= 0 and high >= 0, None

@@ -1,13 +1,14 @@
-"""One-dimensional search and stable primitives for the Young functions.
+"""One-dimensional searches and stable primitives for the Young functions.
 
-The searches work on unimodal objectives and tolerate +inf values, which
-show up whenever a Young function jumps to infinity.  The golden section
-routine reports the best point it actually evaluated, so callers never
-extrapolate below a true infimum.  ``grid_then_golden_min`` minimises the
-Amemiya objective of the Orlicz norm for every Young function other than
-x^p / p, whose minimiser the norm takes in closed form; ``golden_section_max``
-serves only ``young.conjugate``, the tests' reference for the exact
-complements.
+``secant_bisect_log`` shrinks the bracket of a sign change of a
+nondecreasing function of k > 0: secant steps on log k with the Illinois
+halving of a stale end value, and a bisection of log k wherever an end value
+is +inf or NaN.  Both Orlicz-space norms use it, the Luxemburg norm on its
+modular test and the Amemiya form of the Orlicz norm on Young's equality;
+it returns evaluated ends, so callers report values at points they
+evaluated.  The golden section routines work on unimodal objectives and
+report the best point they evaluated; they serve only ``young.conjugate``,
+the tests' reference for the exact complements.
 """
 
 from __future__ import annotations
@@ -56,17 +57,61 @@ def golden_section_max(f, a: float, b: float):
     return x, -v
 
 
-def grid_then_golden_min(f, grid):
-    """Scan a sorted grid for the minimum of a unimodal f, then refine with
-    golden section on the bracketing cell pair.  Returns (x_best, f_best)."""
-    vals = [f(x) for x in grid]
-    j = min(range(len(grid)), key=lambda i: vals[i])
-    lo = grid[max(0, j - 1)]
-    hi = grid[min(len(grid) - 1, j + 1)]
-    x, v = golden_section_min(f, lo, hi)
-    if vals[j] < v:
-        return grid[j], vals[j]
-    return x, v
+def expand_bracket_log(fn, k: float, k_cap: float):
+    """A bracket (lo, f_lo, hi, f_hi) of the sign change of a nondecreasing
+    fn, with f_lo < 0 <= f_hi (NaN counts as >= 0): from k, upward while
+    fn < 0 or downward while fn >= 0, by factors 2, 4, 16, 256, ..., each
+    the square of the last.  None if fn is still below 0 at k_cap."""
+    v = fn(k)
+    up = v < 0.0
+    step = 2.0 if up else 0.5
+    while True:
+        if up and k >= k_cap:
+            return None
+        prev, v_prev = k, v
+        k = min(k * step, k_cap) if up else k * step
+        if k == 0.0:
+            raise ArithmeticError("bracket expansion reached k = 0")
+        v = fn(k)
+        if (v < 0.0) != up:
+            return (prev, v_prev, k, v) if up else (k, v, prev, v_prev)
+        step *= step
+
+
+def secant_bisect_log(fn, lo: float, f_lo: float, hi: float, f_hi: float, rel_tol: float):
+    """Shrink 0 < lo < hi, with f_lo = fn(lo) < 0 <= f_hi = fn(hi) for a
+    nondecreasing fn (NaN counts as >= 0), until hi - lo <= rel_tol * hi.
+
+    Each point is a quarter of the tolerance inside the bracket, so a secant
+    estimate that lands on the root still closes the bracket from both
+    sides.  Returns the final (lo, f_lo, hi, f_hi), both ends evaluated.
+    """
+    pad = 0.25 * rel_tol
+    w_lo, w_hi = f_lo, f_hi  # end values as the secant sees them
+    side = 0
+    for _ in range(MAX_ITER):
+        if hi - lo <= rel_tol * hi:
+            break
+        u_lo, u_hi = math.log(lo), math.log(hi)
+        if math.isfinite(w_lo) and math.isfinite(w_hi):
+            u = u_hi - w_hi * (u_hi - u_lo) / (w_hi - w_lo)
+        else:
+            u = 0.5 * (u_lo + u_hi)
+        k = math.exp(min(max(u, u_lo + pad), u_hi - pad))
+        if not lo < k < hi:  # no float left between the ends
+            break
+        v = fn(k)
+        if v < 0.0:
+            lo, f_lo, w_lo = k, v, v
+            if side < 0:
+                w_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi, w_hi = k, v, v
+            if side > 0:
+                w_lo *= 0.5
+            side = 1
+    return lo, f_lo, hi, f_hi
 
 
 # Numerically stable primitives for the built-in Young functions.

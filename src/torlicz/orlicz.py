@@ -5,15 +5,39 @@ support.  The Luxemburg norm
 
     N_Phi(f) = inf { k > 0 : modular(f / k) <= 1 }
 
-is found by bisection on the monotone predicate (an infinite modular counts
-as "greater than one").  The Orlicz (dual) norm is computed through the
-Amemiya form
+is the root of the monotone function -log modular(f / k) (an infinite
+modular counts as "greater than one").  The Orlicz (dual) norm is computed
+through the Amemiya form
 
     ||f||_Phi = inf_{k > 0} (1 + modular(k f)) / k,
 
-whose objective is unimodal in k; a geometric scan plus golden section
-refines the infimum.  Both routines only ever report values they evaluated,
-so the Luxemburg result satisfies its defining modular inequality and the
+whose objective has slope (G(k) - 1) / k^2 with
+
+    G(k) = sum [k |f| Phi'(k |f|) - Phi(k |f|)] = sum Psi(Phi'(k |f|)),
+
+the second form by Young's equality; G is nondecreasing, so the infimum is
+at the least k with G(k) >= 1 (Krasnosel'skii and Rutickii, Convex
+Functions and Orlicz Spaces, section 10; Hudzik and Maligranda, Amemiya
+norm equals Orlicz norm in general, Indag. Math. 11, 2000).  Both roots are
+bracketed by ``numeric.expand_bracket_log``, from k = max |f| and from
+k = 1 / max |f|, and found by ``numeric.secant_bisect_log`` on log modular
+and log G, which are close to linear in log k where Phi is close to a
+power.  The Luxemburg search stops at a bracket of relative width
+``BISECT_TOL`` and returns its feasible end; the Amemiya search stops at a
+bracket of k* of relative width ``AMEMIYA_TOL`` and evaluates the objective
+at the end where G is closer to 1, which puts it about 1e-18 relative above
+its minimum.  A NaN or +inf G (Phi and Phi' both overflow) counts as above
+1.  Where G stays below 1 (``L1``, a ``pw:`` table with bounded
+x Phi' - Phi) the objective decreases for ever, and the norm is its value at
+k = 2^``AMEMIYA_REACH`` / max |f|, within 2^-50 relative of the limit.
+
+For a piecewise-linear Phi (``YoungFunction.kinks``: ``L1`` and both
+members of a ``pw:`` pair) G is a step function, which a root search would
+only bracket.  Between the points k = kink / |f(s)| the objective is
+A / k + B, so its infimum is at one of them; it is convex in 1/k, so a
+bisection on neighbouring pairs of the sorted points finds the smallest
+value.  Both norms only ever report values they evaluated, so the
+Luxemburg result satisfies its defining modular inequality and the
 Amemiya result is an upper approximation of the true infimum.  The dual
 pairing check gives independent lower-bound certificates.
 
@@ -25,17 +49,16 @@ and the result is the objective evaluated there, raised by the relative
 point mass the Hoelder bound is an equality, and a value a few ulps low
 fails it).  The Luxemburg norm is (S / p)^(1/p), stepped up with
 ``math.nextafter`` to the first float the feasibility predicate accepts
-(at most ``LP_MAX_STEPS`` steps, then the bisection).  S is formed as
+(at most ``LP_MAX_STEPS`` steps, then the root search).  S is formed as
 M^p sum (|f| / M)^p with M = max |f|, so no power of |f| itself overflows
-or underflows.  The scan, golden section and bisection serve every other
-Young function and are the tests' oracle for the closed forms.
+or underflows.
 
 Both norms are homogeneous, so they run on |f| 2^-e, with the exact power
 of two 2^e putting max |f| 2^-e in [1, 2), and multiply the result by 2^e.
-Every step of the closed forms, the scan and the bisection commutes with
-that scaling while the scaled values stay normal floats, so it changes no
-result there; it keeps a subnormal |f| from overflowing the scan grid and
-k*, which made such norms +inf or NaN.
+Every step of the closed forms and the searches commutes with that scaling
+while the scaled values stay normal floats, so it changes no result there;
+it keeps a subnormal |f| from overflowing k*, which made such norms +inf
+or NaN.
 
 ``modular``, each Luxemburg feasibility test and each Amemiya objective
 value form their n terms in one call of the Young function's array form
@@ -58,11 +81,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Group
-from .numeric import grid_then_golden_min
+from .numeric import expand_bracket_log, secant_bisect_log
 from .young import YoungFunction, YoungPair
 
-# relative width at which the Luxemburg bisection stops
+# relative width at which the Luxemburg root search stops
 BISECT_TOL = 1e-12
+# the Luxemburg bracket search gives up at 2^1000 max|f|, which only a Phi
+# still below 1 at 2^-1000 would need
+LUX_REACH = 2.0**1000
+# relative width of the bracket of the Amemiya minimiser k*
+AMEMIYA_TOL = 1e-9
+# where G never reaches 1 the norm is the objective at 2^AMEMIYA_REACH / max|f|
+AMEMIYA_REACH = 50
 # nextafter steps from the closed-form Luxemburg norm of x^p/p to its
 # feasible side before the bisection takes over; 6 were the most needed over
 # 6,000 random supports of 1 to 300 points and magnitudes 1e-200 to 1e200
@@ -212,9 +242,14 @@ def _power_sum(mags: np.ndarray, top: float, p: float) -> float:
     return math.fsum((m / top) ** p for m in mags.tolist())
 
 
+def _log(x: float) -> float:
+    """log x, -inf at 0 and NaN at NaN."""
+    return math.log(x) if x > 0.0 else -math.inf if x == 0.0 else x
+
+
 def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
     """inf { k > 0 : modular(f / k) <= 1 }: in closed form for x^p / p,
-    by bisection to ``BISECT_TOL`` relative width otherwise.
+    by a secant-bisection to ``BISECT_TOL`` relative width otherwise.
 
     The returned k satisfies modular(f / k) <= 1 (the feasible side), so
     N_Phi(f) <= 1 iff modular(f) <= 1 also holds for the computed value.
@@ -223,8 +258,9 @@ def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
         return 0.0
     mags, top, unit = _normalized_magnitudes(f)
 
-    def feasible(k: float) -> bool:
-        return _sum_in_loop_order(phi.many(mags / k), 0.0) <= 1.0
+    def slack(k: float) -> float:
+        # >= 0 exactly where modular(f / k) <= 1; -inf for an infinite modular
+        return -_log(_sum_in_loop_order(phi.many(mags / k), 0.0))
 
     if phi.power is not None:
         # modular(f / N) = S / (p N^p) = 1 at N = (S / p)^(1/p); step up from
@@ -232,36 +268,43 @@ def luxemburg_norm(f: SupportedFunction, phi: YoungFunction) -> float:
         p = phi.power
         n = top * (_power_sum(mags, top, p) / p) ** (1.0 / p)
         for _ in range(LP_MAX_STEPS):
-            if feasible(n):
+            if slack(n) >= 0.0:
                 return n * unit
             n = math.nextafter(n, math.inf)
 
-    hi = top
-    for _ in range(200):
-        if feasible(hi):
-            break
-        hi *= 2.0
-    else:
+    bracket = expand_bracket_log(slack, top, LUX_REACH)
+    if bracket is None:
         raise ArithmeticError("luxemburg bracket expansion failed")
-    lo = hi / 2.0
-    while feasible(lo):
-        hi = lo
-        lo /= 2.0
-    for _ in range(200):
-        if hi - lo <= BISECT_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
+    _, _, hi, _ = secant_bisect_log(slack, *bracket, BISECT_TOL)
+    return hi * unit
+
+
+def _min_at_kinks(objective, kinks: tuple, mags: np.ndarray, k_end: float) -> float:
+    """The smallest objective value over k = kink / |f(s)| and k_end, for a
+    piecewise-linear Phi.  A point whose k |f(s)| rounds past its own kink
+    is moved down one float, so an infinite jump there is not crossed."""
+    mags = mags[mags > 0.0]
+    kinks = np.asarray(kinks, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        ks = kinks / mags
+        finite = np.isfinite(ks)
+        ks = np.where(ks * mags > kinks, np.nextafter(ks, 0.0), ks)[finite]
+    ks = np.sort(np.append(ks, k_end))
+    lo, hi = 0, len(ks) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if objective(float(ks[mid])) <= objective(float(ks[mid + 1])):
             hi = mid
         else:
-            lo = mid
-    return hi * unit
+            lo = mid + 1
+    return objective(float(ks[lo]))
 
 
 def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
     """Orlicz norm through the Amemiya form, at the exact minimiser for
-    x^p / p and by a scan plus golden section otherwise; an upper
-    approximation of the dual-ball supremum it equals."""
+    x^p / p, at the best kink point for a piecewise-linear Phi, and at the
+    root of Young's equality G(k) = 1 otherwise; an upper approximation of
+    the dual-ball supremum it equals."""
     if f.is_zero():
         return 0.0
     phi = pair.phi
@@ -276,13 +319,23 @@ def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
         k = (p / ((p - 1.0) * _power_sum(mags, top, p))) ** (1.0 / p) / top
         return objective(k) * (1.0 + LP_ROUND_UP) * unit
 
-    # the minimizer sits within a few decades of 1/sup|f|, so anchor the
-    # scan grid there; a linear Phi pushes the infimum to the right end,
-    # where the residual 1/k is below 1e-15 relative
-    scale = 1.0 / top
-    grid = [scale * 2.0**j for j in range(-40, 51)]
-    _, best = grid_then_golden_min(objective, grid)
-    return best * unit
+    k_end = 2.0**AMEMIYA_REACH / top
+    if phi.kinks is not None:
+        return _min_at_kinks(objective, phi.kinks, mags, k_end) * unit
+    if phi.derivative is None:
+        raise ValueError(f"the Orlicz norm of {phi.name} needs its derivative or its kinks")
+
+    def log_g(k: float) -> float:
+        # NaN where Phi and Phi' both overflow
+        x = k * mags
+        with np.errstate(all="ignore"):
+            return _log(float(np.sum(x * phi.derivative(x) - phi.many(x))))
+
+    bracket = expand_bracket_log(log_g, 1.0 / top, k_end)
+    if bracket is None:
+        return objective(k_end) * unit
+    lo, g_lo, hi, g_hi = secant_bisect_log(log_g, *bracket, AMEMIYA_TOL)
+    return objective(hi if g_hi <= -g_lo else lo) * unit
 
 
 def weighted_norm(f: SupportedFunction, ctx: SpaceContext) -> float:
@@ -337,6 +390,10 @@ def dual_pairing_bound(f: SupportedFunction, v: SupportedFunction, pair: YoungPa
 # Membership series for 1/weight in the Psi-space
 
 
+# layers 3-4 against layer 2 give the first dyadic block ratio
+SERIES_MIN_LAYERS = 4
+
+
 @dataclass(frozen=True)
 class SeriesReport:
     partial_sums: tuple
@@ -351,9 +408,13 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> Serie
     Convergence is judged by dyadic block sums: geometric decay of the block
     ratios is evidence that 1/w lies in the Psi-space; ratios at or above 1
     flag divergence.  A finite group terminates the series, which counts as
-    convergent.
+    convergent.  The first block ratio needs n_max >= 4; a smaller n_max
+    is a ValueError, as its verdict would rest on no ratio at all.
     """
     from .groups import ball_table  # local import to keep module deps one-way
+
+    if n_max < SERIES_MIN_LAYERS:
+        raise ValueError(f"psi-series needs n_max >= {SERIES_MIN_LAYERS} for one block ratio, got {n_max}")
 
     psi = pair.psi
     table = ball_table(w.group, n_max)

@@ -14,8 +14,10 @@ in exact form.  Where no closed form is used, Psi(y) is the objective
 x* y - Phi(x*) at the exact maximiser x* (Rockafellar, Convex Analysis,
 sections 12 and 26), so the value is an evaluated point of the objective
 and never exceeds the supremum by more than the rounding of that one
-expression.  ``conjugate`` is the generic numeric conjugate, kept as the
-tests' reference for these formulas; no pair uses it.
+expression.  For ``xlog`` x* = expm1(u), where u solves
+u - expm1(-u) = y by Newton's method.  ``conjugate`` is the generic numeric
+conjugate, kept as the tests' reference for these formulas; no pair uses
+it.
 
 Every Young function also has an array form, ``many``, which the norms use
 at every support size.  The built-ins evaluate their scalar formula with
@@ -24,12 +26,18 @@ gives +inf, as the scalar evals return ``math.inf``.  ``pw:`` tables and ``L1``
 use the same IEEE operations as their scalar evals and agree bit for bit.
 A function without an array form (a user eval, ``xlog``'s complement)
 maps its scalar eval.
+
+The Orlicz norm needs one more thing from Phi (``orlicz.orlicz_norm``): a
+smooth Phi carries ``derivative``, the array form of its right derivative
+Phi', and a piecewise-linear one (``L1`` and ``pw:`` tables, both members
+of the pair) carries ``kinks``, the points where Phi' jumps.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,12 +63,18 @@ class YoungFunction:
     Evals may return math.inf (a complement can jump to +inf), never NaN.
 
     ``power`` is r when the function is x^r / r (set only by ``lp_pair``);
-    the norms then use their closed forms instead of a numeric search."""
+    the norms then use their closed forms instead of a numeric search.
+    ``derivative`` is the array form of Phi', its right derivative, for a
+    smooth Phi; ``kinks`` are the points where Phi' jumps, for a
+    piecewise-linear Phi (empty for a linear one).  The Orlicz norm needs
+    one of the two."""
 
     name: str
     fn: object
     array_fn: object = None
     power: float | None = None
+    derivative: object = None
+    kinks: tuple | None = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -97,9 +111,9 @@ def _validate_young(fn, name: str) -> None:
             raise YoungFunctionError(f"{name}: midpoint convexity fails near x = {mid:g}")
 
 
-def young_function(name: str, fn, many=None) -> YoungFunction:
+def young_function(name: str, fn, many=None, derivative=None, kinks=None) -> YoungFunction:
     _validate_young(fn, name)
-    return YoungFunction(name=name, fn=fn, array_fn=many)
+    return YoungFunction(name=name, fn=fn, array_fn=many, derivative=derivative, kinks=kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +220,60 @@ def _xlog1p_many(x: np.ndarray) -> np.ndarray:
     return x * np.log1p(x)
 
 
+# Psi of xlog is +inf where expm1(y) overflows, as the maximiser x* of
+# x y - x log(1 + x) is of the order of e^y
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _xlog_root(y: float) -> float:
+    """u = log1p(x*), where x* solves log1p(x) + x/(1+x) = y, that is
+    u - expm1(-u) = y.  That function is concave with slope in (1, 2], so
+    Newton's method from u = y/2, which is below the root, rises
+    monotonically; it stops when an iterate no longer rises (at most 6
+    steps for y up to log(DBL_MAX))."""
+    u = 0.5 * y
+    while True:
+        e = math.expm1(-u)
+        nxt = u + (y - u + e) / (2.0 + e)
+        if not nxt > u:
+            return u
+        u = nxt
+
+
+def _xlog_root_many(y: np.ndarray) -> np.ndarray:
+    """The Newton iteration of ``_xlog_root`` at each entry, with numpy's
+    ufuncs (within an ulp of ``math``'s)."""
+    u = 0.5 * y
+    while True:
+        e = np.expm1(-u)
+        nxt = u + (y - u + e) / (2.0 + e)
+        rising = nxt > u
+        if not rising.any():
+            return u
+        u = np.where(rising, nxt, u)
+
+
 def _xlog_conjugate(y: float) -> float:
-    """x* y - x* log(1 + x*), where x* solves log1p(x) + x/(1+x) = y.  The
-    left side increases from 0 and exceeds y at expm1(y), so bisection on
-    [0, expm1(y)] finds x* to the last bit; +inf once expm1(y) overflows."""
+    """x* y - x* log(1 + x*) = expm1(u) (y - u) at u = log1p(x*), which
+    does not overflow x* y near y = 709; +inf above log(DBL_MAX)."""
     if y <= 0.0:
         return 0.0
-    try:
-        hi = math.expm1(y)
-    except OverflowError:
+    if y > _LOG_FLOAT_MAX:
         return math.inf
-    lo = 0.0
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            break
-        if math.log1p(mid) + mid / (1.0 + mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    # x (y - log1p x) is x y - Phi(x) without overflowing x y near y = 709
-    return hi * (y - math.log1p(hi))
+    u = _xlog_root(y)
+    return math.expm1(u) * (y - u)
+
+
+def _xlog_conjugate_derivative(y: np.ndarray) -> np.ndarray:
+    """Psi' = x*(y), the inverse of log1p(x) + x/(1+x)."""
+    return np.where(y > _LOG_FLOAT_MAX, math.inf, np.expm1(_xlog_root_many(y)))
 
 
 def _power_function(var: str, r: float) -> YoungFunction:
     """x^r / r, marked with its exponent."""
-    fn = young_function(f"{var}^{r:g}/{r:g}", _power(r), lambda x: np.power(x, r) / r)
+    fn = young_function(
+        f"{var}^{r:g}/{r:g}", _power(r), lambda x: np.power(x, r) / r, lambda x: np.power(x, r - 1.0)
+    )
     return replace(fn, power=r)
 
 
@@ -243,33 +285,35 @@ def lp_pair(p: float) -> YoungPair:
 
 
 def l1_pair() -> YoungPair:
-    phi = young_function("x", lambda x: x, lambda x: x)
-    psi = young_function("0 on [0,1], inf beyond", _psisonsuz, _psisonsuz_many)
+    phi = young_function("x", lambda x: x, lambda x: x, kinks=())
+    psi = young_function("0 on [0,1], inf beyond", _psisonsuz, _psisonsuz_many, kinks=(1.0,))
     return YoungPair(name="L1", phi=phi, psi=psi)
 
 
 def xlog_pair() -> YoungPair:
-    phi = young_function("x ln(1+x)", xlog1p, _xlog1p_many)
-    # no closed form: the array form maps the scalar bisection
-    psi = young_function("conj(x ln(1+x))", _xlog_conjugate)
+    phi = young_function(
+        "x ln(1+x)", xlog1p, _xlog1p_many, lambda x: np.log1p(x) + x / (1.0 + x)
+    )
+    # no closed form: the array form maps the scalar Newton solve
+    psi = young_function("conj(x ln(1+x))", _xlog_conjugate, derivative=_xlog_conjugate_derivative)
     return YoungPair(name="xlog", phi=phi, psi=psi)
 
 
 def cosh_pair() -> YoungPair:
-    phi = young_function("cosh x - 1", coshm1, _coshm1_many)
-    psi = young_function("y asinh y - sqrt(1+y^2) + 1", _cosh_conjugate, _cosh_conjugate_many)
+    phi = young_function("cosh x - 1", coshm1, _coshm1_many, np.sinh)
+    psi = young_function("y asinh y - sqrt(1+y^2) + 1", _cosh_conjugate, _cosh_conjugate_many, np.arcsinh)
     return YoungPair(name="cosh", phi=phi, psi=psi)
 
 
 def expm_pair() -> YoungPair:
-    phi = young_function("e^x - x - 1", expm1mx, _expm1mx_many)
-    psi = young_function("(1+y)ln(1+y) - y", entropy_fn, _entropy_many)
+    phi = young_function("e^x - x - 1", expm1mx, _expm1mx_many, np.expm1)
+    psi = young_function("(1+y)ln(1+y) - y", entropy_fn, _entropy_many, np.log1p)
     return YoungPair(name="expm", phi=phi, psi=psi)
 
 
 def entropy_pair() -> YoungPair:
-    phi = young_function("(1+x)ln(1+x) - x", entropy_fn, _entropy_many)
-    psi = young_function("e^y - y - 1", expm1mx, _expm1mx_many)
+    phi = young_function("(1+x)ln(1+x) - x", entropy_fn, _entropy_many, np.log1p)
+    psi = young_function("e^y - y - 1", expm1mx, _expm1mx_many, np.expm1)
     return YoungPair(name="entropy", phi=phi, psi=psi)
 
 
@@ -315,7 +359,8 @@ def piecewise_pair(points, name: str = "piecewise") -> YoungPair:
     and a positive final slope; Phi interpolates and extrapolates with the
     last slope.  The objective x y - Phi(x) is concave and linear between
     breakpoints, so Psi(y) = max_i (x_i y - y_i) below the last slope and
-    +inf above it.
+    +inf above it.  Phi has its kinks at the inner breakpoints, Psi at the
+    positive slopes, the last of them where Psi jumps to +inf.
     """
     try:
         pts = [(float(x), float(y)) for x, y in points]
@@ -357,6 +402,6 @@ def piecewise_pair(points, name: str = "piecewise") -> YoungPair:
 
     return YoungPair(
         name=name,
-        phi=young_function(name, phi, phi_many),
-        psi=young_function(f"conj({name})", psi, psi_many),
+        phi=young_function(name, phi, phi_many, kinks=tuple(xs[1:-1])),
+        psi=young_function(f"conj({name})", psi, psi_many, kinks=tuple(s for s in slopes if s > 0)),
     )

@@ -714,6 +714,36 @@ def test_check_params_are_rejected_before_the_runner_starts(argv, message, capsy
     assert err.startswith(f"error: check {argv[1]}: {message}") and "its params: " in err
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+@pytest.mark.parametrize("expect", ["convergent", "divergent"])
+def test_psi_series_below_one_block_ratio_exits_2(n_max, expect, capsys):
+    # below n_max = 4 there is no dyadic block ratio, so any verdict would be vacuous
+    params = json.dumps({"n_max": n_max, "expect": expect})
+    assert main(["check", "psi-series", "--group", "Z^d:1", "--weight", "poly:1", "--params", params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: psi-series needs n_max >= 4") and "Traceback" not in err
+
+
+def test_psi_series_runs_from_n_max_4():
+    for expect, passed in (("convergent", True), ("divergent", False)):
+        spec = CheckSpec(check="psi-series", group="Z^d:1", weight="poly:1", params={"n_max": 4, "expect": expect})
+        res = run_check(spec)
+        assert res["pass"] is passed and len(res["block_ratios_tail"]) == 1
+
+
+PW_TABLE = {"name": "pw", "points": [[0, 0], [0.5, 0.1], [1, 0.5], [2, 2.0], [3, 6.0]]}
+
+
+@pytest.mark.parametrize("pair", ["L1", "Lp:1.5", "Lp:2", "Lp:3", "xlog", "cosh", "expm", "entropy", "pw"])
+def test_sandwich_passes_every_pair_at_the_float_guard(pair, tmp_path):
+    if pair == "pw":
+        pair = "pw:" + write_json(tmp_path, "pw.json", PW_TABLE)
+    res = run_check(CheckSpec(check="sandwich", group="Z^d:2", pair=pair, trials=200, seed=5))
+    assert res["spec"]["params"] == {} and res["pass"], res["worst_margin"]
+    assert res["worst_margin"] >= 0.0
+
+
 def test_every_check_declares_its_params():
     assert set(CHECK_PARAMS) == set(CHECK_RUNNERS)
 

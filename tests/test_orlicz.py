@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import builtin_pairs
+from oracles import scan_amemiya
 from torlicz import orlicz
 from torlicz.groups import cyclic_group, integer_lattice
 from torlicz.orlicz import (
     BISECT_TOL,
+    FLOAT_GUARD,
     GroupMismatchError,
     SpaceContext,
     SupportedFunction,
@@ -380,8 +382,8 @@ def test_array_norms_of_all_infinite_modulars():
 
 
 def _searched(phi):
-    """phi without its exponent: the norms fall back to the scan and the
-    bisection, the oracle for the closed forms."""
+    """phi without its exponent: the norms fall back to their root searches
+    on Phi' and on the modular."""
     return dataclasses.replace(phi, power=None)
 
 
@@ -418,8 +420,9 @@ def test_lp_closed_forms_against_the_searches(p, dual, n, log_scale, seed):
     f = SupportedFunction(Z1, {(i,): complex(v) for i, v in enumerate(vals)})
 
     orl = orlicz_norm(f, pair)
-    scan = orlicz_norm(f, YoungPair(name="scan", phi=_searched(phi), psi=pair.psi))
-    assert 0.0 < orl <= scan * (1.0 + 1e-12)
+    _, scan = scan_amemiya(f, phi)
+    searched = orlicz_norm(f, YoungPair(name="searched", phi=_searched(phi), psi=pair.psi))
+    assert 0.0 < orl <= scan * (1.0 + 1e-12) and searched <= scan * (1.0 + 1e-12)
     v = _extremal_dual(f, phi.power)
     rep = dual_pairing_bound(f, v, pair)
     assert modular(v, pair.psi) <= 1.0 and rep["orlicz_f"] == orl
@@ -505,3 +508,87 @@ def test_holder_rejects_a_bound_1e_13_below_the_pairing(monkeypatch):
     true_norm = orlicz.orlicz_norm
     monkeypatch.setattr(orlicz, "orlicz_norm", lambda g, pair: true_norm(g, pair) * (1.0 - 1e-13))
     assert not dual_pairing_bound(f, v, P2)["holder_ok"]
+
+
+# ---------------------------------------------------------------------------
+# The root searches and the kink points against the scan and the pairing
+
+
+def _pairing_lower_bound(f, pair, k) -> float:
+    """sum |f v| / N_Psi(v) for v = Phi'(k |f|), a lower bound of ||f||_Phi
+    for any v, and within rounding of it at the minimiser k; Phi' is the
+    left difference quotient where Phi carries no derivative.  0 where v
+    is zero or not finite."""
+    mags = np.array([abs(x) for x in f.values.values()])
+    x = k * mags
+    with np.errstate(all="ignore"):
+        if pair.phi.derivative is not None:
+            slope = pair.phi.derivative(x)
+        else:
+            slope = (pair.phi.many(x) - pair.phi.many(x * (1.0 - 1e-9))) / (x * 1e-9)
+    slope = np.where(x > 0.0, slope, 0.0)
+    if not np.all(np.isfinite(slope)) or not np.any(slope > 0.0):
+        return 0.0
+    v = SupportedFunction(f.group, dict(zip(f.values, slope.tolist())))
+    return float(np.dot(mags, slope)) / luxemburg_norm(v, pair.psi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    idx=st.integers(0, len(ARRAY_PAIRS) - 1),
+    dual=st.booleans(),
+    n=st.integers(1, 300),
+    log_scale=st.floats(-200.0, 200.0),
+    spread=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(idx=0, dual=True, n=70, log_scale=0.0, spread=1.0, seed=0)
+@example(idx=len(ARRAY_PAIRS) - 1, dual=True, n=300, log_scale=-200.0, spread=3.0, seed=1)
+@example(idx=len(ARRAY_PAIRS) - 1, dual=False, n=1, log_scale=200.0, spread=0.0, seed=2)
+def test_exact_minimisers_against_the_scan_and_the_pairing(idx, dual, n, log_scale, spread, seed):
+    pair = _oriented(idx, dual)
+    # the x^p/p pairs without their exponent take the root search as well
+    pair = YoungPair(name=pair.name, phi=_searched(pair.phi), psi=_searched(pair.psi))
+    rng = np.random.default_rng(seed)
+    sizes = 10.0 ** (log_scale + rng.uniform(-spread, spread, n))
+    vals = sizes * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f = SupportedFunction(Z1, {(i,): complex(v) for i, v in enumerate(vals)})
+
+    orl = orlicz_norm(f, pair)
+    k_scan, scan = scan_amemiya(f, pair.phi)
+    assert 0.0 < orl <= scan * (1.0 + 1e-12)
+    assert _pairing_lower_bound(f, pair, k_scan) <= orl * (1.0 + FLOAT_GUARD)
+
+    lux = luxemburg_norm(f, pair.phi)
+    assert _feasible_at(f, pair.phi, lux) and not _feasible_at(f, pair.phi, lux * (1.0 - BISECT_TOL))
+
+
+@pytest.mark.parametrize("idx", [i for i, pair in enumerate(ARRAY_PAIRS) if pair.phi.kinks is None])
+def test_the_pairing_lower_bound_is_tight_at_smooth_minimisers(idx):
+    # Young's equality: v = Phi'(k* |f|) has modular(v, Psi) = 1 and
+    # sum |f v| = ||f||_Phi, so the gate's lower bound is not vacuous
+    pair = ARRAY_PAIRS[idx]
+    f = random_supported_function(Z2, np.random.default_rng(idx), max_support=12)
+    k_scan, _ = scan_amemiya(f, pair.phi)
+    assert _pairing_lower_bound(f, pair, k_scan) == pytest.approx(orlicz_norm(f, pair), rel=1e-9)
+
+
+def test_orlicz_norm_of_a_user_eval_needs_a_derivative():
+    phi = young_function("x^2", lambda x: x * x)
+    pair = YoungPair(name="user", phi=phi, psi=phi)
+    with pytest.raises(ValueError, match="derivative"):
+        orlicz_norm(delta(Z1), pair)
+    with_slope = dataclasses.replace(phi, derivative=lambda x: 2.0 * x)
+    # Phi = x^2: 1/k + k |a|^2 is smallest at k = 1/|a|, where it is 2|a|
+    f = delta(Z1, value=3.0)
+    assert orlicz_norm(f, YoungPair(name="user", phi=with_slope, psi=phi)) == pytest.approx(6.0, rel=1e-14)
+
+
+def test_a_kink_point_does_not_round_past_an_infinite_jump():
+    # Psi of this table is finite up to its last slope 0.4 and +inf beyond;
+    # the jump of G at y = 0.1 is 0.01, so the dual norm of a point mass a
+    # sits at k = 0.4 / a, on the edge of the infinity: (1 + Psi(0.4)) a / 0.4
+    pair = piecewise_pair([[0, 0], [0.1, 0.01], [0.2, 0.05]])
+    dual = YoungPair(name="dual", phi=pair.psi, psi=pair.phi)
+    for a in np.linspace(1.0, 2.0, 400):
+        assert orlicz_norm(delta(Z1, value=a), dual) == pytest.approx(1.03 * a / 0.4, rel=1e-14)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import builtin_pairs
+from oracles import bisected_xlog_conjugate
 from torlicz.young import (
     YoungFunctionError,
     conjugate,
@@ -286,3 +288,59 @@ def test_parse_pair_piecewise_table(tmp_path):
     bad.write_text(json.dumps([[0, 0], [1, 2.0], [2, 3.0]]))
     with pytest.raises(YoungFunctionError):
         parse_pair(f"pw:{bad}")
+
+
+# ---------------------------------------------------------------------------
+# The Newton complement of xlog and the derivatives the Orlicz norm reads
+
+
+def _relative_gap(a: float, b: float) -> float:
+    return abs(a - b) / b
+
+
+def test_xlog_newton_complement_matches_the_bisection_on_a_sweep():
+    psi = xlog_pair().psi
+    ys = np.concatenate((np.geomspace(1e-12, 709.0, 3000), np.linspace(1.0, 709.0, 3000)))
+    worst = max(_relative_gap(psi(float(y)), bisected_xlog_conjugate(float(y))) for y in ys)
+    assert worst <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(1e-12, 709.0), st.floats(-30.0, math.log(709.0)).map(math.exp)))
+def test_xlog_newton_complement_matches_the_bisection(y):
+    assert _relative_gap(xlog_pair().psi(y), bisected_xlog_conjugate(y)) <= 1e-12
+
+
+def test_xlog_complement_keeps_its_infinity_above_log_float_max():
+    psi = xlog_pair().psi
+    top = math.log(sys.float_info.max)
+    assert math.isfinite(psi(top)) and psi(math.nextafter(top, math.inf)) == math.inf
+    assert psi(0.0) == 0.0 and psi(1e3) == bisected_xlog_conjugate(1e3) == math.inf
+
+
+def test_xlog_complement_derivative_inverts_phi_prime():
+    ys = np.geomspace(1e-12, 700.0, 500)
+    x = xlog_pair().psi.derivative(ys)
+    assert np.allclose(np.log1p(x) + x / (1.0 + x), ys, rtol=1e-13, atol=0.0)
+
+
+SMOOTH = [f for pair in builtin_pairs() if pair.name != "L1" for f in (pair.phi, pair.psi)]
+
+
+@pytest.mark.parametrize("f", SMOOTH, ids=lambda f: f.name)
+def test_derivative_is_the_slope_of_the_eval(f):
+    x = np.geomspace(1e-3, 30.0, 200)
+    h = 1e-6 * x
+    with np.errstate(over="ignore"):
+        slope = (f.many(x + h) - f.many(x - h)) / (2.0 * h)
+        got = f.derivative(x)
+    finite = np.isfinite(slope)
+    assert np.allclose(got[finite], slope[finite], rtol=1e-6, atol=1e-12)
+    assert f.kinks is None
+
+
+def test_piecewise_and_linear_functions_carry_their_kinks():
+    pair = pw_pair()
+    assert pair.phi.kinks == (0.5, 1.0, 2.0) and pair.psi.kinks == (0.2, 0.8, 1.5, PW_LAST_SLOPE)
+    assert l1_pair().phi.kinks == () and l1_pair().psi.kinks == (1.0,)
+    assert pair.phi.derivative is None and l1_pair().psi.derivative is None
