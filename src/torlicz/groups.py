@@ -6,7 +6,10 @@ symmetric generating set U.  The length function
     tau(g) = least n with g in U^n,   tau(e) = 0,
 
 is computed by breadth-first search over the Cayley graph, one layer at a
-time; layers are memoized so repeated queries are cheap.  Where the group
+time; layers are memoized so repeated queries are cheap.  Groups with an
+exact closed form for the word length (``length_hint``) or for the sphere
+sizes |S_n| = #{g : tau(g) = n} (``sphere_hint``) answer those queries
+without a BFS.  Where the group
 has an array product (``op_many``, elementwise on broadcast coordinate
 arrays) and a layer has at least ``BFS_ARRAY_MIN_PRODUCTS`` frontier x
 generator products, the layer is one numpy step with the scalar loop's
@@ -37,8 +40,9 @@ DEFAULT_MAX_RADIUS = 64
 DEFAULT_MAX_ELEMENTS = 5_000_000
 
 # Frontier x generator products below which a BFS layer is built by the
-# scalar loop: numpy's fixed cost per layer loses on short layers (the
-# psi-series check walks 4,096 two-element layers of Z^1).
+# scalar loop: numpy's fixed cost per layer loses on short layers (4,096
+# two-element layers of Z^1 took 228 ms as arrays against 43 ms in the
+# loop), and the Z^1 balls of the ball-pair checks still walk such layers.
 BFS_ARRAY_MIN_PRODUCTS = 256
 
 
@@ -52,8 +56,9 @@ class Group:
 
     ``generators`` must be symmetric (closed under inverse; it may contain
     the identity).  ``length_hint``, when present, is an exact closed form
-    for the word length and is validated against BFS layers in the test
-    suite.  ``order`` is the group order for finite groups, else None.
+    for the word length, and ``sphere_hint`` one for the sphere sizes
+    ``sphere_sizes`` returns; both are validated against BFS layers in the
+    test suite.  ``order`` is the group order for finite groups, else None.
     ``op_many``, when present, is ``op`` on int64 coordinate arrays of shape
     (..., k), elementwise under numpy broadcasting: paired rows give paired
     products, ``op_many(S[:, None], T[None])`` all of S x T.
@@ -67,6 +72,7 @@ class Group:
     length_hint: Callable | None = None
     order: int | None = None
     op_many: Callable | None = None
+    sphere_hint: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,6 +80,14 @@ class Group:
         for u in gens:
             if self.inv(u) not in gens:
                 raise ValueError(f"generating set of {self.name} is not symmetric at {u}")
+
+    def sphere_sizes(self, n: int) -> list[int]:
+        """|S_0|, ..., |S_n|, with S_k the elements of length exactly k: the
+        closed form where one is registered, else the BFS layer counts
+        (zero past the last layer of a finite group)."""
+        if self.sphere_hint is not None:
+            return self.sphere_hint(n)
+        return list(map(len, ball_table(self, n).layers))
 
     def __repr__(self):  # pragma: no cover
         return f"Group({self.name})"
@@ -206,10 +220,10 @@ def ball_elements(group: Group, radius: int) -> list:
 
 
 def ball_sizes(group: Group, n_max: int) -> list[int]:
-    """lambda(U^1), ..., lambda(U^n_max) by BFS layer counting."""
+    """lambda(U^1), ..., lambda(U^n_max), summed from ``Group.sphere_sizes``."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return list(ball_table(group, n_max).sizes[1:])
+    return list(itertools.accumulate(group.sphere_sizes(n_max)))[1:]
 
 
 @dataclass(frozen=True)
@@ -329,18 +343,24 @@ def _pair_index_loop(group: Group, elems: list, elems2: list) -> np.ndarray:
 
 def integer_lattice(d: int) -> Group:
     """Z^d with the generating set of all vectors with coordinates in
-    {-1,0,1}.  Word length is the sup norm."""
+    {-1,0,1}.  Word length is the sup norm, so U^n is the cube of side
+    2n + 1 and |S_n| = (2n + 1)^d - (2n - 1)^d for n >= 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
     gens = tuple(g for g in itertools.product((-1, 0, 1), repeat=d))
+
+    def sphere_hint(n):
+        return [1] + [(2 * k + 1) ** d - (2 * k - 1) ** d for k in range(1, n + 1)]
+
     return Group(
         name=f"Z^d:{d}",
         op=lambda a, b: tuple(x + y for x, y in zip(a, b)),
         inv=lambda a: tuple(-x for x in a),
         identity=(0,) * d,
         generators=gens,
-        length_hint=lambda a: max(abs(x) for x in a) if a else 0,
+        length_hint=lambda a: max(map(abs, a)) if a else 0,
         op_many=np.add,
+        sphere_hint=sphere_hint,
     )
 
 

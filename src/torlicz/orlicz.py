@@ -80,8 +80,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group
+from .groups import Group, ball_table, word_length
 from .numeric import expand_bracket_log, secant_bisect_log
+from .weights import length_values
 from .young import YoungFunction, YoungPair
 
 # relative width at which the Luxemburg root search stops
@@ -170,12 +171,26 @@ class SupportedFunction:
     def sub(self, other: "SupportedFunction") -> "SupportedFunction":
         return self.add(other.scale(-1))
 
+    def _weight_values(self, w) -> list:
+        """w at each support point: a weight with ``of_tau`` is evaluated
+        once per distinct word length, any other callable once per point."""
+        of_tau = getattr(w, "of_tau", None)
+        if of_tau is None:
+            return [w(s) for s in self.values]
+        lengths = [word_length(w.group, s) for s in self.values]
+        by_length = {t: of_tau(t) for t in set(lengths)}
+        return [by_length[t] for t in lengths]
+
     def mul_pointwise(self, w) -> "SupportedFunction":
         """Pointwise product with a callable on group elements."""
-        return SupportedFunction.from_canonical(self.group, {s: v * w(s) for s, v in self.values.items()})
+        return SupportedFunction.from_canonical(
+            self.group, {s: v * x for (s, v), x in zip(self.values.items(), self._weight_values(w))}
+        )
 
     def div_pointwise(self, w) -> "SupportedFunction":
-        return SupportedFunction.from_canonical(self.group, {s: v / w(s) for s, v in self.values.items()})
+        return SupportedFunction.from_canonical(
+            self.group, {s: v / x for (s, v), x in zip(self.values.items(), self._weight_values(w))}
+        )
 
 
 def _require_same_group(f: SupportedFunction, g: SupportedFunction) -> None:
@@ -410,24 +425,35 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> Serie
     flag divergence.  A finite group terminates the series, which counts as
     convergent.  The first block ratio needs n_max >= 4; a smaller n_max
     is a ValueError, as its verdict would rest on no ratio at all.
-    """
-    from .groups import ball_table  # local import to keep module deps one-way
 
+    A weight with ``of_tau`` has one value per length, so layer n adds
+    |S_n| copies of one term: ``of_tau`` and Psi run once per length, on
+    the group's sphere sizes, with no BFS where those have a closed form.
+    The product |S_n| Psi rounds once, to the correctly rounded sum of the
+    |S_n| terms; adding them one at a time gives the same float when
+    |S_n| <= 2 (Z^1, Z_n) and may differ in the last bits on larger
+    spheres.  Any other weight is evaluated at every element of the BFS
+    layers, and each layer's terms are added left to right.
+    """
     if n_max < SERIES_MIN_LAYERS:
         raise ValueError(f"psi-series needs n_max >= {SERIES_MIN_LAYERS} for one block ratio, got {n_max}")
 
     psi = pair.psi
-    table = ball_table(w.group, n_max)
-    partial = []
-    total = 0.0
-    layer_sums = []
-    for layer in table.layers:
-        s_layer = 0.0
-        for g in layer:
-            s_layer += psi(big_n / w(g))
-        total += s_layer
-        layer_sums.append(s_layer)
-        partial.append(total)
+    layer_sums = np.zeros(n_max + 1)
+    if w.of_tau is not None:
+        sizes, values = length_values(w, n_max)
+        layer_sums[: len(sizes)] = np.asarray(sizes, dtype=float) * psi.many(big_n / values)
+    else:
+        layers = ball_table(w.group, n_max).layers
+        lens = np.array([len(layer) for layer in layers])
+        values = np.array([w(g) for layer in layers for g in layer], dtype=float)
+        # one zero-padded row per layer; accumulate adds along a row in order
+        rows = np.zeros((len(layers), lens.max()))
+        rows[np.arange(lens.max()) < lens[:, None]] = psi.many(big_n / values)
+        layer_sums[: len(layers)] = np.add.accumulate(rows, axis=1)[:, -1]
+    partial = np.add.accumulate(layer_sums).tolist()
+    layer_sums = layer_sums.tolist()
+    total = partial[-1]
     # dyadic blocks over layer index
     ratios = []
     k = 1

@@ -30,9 +30,16 @@ class WeightParameterError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Weight:
+    """A weight: ``fn`` maps a group element to its value.  ``of_tau``, set
+    on the length-function families (and their quotients and ``const``), maps
+    a word length tau to the value every element of that length has, so
+    callers can evaluate it once per length and gather; block weights and
+    user callables have None."""
+
     group: Group
     fn: object
     name: str
+    of_tau: object = None
 
     def __call__(self, s) -> float:
         return self.fn(s)
@@ -42,6 +49,11 @@ class Weight:
 
 
 def _tau_weight(group: Group, name: str, of_tau) -> Weight:
+    # The per-element memo stays for the scalar callers: the twisted
+    # convolution's pair loop below its table cutover calls a ``cobound``
+    # weight thousands of times per suite run on the same few elements, and
+    # without the memo the thm-orlicz-alg suite ran 14% slower.  Array
+    # callers go through ``of_tau`` and never fill it.
     memo: dict = {}
 
     def fn(s) -> float:
@@ -51,11 +63,11 @@ def _tau_weight(group: Group, name: str, of_tau) -> Weight:
             memo[s] = v
         return v
 
-    return Weight(group=group, fn=fn, name=name)
+    return Weight(group=group, fn=fn, name=name, of_tau=of_tau)
 
 
 def constant_weight(group: Group) -> Weight:
-    return Weight(group=group, fn=lambda s: 1.0, name="const")
+    return Weight(group=group, fn=lambda s: 1.0, name="const", of_tau=lambda t: 1.0)
 
 
 def make_poly_weight(group: Group, beta: float) -> Weight:
@@ -91,10 +103,15 @@ def quotient_weight(sigma: Weight, omega: Weight) -> Weight:
     caller's hypothesis to verify via check_submultiplicative."""
     if sigma.group is not omega.group and sigma.group.name != omega.group.name:
         raise ValueError("quotient_weight needs weights on the same group")
+
+    def of_tau(t: int) -> float:
+        return sigma.of_tau(t) / omega.of_tau(t)
+
     return Weight(
         group=sigma.group,
         fn=lambda s: sigma(s) / omega(s),
         name=f"quot:{sigma.name}/{omega.name}",
+        of_tau=None if sigma.of_tau is None or omega.of_tau is None else of_tau,
     )
 
 
@@ -135,6 +152,25 @@ def make_block_weight(group: Group, levels) -> Weight:
 # Ball-pair checkers
 
 
+def length_values(w: Weight, n: int) -> tuple:
+    """(sizes, values) out to length n: the sphere sizes |S_0|, |S_1|, ...
+    of w's group, without the empty spheres past the last layer of a finite
+    group, and ``w.of_tau`` at each of those lengths (one call per length,
+    so no length beyond the group is evaluated)."""
+    sizes = [k for k in w.group.sphere_sizes(n) if k]  # only trailing ones are 0
+    return sizes, np.fromiter(map(w.of_tau, range(len(sizes))), dtype=float, count=len(sizes))
+
+
+def _ball_values(w: Weight, radius: int, elems: list) -> np.ndarray:
+    """w at each element of the radius ball ``elems`` (BFS order): the
+    per-length values repeated over their spheres when w has ``of_tau``,
+    else one call per element.  Both give the same floats."""
+    if w.of_tau is None:
+        return np.array([w(g) for g in elems])
+    sizes, values = length_values(w, radius)
+    return np.repeat(values, sizes)
+
+
 @dataclass(frozen=True)
 class PairCheck:
     constant: float
@@ -146,7 +182,7 @@ def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
     """K = max over ball pairs of w(st) / (w(s) w(t)), with an argmax
     witness pair."""
     elems, elems2, prod = pair_table(w.group, radius)
-    v2 = np.array([w(g) for g in elems2])
+    v2 = _ball_values(w, 2 * radius, elems2)
     v = v2[: len(elems)]
     ratios = v2[prod] / np.outer(v, v)
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
@@ -156,7 +192,7 @@ def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
 def check_weak_subadditive(w: Weight, radius: int) -> PairCheck:
     """Least C with w(st) <= C (w(s) + w(t)) over ball pairs."""
     elems, elems2, prod = pair_table(w.group, radius)
-    v2 = np.array([w(g) for g in elems2])
+    v2 = _ball_values(w, 2 * radius, elems2)
     v = v2[: len(elems)]
     ratios = v2[prod] / (v[:, None] + v[None, :])
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
@@ -193,8 +229,8 @@ def check_lss_domination(sigma: Weight, omega: Weight, radius: int) -> PairCheck
     if sigma.group is not omega.group and sigma.group.name != omega.group.name:
         raise ValueError("check_lss_domination needs weights on one group")
     elems, elems2, prod = pair_table(sigma.group, radius)
-    sv2 = np.array([sigma(g) for g in elems2])
-    ov2 = np.array([omega(g) for g in elems2])
+    sv2 = _ball_values(sigma, 2 * radius, elems2)
+    ov2 = _ball_values(omega, 2 * radius, elems2)
     sv, ov = sv2[: len(elems)], ov2[: len(elems)]
     ratios = (sv2[prod] * np.outer(ov, ov)) / (np.outer(sv, sv) * ov2[prod])
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)

@@ -1,16 +1,18 @@
-"""The searches the norms and the ``xlog`` complement used before their exact
-minimisers and root solves, kept as the tests' oracle for them.
+"""The searches and loops the library used before its exact minimisers,
+root solves and length-indexed sums, kept as the tests' oracle for them.
 
 ``scan_amemiya`` is the Amemiya form inf_k (1 + modular(k f)) / k by a
 91-point geometric scan anchored at 1/max|f| plus golden section on the
-bracketing cells, and ``bisected_xlog_conjugate`` bisects the maximiser of
-x y - x log(1 + x) to the last bit.
+bracketing cells, ``bisected_xlog_conjugate`` bisects the maximiser of
+x y - x log(1 + x) to the last bit, and ``psi_series_layer_loop`` forms the
+psi-series partial sums one element of the BFS layers at a time.
 """
 
 from __future__ import annotations
 
 import math
 
+from torlicz.groups import ball_table
 from torlicz.numeric import golden_section_min
 from torlicz.orlicz import _normalized_magnitudes, _sum_in_loop_order
 
@@ -62,3 +64,23 @@ def bisected_xlog_conjugate(y: float) -> float:
         else:
             hi = mid
     return hi * (y - math.log1p(hi))
+
+
+def psi_series_layer_loop(w, pair, big_n: float, n_max: int, exact_layers: bool = False) -> tuple:
+    """The partial sums of Psi(big_n / w(s)) over the balls of radius
+    0..n_max: each BFS layer's terms added left to right from 0.0 (or, with
+    ``exact_layers``, by ``math.fsum``, correctly rounded), then the layer
+    sums added in order."""
+    partial = []
+    total = 0.0
+    for layer in ball_table(w.group, n_max).layers:
+        terms = [pair.psi(big_n / w(g)) for g in layer]
+        if exact_layers:
+            s_layer = math.fsum(terms)
+        else:
+            s_layer = 0.0
+            for x in terms:
+                s_layer += x
+        total += s_layer
+        partial.append(total)
+    return tuple(partial)

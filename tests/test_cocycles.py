@@ -494,6 +494,31 @@ def test_sampled_path_matches_the_per_triple_loop(group_spec, radius, kind, monk
         assert _bits(getattr(report, name)) == _bits(getattr(exact, name)), name
 
 
+@pytest.mark.parametrize("group_spec", ["Z^d:2", "H3"])
+@pytest.mark.parametrize("kind", ["tabled", "failing", "nan"])
+def test_blockwise_sample_matches_the_whole_array(group_spec, kind, monkeypatch, on_group):
+    # "failing" repeats its largest residual at every triple through the
+    # doubled pair, so maxima tie across blocks; "nan" has a NaN value there
+    monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 3000)
+    if kind == "nan":
+        group = parse_group(group_spec)
+        elems = ball_elements(group, 1)
+        omega = corrupt(parse_cocycle(group, "bichar:0.8"), (elems[1], elems[2]), factor=math.nan)
+    else:
+        omega = _sampled_cocycle(group_spec, kind, on_group)
+    reports = []
+    for block in (3000, 700, 64):  # one block, five with a short last one, 47
+        monkeypatch.setattr(cocycles_mod, "SAMPLE_BLOCK", block)
+        reports.append(verify_cocycle(omega, 3, seed=5))
+    assert reports[0].sampled and reports[0].witness is not None
+    if kind == "nan":
+        assert math.isnan(reports[0].identity_residual) and math.isnan(reports[0].sup_abs)
+    for report in reports[1:]:
+        for name in report.__dataclass_fields__:
+            assert _bits(getattr(report, name)) == _bits(getattr(reports[0], name)), name
+
+
 def test_sampled_path_makes_no_scalar_calls_with_a_table_form(monkeypatch, count_scalar_calls):
     monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
     monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 3000)

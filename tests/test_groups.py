@@ -73,8 +73,36 @@ def test_h3_commutator_length():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_lattice_ball_sizes_closed_form(d):
-    sizes = ball_sizes(integer_lattice(d), 12)
-    assert sizes == [(2 * n + 1) ** d for n in range(1, 13)]
+    # ball_sizes sums the closed-form spheres; ball_table counts the BFS
+    group = integer_lattice(d)
+    sizes = ball_sizes(group, 12)
+    assert sizes == list(ball_table(group, 12).sizes[1:]) == [(2 * n + 1) ** d for n in range(1, 13)]
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [
+        ("Z^d:1", 12),
+        ("Z^d:2", 12),
+        ("Z^d:3", 12),
+        ("Z^d:4", 6),  # radius 12 would hold 390,625 elements and 7M products in one array layer
+        ("H3", 12),
+        ("Zn:8", 12),  # exhausted at radius 4: zeros after
+        ("Block:6", 12),  # exhausted at radius 6
+    ],
+)
+def test_sphere_sizes_count_the_bfs_layers(spec, radius):
+    group = parse_group(spec)
+    sizes = group.sphere_sizes(radius)
+    assert sizes == [len(layer) for layer in ball_table(group, radius).layers]
+    assert len(sizes) == radius + 1 and all(type(k) is int for k in sizes)
+
+
+def test_lattice_sphere_sizes_need_no_bfs():
+    group = integer_lattice(3)
+    assert group.sphere_sizes(3) == [1, 26, 98, 218]
+    assert ball_sizes(group, 1000)[-1] == 2001**3
+    assert "bfs" not in group._cache
 
 
 def test_finite_group_sizes_saturate():
@@ -184,9 +212,11 @@ def test_word_length_budget_error(monkeypatch):
 
 
 def test_ball_sizes_element_budget(monkeypatch):
+    # H3 counts its spheres by BFS; Z^d's closed form needs no ball at all
     monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", 100)
     with pytest.raises(BudgetError):
-        ball_sizes(integer_lattice(3), 12)
+        ball_sizes(heisenberg_group(), 12)
+    assert ball_sizes(integer_lattice(3), 12)[-1] == 25**3
 
 
 def test_parse_group_round_trip():
@@ -340,12 +370,12 @@ def test_bfs_element_budget_leaves_the_layers_intact(cutover, monkeypatch):
     monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", 1000)
     group = integer_lattice(3)
     with pytest.raises(BudgetError, match=r"^ball of radius 5 on Z\^d:3 exceeds the element budget \(1331 > 1000\)$"):
-        ball_sizes(group, 8)
+        ball_table(group, 8)
     st = groups_mod._bfs_state(group)
     assert len(st["layers"]) == 5 and len(st["index"]) == 729
     # a retry with a larger budget continues from the last complete layer
     monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", budget)
-    assert ball_sizes(group, 8) == [(2 * n + 1) ** 3 for n in range(1, 9)]
+    assert list(ball_table(group, 8).sizes[1:]) == [(2 * n + 1) ** 3 for n in range(1, 9)]
 
 
 def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import builtin_pairs
-from oracles import scan_amemiya
+from oracles import psi_series_layer_loop, scan_amemiya
 from torlicz import orlicz
-from torlicz.groups import cyclic_group, integer_lattice
+from torlicz.groups import cyclic_group, integer_lattice, parse_group
 from torlicz.orlicz import (
     BISECT_TOL,
     FLOAT_GUARD,
@@ -30,9 +30,10 @@ from torlicz.orlicz import (
     weighted_l1_norm,
     weighted_norm,
 )
-from torlicz.weights import constant_weight, make_poly_weight
+from torlicz.weights import constant_weight, make_poly_weight, parse_weight
 from torlicz.young import (
     YoungPair,
+    cosh_pair,
     l1_pair,
     lp_pair,
     parse_pair,
@@ -217,14 +218,17 @@ def test_psi_series_convergent_beta_above_threshold():
     assert rep.block_ratios[-1] == pytest.approx(0.5, abs=0.05)
 
 
+# Psi(y) = y: the harmonic series of 1/w diverges for poly:1 on Z
+LINEAR_PSI = YoungPair(
+    name="linear-psi",
+    phi=l1_pair().psi,  # the 0/inf complement of the identity map
+    psi=young_function("y", lambda y: y),
+)
+
+
 def test_psi_series_divergent_harmonic():
     w = make_poly_weight(Z1, 1.0)
-    linear_pair = YoungPair(
-        name="linear-psi",
-        phi=l1_pair().psi,  # the 0/inf complement of the identity map
-        psi=young_function("y", lambda y: y),
-    )
-    rep = psi_membership_series(w, linear_pair, 1.0, 2048)
+    rep = psi_membership_series(w, LINEAR_PSI, 1.0, 2048)
     assert not rep.converges
 
 
@@ -233,6 +237,95 @@ def test_psi_series_finite_group_terminates():
     rep = psi_membership_series(w, P2, 1.0, 64)
     assert rep.converges
     assert rep.partial_sums[-1] == pytest.approx(5 * P2.psi(1.0))
+
+
+SERIES_PAIRS = {"Lp:2": P2, "cosh": cosh_pair(), "linear-psi": LINEAR_PSI}
+
+
+def _scalar_psi(pair: YoungPair) -> YoungPair:
+    """The pair with Psi's array form mapping its scalar eval, the call the
+    layer loop makes."""
+    return dataclasses.replace(pair, psi=dataclasses.replace(pair.psi, array_fn=None))
+
+
+def _float_bits(xs) -> bytes:
+    return np.array(xs, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("pair_name", SERIES_PAIRS)
+@pytest.mark.parametrize(
+    "group_spec, weight_spec",
+    [
+        ("Z^d:1", "poly:1"),
+        ("Z^d:1", "subexp:0.5:1"),
+        ("Z^d:1", "quot:subexp2:1:1/poly:1"),
+        ("Zn:5", "poly:2"),
+        ("Zn:5", "const"),
+        ("Block:6", "block:1,3,9,27,81"),  # no of_tau: the per-element route
+    ],
+)
+def test_psi_series_matches_the_layer_loop_bit_for_bit(group_spec, weight_spec, pair_name):
+    # spheres of at most two elements: |S_n| Psi is the loop's sum exactly
+    w = parse_weight(parse_group(group_spec), weight_spec)
+    pair = _scalar_psi(SERIES_PAIRS[pair_name])
+    rep = psi_membership_series(w, pair, 1.0, 256)
+    assert _float_bits(rep.partial_sums) == _float_bits(psi_series_layer_loop(w, pair, 1.0, 256))
+
+
+LARGE_SPHERE_CASES = [
+    ("Z^d:1", "poly:1", 256),
+    ("Z^d:2", "poly:3", 48),
+    ("Z^d:2", "subexp:0.5:1", 48),
+    ("Z^d:3", "poly:4", 12),
+    ("Z^d:3", "quot:subexp2:1:1/poly:1", 12),
+    ("H3", "poly:5", 8),
+    ("H3", "const", 8),
+]
+
+
+@pytest.mark.parametrize("pair_name", SERIES_PAIRS)
+@pytest.mark.parametrize("group_spec, weight_spec, n_max", LARGE_SPHERE_CASES)
+def test_psi_series_matches_the_layer_loop_on_large_spheres(group_spec, weight_spec, n_max, pair_name):
+    w = parse_weight(parse_group(group_spec), weight_spec)
+    pair = SERIES_PAIRS[pair_name]
+    # |S_n| Psi rounds once, as math.fsum of the |S_n| equal terms does
+    scalar = _scalar_psi(pair)
+    exact = psi_series_layer_loop(w, scalar, 1.0, n_max, exact_layers=True)
+    assert _float_bits(psi_membership_series(w, scalar, 1.0, n_max).partial_sums) == _float_bits(exact)
+    # Psi's array form is within an ulp of its scalar eval
+    rep = psi_membership_series(w, pair, 1.0, n_max)
+    assert np.allclose(rep.partial_sums, psi_series_layer_loop(w, pair, 1.0, n_max, exact_layers=True), rtol=1e-14, atol=0)
+    # the left-to-right loop adds rounding errors of its own, up to |S_n|
+    # ulp (1.0e-14 relative on Z^d:3 with the quot: weight)
+    loop_rtol = max(w.group.sphere_sizes(n_max)) * 2.0**-52
+    assert np.allclose(rep.partial_sums, psi_series_layer_loop(w, pair, 1.0, n_max), rtol=loop_rtol, atol=0)
+
+
+def test_psi_series_on_the_lattice_builds_no_bfs():
+    group = integer_lattice(1)
+    rep = psi_membership_series(make_poly_weight(group, 1.0), lp_pair(2.0), 1.0, 4096)
+    assert rep.converges and len(rep.partial_sums) == 4097
+    assert "bfs" not in group._cache
+
+
+def _never(s):
+    raise AssertionError(f"the weight was called at {s}")
+
+
+@pytest.mark.parametrize("group_spec", ["Z^d:2", "H3", "Zn:4x6"])
+@pytest.mark.parametrize("weight_spec", ["poly:2", "subexp:0.5:1", "subexp2:1:1", "quot:subexp:0.5:1/poly:25", "const"])
+def test_pointwise_weights_go_by_length(group_spec, weight_spec):
+    group = parse_group(group_spec)
+    w = parse_weight(group, weight_spec)
+    f = random_supported_function(group, np.random.default_rng(7), max_support=40, radius=6)
+    by_length = dataclasses.replace(w, fn=_never)  # only of_tau may run
+    per_element = dataclasses.replace(w, of_tau=None)
+    for op in (SupportedFunction.mul_pointwise, SupportedFunction.div_pointwise):
+        got, expected = op(f, by_length).values, op(f, per_element).values
+        assert list(got) == list(expected)
+        assert _float_bits([(v.real, v.imag) for v in got.values()]) == _float_bits(
+            [(v.real, v.imag) for v in expected.values()]
+        )
 
 
 def test_group_mismatch_rejected():

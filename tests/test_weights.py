@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,44 @@ def test_block_weight_check_evaluates_the_weight_once_per_element(monkeypatch):
     monkeypatch.setattr(cli, "parse_weight", lambda g, spec: block)
     assert cli.run_check(cli.CheckSpec(check="block-weight", group="Block:6"))["pass"]
     assert calls[0] == len(pair_table(group, len(group.identity))[1])
+
+
+GATHER_GROUPS = [("Z^d:1", 30), ("Z^d:2", 5), ("H3", 3), ("Zn:8", 6)]
+
+
+def _per_element(w: Weight) -> Weight:
+    return dataclasses.replace(w, of_tau=None)
+
+
+def test_of_tau_is_the_weight_at_each_length():
+    # subexp2 is defined as 1 at tau = 0, where its formula is 0/0
+    for spec in ("poly:1.5", "subexp:0.5:1", "subexp2:1:1", "quot:subexp:0.5:1/poly:25", "const"):
+        w = parse_weight(Z2, spec)
+        assert [w.of_tau(t) for t in range(4)] == [w((t, -t)) for t in range(4)]
+    assert parse_weight(Z1, "subexp2:1:1").of_tau(0) == 1.0
+    assert make_block_weight(block_group(4), [1, 3, 9]).of_tau is None
+    assert quotient_weight(make_block_weight(block_group(4), [1, 3, 9]), constant_weight(block_group(4))).of_tau is None
+
+
+@pytest.mark.parametrize("group_spec, radius", GATHER_GROUPS)
+@pytest.mark.parametrize(
+    "spec", ["poly:1.5", "subexp:0.5:1", "subexp2:1:1", "quot:subexp:0.5:1/poly:25", "quot:subexp2:1:1/poly:1"]
+)
+def test_gathered_pair_checks_match_the_per_element_values(group_spec, radius, spec):
+    group = parse_group(group_spec)
+    w = parse_weight(group, spec)
+    for check in (check_submultiplicative, check_weak_subadditive):
+        assert check(w, radius) == check(_per_element(w), radius)
+
+
+@pytest.mark.parametrize("group_spec, radius", GATHER_GROUPS)
+@pytest.mark.parametrize("sigma_spec, omega_spec", [("subexp:0.5:1", "poly:25"), ("subexp2:1:1", "poly:1")])
+def test_gathered_lss_matches_the_per_element_values(group_spec, radius, sigma_spec, omega_spec):
+    group = parse_group(group_spec)
+    sigma, omega = parse_weight(group, sigma_spec), parse_weight(group, omega_spec)
+    expected = check_lss_domination(_per_element(sigma), _per_element(omega), radius)
+    assert check_lss_domination(sigma, omega, radius) == expected
+    assert check_lss_domination(sigma, _per_element(omega), radius) == expected
 
 
 def test_lss_equals_quotient_submultiplicativity():
