@@ -405,8 +405,10 @@ class TrialCheck:
     """``draws`` functions per trial from the ball of radius
     ``sample_radius(spec)``; ``measure(trial, *fs)`` returns ``(scores, ok,
     witness)``, one score per ``(key, MIN | MAX)`` of ``worst`` (MIN keys
-    start at inf, MAX keys at 0; a NaN score is worse than any number).  The
-    check passes when every trial is ok.  A ``dominated`` check gets the
+    start at inf, MAX keys at 0; a NaN score is worse than any number) and
+    a function of no arguments that gives the trial's witness, called only
+    for the kept one (None for checks without a witness).  The check passes
+    when every trial is ok.  A ``dominated`` check gets the
     spec's domination pair as ``trial.dom``."""
 
     draws: int
@@ -440,12 +442,14 @@ def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
         ok = ok and trial_ok
     out = {"trials": spec.trials, **dict(zip(keys, worst)), "pass": ok}
     if check.witness:
-        out["witness"] = witness
+        out["witness"] = None if witness is None else witness()
     return out
 
 
-def _inputs(**fs) -> dict:
-    return {name: function_to_json(f) for name, f in fs.items()}
+def _inputs(**fs) -> Callable:
+    """The witness of a trial on the functions ``fs``: their JSON forms,
+    made only for the trial whose witness is kept."""
+    return lambda: {name: function_to_json(f) for name, f in fs.items()}
 
 
 def _margin(rep: dict, **fs):
@@ -453,7 +457,7 @@ def _margin(rep: dict, **fs):
 
 
 def _residual(t: Trial, rep):
-    return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), rep.witness
+    return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), lambda: rep.witness
 
 
 def _sandwich(t: Trial, f):
@@ -927,7 +931,11 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: building
+    it costs about as much as a small ``norm`` or ``conv`` command, and
+    parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="torlicz", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

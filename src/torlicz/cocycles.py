@@ -12,6 +12,9 @@ arrays (paired rows, or ``S[:, None]`` and ``T[None]`` for all of S x T)
 with the same bits as the scalar calls, which it maps itself where the
 cocycle has no table form; it never returns None.  The twisted convolution
 reads it on large supports, and the sampled cocycle check on paired rows.
+A coboundary's table classes the distinct elements (``groups.row_classes``)
+and evaluates its weight once per distinct word length through ``of_tau``,
+then gathers.
 The ball-pair checks (the cocycle identity, the domination bound and the
 polar split) read dense value tables from ``value_table``: ``table`` where
 the group has ``op_many``, else the scalar pair loop.  Every cocycle splits
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements, pair_table, product_classes, row_classes
+from .groups import Group, ball_elements, pair_table, product_classes, row_classes, word_length
 from .orlicz import SupportedFunction
 from .weights import Weight
 
@@ -43,7 +46,7 @@ TRIPLE_CAP = 6_000_000
 SAMPLE_TRIPLES = 200_000
 # rows of the sample evaluated at once, which bounds the arrays of the sample
 # (peak RSS 99 -> 68 MB for Z^d:3 r=6); smaller blocks cost time, as each
-# block's table repeats the weight calls of its distinct elements
+# block's table repeats the word lengths of its distinct elements
 SAMPLE_BLOCK = 50_000
 ROOT_TOL = 1e-9  # distance from an n-th root of unity a value may have to count as one
 
@@ -115,11 +118,21 @@ def one_cocycle(group: Group) -> Cocycle:
 
 def coboundary_from_weight(w: Weight) -> Cocycle:
     """The positive real coboundary (s, t) -> w(st) / (w(s) w(t)); its
-    phase part is identically 1."""
+    phase part is identically 1.  Its table evaluates w once per distinct
+    word length of the distinct elements when w has ``of_tau`` (once per
+    distinct element otherwise) and gathers."""
     group = w.group
 
     def fn(s, t):
         return w(group.op(s, t)) / (w(s) * w(t))
+
+    def weights_at(rows):
+        elements = map(tuple, rows.tolist())
+        if w.of_tau is None:
+            return np.array([w(g) for g in elements])
+        # of_tau(word_length(g)) is w(g) bit for bit
+        lengths, at = np.unique([word_length(group, g) for g in elements], return_inverse=True)
+        return np.array([w.of_tau(t) for t in lengths.tolist()])[at]
 
     def tabulate(S, T, classes):
         if classes is None:
@@ -127,10 +140,7 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
         parts = (classes, row_classes(S), row_classes(T))
         if None in parts:  # keys overflow int64
             return None
-        # one weight call per distinct element, then a gather
-        w_st, w_s, w_t = (
-            np.array([w(tuple(g)) for g in rows[first].tolist()])[inverse] for rows, first, inverse in parts
-        )
+        w_st, w_s, w_t = (weights_at(rows[first])[inverse] for rows, first, inverse in parts)
         return (w_st / (w_s * w_t)).astype(complex)
 
     return Cocycle(group, fn, f"cobound:{w.name}", tabulate)

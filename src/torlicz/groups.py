@@ -14,6 +14,10 @@ has an array product (``op_many``, elementwise on broadcast coordinate
 arrays) and a layer has at least ``BFS_ARRAY_MIN_PRODUCTS`` frontier x
 generator products, the layer is one numpy step with the scalar loop's
 element order; otherwise the loop runs.
+Elements held as int64 coordinate rows are classed through one packed key
+per row in [0, span): by a direct table of the span when it holds at most
+a few slots per key (a running count of the keys present ranks them, and
+the ball-pair table looks product keys up), by np.unique's sort otherwise.
 Ball sizes lambda(U^n) use the counting measure, which is the Haar measure
 throughout this package (all provided groups are discrete and unimodular,
 so the modular function is identically 1).
@@ -174,10 +178,10 @@ def _next_layer_array(group: Group, st: dict) -> list | None:
     old = frontier if n == 1 else np.concatenate([frontier, before])
     prods = group.op_many(frontier[:, None], np.array(group.generators, dtype=np.int64)[None])
     prods = prods.reshape(-1, prods.shape[-1])
-    keys = _element_keys(np.concatenate([old, prods]))
-    if keys is None:
+    packed = _element_keys(np.concatenate([old, prods]))
+    if packed is None:
         return None
-    _, first = np.unique(keys, return_index=True)
+    first, _ = _key_classes(*packed)
     new = prods[np.sort(first[first >= len(old)]) - len(old)]
     st["coords"] = {n - 1: frontier, n: new}
     return list(map(tuple, new.tolist()))
@@ -253,33 +257,62 @@ def growth_degree_estimate(sizes: Iterable[int]) -> GrowthFit:
     )
 
 
-def _element_keys(coords: np.ndarray) -> np.ndarray | None:
-    """One int64 key per row of an integer coordinate array, injective on
-    the rows (mixed radix over the column ranges), or None when the key
-    range would overflow int64."""
+def _element_keys(coords: np.ndarray) -> tuple | None:
+    """``(keys, span)``: one int64 key in [0, span) per row of an integer
+    coordinate array, injective on the rows (mixed radix over the column
+    ranges), or None when the key range would overflow int64."""
     cols = coords.T  # per-column reductions: numpy's axis=0 ones are slow here
     lo = [int(c.min()) for c in cols]
     spans = [int(c.max()) - a + 1 for c, a in zip(cols, lo)]
-    if math.prod(spans) >= 2**63:
+    span = math.prod(spans)
+    if span >= 2**63:
         return None
     keys = np.zeros(len(coords), dtype=np.int64)
-    for c, a, span in zip(cols, lo, spans):
-        keys = keys * span + (c - a)
-    return keys
+    for c, a, width in zip(cols, lo, spans):
+        keys = keys * width + (c - a)
+    return keys, span
+
+
+def _dense(span: int, n_keys: int) -> bool:
+    """Whether keys in [0, span) are classed by direct address.  At most 4
+    slots per key (plus 2**16 for small inputs) keeps the span-sized arrays
+    of ``_key_classes`` and ``_pair_index_array`` (at most 9 bytes a slot)
+    about as large as the temporaries of the sort they replace (25-40 bytes
+    a key), so peak memory does not grow."""
+    return span <= 4 * n_keys + 2**16
+
+
+def _key_classes(keys: np.ndarray, span: int) -> tuple:
+    """``np.unique(keys, return_index=True, return_inverse=True)[1:]`` for
+    int64 keys in [0, span): ``first``, the index of each distinct key's
+    first occurrence in increasing key order, and ``inverse``, the class of
+    every key.  Dense keys are marked in a table of the span, which lists
+    the distinct keys in order and so ranks them; sparse keys are sorted."""
+    if not _dense(span, len(keys)):
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return first, inverse.reshape(-1)  # the shape of inverse changed across numpy 2.x releases
+    present = np.zeros(span, dtype=bool)
+    present[keys] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(span, dtype=np.intp)  # read only at the keys present
+    rank[distinct] = np.arange(len(distinct))
+    inverse = rank[keys]
+    first = np.full(len(distinct), len(keys), dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    return first, inverse
 
 
 def row_classes(coords: np.ndarray):
     """The rows of an int64 coordinate array (..., k), flattened row-major,
     with np.unique's ``first`` (index of each distinct row's first
     occurrence, in sorted key order) and ``inverse`` (class of every row,
-    shaped ``coords.shape[:-1]``).  None when the rows do not pack into
-    int64 keys."""
+    shaped ``coords.shape[:-1]``), from ``_key_classes``.  None when the
+    rows do not pack into int64 keys."""
     rows = coords.reshape(-1, coords.shape[-1])
-    keys = _element_keys(rows)
-    if keys is None:
+    packed = _element_keys(rows)
+    if packed is None:
         return None
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # the shape of inverse changed across numpy 2.x releases
+    first, inverse = _key_classes(*packed)
     return rows, first, inverse.reshape(coords.shape[:-1])
 
 
@@ -317,9 +350,17 @@ def _pair_index_array(group: Group, elems: list, elems2: list) -> np.ndarray | N
     n, n2 = len(elems), len(elems2)
     coords = np.array(elems, dtype=np.int64)
     prods = group.op_many(coords[:, None], coords[None]).reshape(n * n, -1)
-    keys = _element_keys(np.concatenate([np.array(elems2, dtype=np.int64), prods]))
-    if keys is None:
+    packed = _element_keys(np.concatenate([np.array(elems2, dtype=np.int64), prods]))
+    if packed is None:
         return None
+    keys, span = packed
+    if _dense(span, len(keys)):
+        lut = np.full(span, -1, dtype=np.int64)  # key -> index in elems2
+        lut[keys[:n2]] = np.arange(n2)
+        prod = lut[keys[n2:]]
+        if prod.min() < 0:
+            return None  # a product outside elems2: the exact loop raises on it
+        return prod.reshape(n, n)
     order = np.argsort(keys[:n2])
     sorted2 = keys[:n2][order]
     pos = np.minimum(np.searchsorted(sorted2, keys[n2:]), n2 - 1)

@@ -114,6 +114,41 @@ def test_cmd_conv(tmp_path, capsys):
     assert h.values[(1, 1)] == pytest.approx(-1.0)
 
 
+def _main_outputs(argvs, capsys, fresh):
+    """(exit code, stdout, stderr) of ``main`` on each argv; with ``fresh``
+    the parser is rebuilt before every call."""
+    outs = []
+    for argv in argvs:
+        if fresh:
+            cli.build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        outs.append((code, *capsys.readouterr()))
+    return outs
+
+
+def test_main_reuses_one_parser_with_a_fresh_parsers_outputs(tmp_path, capsys):
+    f = write_json(tmp_path, "f.json", {"group": "Z^d:2", "support": [
+        {"elt": [i, j], "re": 1.0 + i, "im": 0.5 * j} for i in range(3) for j in range(3)]})
+    argvs = [
+        ["conv", "--cocycle", "bichar:0.5", "--in", f, f],
+        ["norm", "--pair", "Lp:3", "--weight", "poly:2", "--in", f],
+        ["growth", "--group", "H3", "--nmax", "5"],
+        ["norm", "--in"],  # a usage error
+        ["conv", "--cocycle", "cobound:poly:1", "--in", f, f],
+        ["growth", "--group", "Z^d:2", "--nmax", "4"],
+    ]
+    fresh = _main_outputs(argvs, capsys, fresh=True)
+    cli.build_parser.cache_clear()
+    reused = _main_outputs(argvs, capsys, fresh=False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0]
+    assert "expected one argument" in reused[3][2]
+
+
 def test_conv_with_non_finite_values_is_silent_on_the_table_path(tmp_path):
     # 144 x 9 pairs take the table path; inf and nan parts meet in its products
     box = [[i, j] for i in range(12) for j in range(12)]
@@ -618,6 +653,22 @@ def test_trial_witness_comes_from_the_first_strictly_worse_trial(monkeypatch):
     monkeypatch.setattr(cli, "check_module_bound", margin)
     res = run_check(CheckSpec(check="module-bound", trials=3))
     assert len(seen) == 3 and res["worst_margin"] == 1.0 and res["witness"]["f"] == seen[0]
+
+
+@pytest.mark.parametrize("check, draws", [("module-bound", 2), ("holder", 2), ("assoc", 0)])
+def test_trial_witness_is_serialised_only_for_the_kept_trial(check, draws, monkeypatch):
+    calls = []
+
+    def spy(f):
+        calls.append(1)
+        return function_to_json(f)
+
+    monkeypatch.setattr(cli, "function_to_json", spy)
+    doc = next(d for suite in SUITES.values() for d in suite if d["check"] == check)
+    res = run_check(CheckSpec.from_dict({**doc, "trials": 6}))
+    assert res["trials"] == 6 and len(calls) == draws
+    if draws:
+        assert sorted(res["witness"]) == (["f", "v"] if check == "holder" else ["f", "g"])
 
 
 @pytest.mark.parametrize("group", ["Z^d:1", "Z^d:2", "Z^d:3", "H3", "Zn:8", "Zn:4x6", "Block:5"])

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from torlicz.cocycles import (
 from torlicz.groups import ball_elements, cyclic_group, integer_lattice, parse_group
 from torlicz.orlicz import SupportedFunction, delta, l1_norm
 from torlicz.twisted import twisted_convolve
-from torlicz.weights import constant_weight, make_poly_weight, parse_weight
+from torlicz.weights import Weight, constant_weight, make_poly_weight, parse_weight
 from torlicz.young import lp_pair
 
 Z1 = integer_lattice(1)
@@ -307,6 +308,36 @@ def test_table_equals_scalar_values_bit_for_bit(group_spec, spec, count_scalar_c
             for j, t in enumerate(elems):
                 v = om(s, t)
                 assert (tab[i, j].real.hex(), tab[i, j].imag.hex()) == (v.real.hex(), v.imag.hex())
+
+
+@pytest.mark.parametrize("group_spec", ["Z^d:2", "H3"])
+@pytest.mark.parametrize("weight", ["poly:1.5", "subexp:0.5:1", "quot:subexp:0.5:1/poly:2", "poly:2 per element"])
+def test_coboundary_table_gathers_by_word_length(group_spec, weight, monkeypatch):
+    group = parse_group(group_spec)
+    w = parse_weight(group, weight.split()[0])
+    per_element = weight.endswith("per element")
+    if per_element:
+        w = dataclasses.replace(w, of_tau=None)
+    coords = np.array(ball_elements(group, 2), dtype=np.int64)
+    rng = np.random.default_rng(3)
+    S, T = coords[rng.integers(0, len(coords), 40)], coords[rng.integers(0, len(coords), 40)]
+    calls = [0]
+    weight_call = Weight.__call__
+
+    def counted(self, s):
+        calls[0] += 1
+        return weight_call(self, s)
+
+    monkeypatch.setattr(Weight, "__call__", counted)
+    om = coboundary_from_weight(w)
+    tables = [om.table(coords[:, None], coords[None]), om.table(S, T)]
+    assert (calls[0] > 0) == per_element
+    monkeypatch.undo()
+    scalar = coboundary_from_weight(parse_weight(group, weight.split()[0]))
+    pairs = [(s, t) for s in coords.tolist() for t in coords.tolist()] + list(zip(S.tolist(), T.tolist()))
+    values = [scalar(tuple(s), tuple(t)) for s, t in pairs]
+    got = np.concatenate([tab.ravel() for tab in tables])
+    assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == [(v.real.hex(), v.imag.hex()) for v in values]
 
 
 def test_table_maps_the_scalar_calls_without_a_table_form_and_flags_zeros():

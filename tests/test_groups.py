@@ -290,6 +290,52 @@ def test_product_classes_group_equal_products_and_guard_key_overflow():
     assert product_classes(dataclasses.replace(z3, op_many=None), rows, zero) is None
 
 
+@st.composite
+def _coordinate_rows(draw):
+    """Int64 coordinate rows with repeats: a few distinct rows drawn from a
+    narrow box (dense keys) or a wide one (sparse keys), then sampled."""
+    k = draw(st.integers(1, 3))
+    width = draw(st.sampled_from([1, 3, 40, 10**6]))
+    coord = st.integers(-width, width)
+    distinct = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=30))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=120))
+    return np.array([distinct[i] for i in picks], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coordinate_rows())
+def test_key_classes_equal_np_unique(rows):
+    keys, span = groups_mod._element_keys(rows)
+    assert keys.min() >= 0 and keys.max() < span
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # the span decides the path; a span past every key forces the sort
+    for path_span in (span, max(span, 2**62)):
+        got_first, got_inverse = groups_mod._key_classes(keys, path_span)
+        assert got_first.dtype == first.dtype and got_inverse.dtype == inverse.dtype
+        assert np.array_equal(got_first, first) and np.array_equal(got_inverse, inverse.reshape(-1))
+    got_rows, got_first, got_inverse = groups_mod.row_classes(rows[None])
+    assert np.array_equal(got_rows, rows) and np.array_equal(got_first, first)
+    assert np.array_equal(got_inverse, inverse.reshape(1, -1))
+
+
+def test_key_classes_take_the_table_only_for_dense_spans():
+    assert groups_mod._dense(4 * 1000 + 2**16, 1000) and not groups_mod._dense(4 * 1000 + 2**16 + 1, 1000)
+    points = np.array([(i * 10**6, -i * 10**6) for i in range(50)] * 2, dtype=np.int64)
+    keys, span = groups_mod._element_keys(points)
+    assert not groups_mod._dense(span, len(keys))
+    first, inverse = groups_mod._key_classes(keys, span)
+    assert first.tolist() == list(range(50)) and inverse.tolist() == list(range(50)) * 2
+
+
+def _force_path(path, monkeypatch):
+    """Pin the keying of pair tables and BFS layers: ``dense`` and ``sorted``
+    for every key span, ``overflow`` as if no key packed into int64."""
+    if path in ("dense", "sorted"):
+        monkeypatch.setattr(groups_mod, "_dense", lambda span, n_keys: path == "dense")
+    if path == "overflow":
+        monkeypatch.setattr(groups_mod, "_element_keys", lambda coords: None)
+
+
 def _make(spec):
     """A group from its spec; ``ext:{spec}`` is the central extension by the
     default bicharacter, a group without ``op_many``."""
@@ -306,10 +352,9 @@ def _make(spec):
     [("Z^d:1", 5), ("Z^d:2", 3), ("Z^d:3", 2), ("H3", 3), ("Zn:8", 3), ("Zn:4x6", 3), ("Block:5", 5),
      ("ext:Zn:4", 1)],
 )
-@pytest.mark.parametrize("keys", ["packed", "overflow"])
+@pytest.mark.parametrize("keys", ["packed", "dense", "sorted", "overflow"])
 def test_pair_table_matches_exact_loop(spec, radius, keys, monkeypatch):
-    if keys == "overflow":
-        monkeypatch.setattr(groups_mod, "_element_keys", lambda coords: None)
+    _force_path(keys, monkeypatch)
     group = _make(spec)
     elems, elems2, prod = pair_table(group, radius)
     oracle = _make(spec)  # a fresh group: no BFS state shared with the table
@@ -320,6 +365,17 @@ def test_pair_table_matches_exact_loop(spec, radius, keys, monkeypatch):
     for i, s in enumerate(elems):
         for j, t in enumerate(elems):
             assert elems2[prod[i, j]] == group.op(s, t)
+
+
+@pytest.mark.parametrize("spec", ["Z^d:2", "H3", "Zn:4x6"])
+@pytest.mark.parametrize("keys", ["packed", "dense", "sorted"])
+def test_pair_index_array_declines_a_product_outside_elems2(spec, keys, monkeypatch):
+    _force_path(keys, monkeypatch)
+    group = parse_group(spec)
+    elems, elems2 = ball_elements(group, 2), ball_elements(group, 3)
+    assert groups_mod._pair_index_array(group, elems, elems2) is None
+    with pytest.raises(KeyError):
+        groups_mod._pair_index_loop(group, elems, elems2)
 
 
 def _bfs_group(spec):
@@ -353,13 +409,12 @@ def _bfs_run(spec, radius, far):
         ("Block:10", 12, (1,) * 7 + (0,) * 3),  # exhausted at radius 10
     ],
 )
-@pytest.mark.parametrize("path", ["cutover", "array", "overflow"])
+@pytest.mark.parametrize("path", ["cutover", "array", "dense", "sorted", "overflow"])
 def test_array_bfs_matches_the_loop(spec, radius, far, path, monkeypatch):
     monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", float("inf"))
     expected = _bfs_run(spec, radius, far)
-    monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", 0 if path == "array" else 256)
-    if path == "overflow":
-        monkeypatch.setattr(groups_mod, "_element_keys", lambda coords: None)
+    monkeypatch.setattr(groups_mod, "BFS_ARRAY_MIN_PRODUCTS", 256 if path in ("cutover", "overflow") else 0)
+    _force_path(path, monkeypatch)
     assert _bfs_run(spec, radius, far) == expected
 
 

@@ -393,6 +393,7 @@ def test_context_group_consistency():
 # Table path against the exact loop
 
 
+import torlicz.groups as groups_mod  # noqa: E402
 from torlicz.cocycles import central_extension_embed, central_extension_group, parse_cocycle  # noqa: E402
 from torlicz.groups import parse_group  # noqa: E402
 from torlicz.twisted import (  # noqa: E402
@@ -503,6 +504,23 @@ def test_table_path_drops_exact_cancellations(count_scalar_calls):
     assert (1, 0) not in fast.values and (16, 0) in fast.values
     assert _bits(fast) == _bits(exact)
     assert calls == [0]
+
+
+@pytest.mark.parametrize("kind", ["one", "bichar", "cobound:poly:1.5", "prod"])
+def test_table_path_on_far_apart_points_sorts_its_keys(kind, monkeypatch):
+    dense = []
+    classify = groups_mod._dense
+    monkeypatch.setattr(groups_mod, "_dense", lambda span, n: dense.append(classify(span, n)) or dense[-1])
+    rng = np.random.default_rng(11)
+    step = 10**6
+    f = SupportedFunction(Z2, {(i * step, (i % 5) * step): complex(*rng.normal(size=2)) for i in range(16)})
+    g = SupportedFunction(Z2, {(-i * step, 3 * i * step): complex(*rng.normal(size=2)) for i in range(9)})
+    assert len(f.values) * len(g.values) >= TABLE_MIN_PAIRS
+    om, _ = _cocycle_family(Z2, kind)
+    fast = twisted_convolve(f, g, om)
+    assert dense and not any(dense)  # every key span was classed by the sort
+    oracle, _ = _cocycle_family(Z2, kind)
+    assert _bits(fast) == _bits(_twisted_convolve_exact(f, g, oracle))
 
 
 def test_table_path_declines_and_dispatch_falls_back():
