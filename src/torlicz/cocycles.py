@@ -10,20 +10,20 @@ every call (no value is cached) and, for most cocycles, a table form.
 ``Cocycle.table(S, T)`` gives the values on two broadcast int64 coordinate
 arrays (paired rows, or ``S[:, None]`` and ``T[None]`` for all of S x T)
 with the same bits as the scalar calls, which it maps itself where the
-cocycle has no table form; it never returns None.  The twisted convolution
-reads it on large supports, and the sampled cocycle check on paired rows.
-A coboundary's table classes the distinct elements (``groups.row_classes``)
-and evaluates its weight once per distinct word length through ``of_tau``,
-then gathers.
-The ball-pair checks (the cocycle identity, the domination bound and the
-polar split) read dense value tables from ``value_table``: ``table`` where
-the group has ``op_many``, else the scalar pair loop.  Every cocycle splits
-uniquely as |Omega| times a unimodular phase, and both parts are again
-cocycles.
+cocycle has no table form or a value vanishes; it never returns None.  The
+twisted convolution reads it on large supports, the sampled cocycle check
+on paired rows, and the ball-pair checks (the cocycle identity, the
+domination bound and the polar split) on all pairs of two ball element
+lists, through ``value_table``.  A coboundary's table classes the distinct
+elements (``groups.row_classes``) and gathers its weight through
+``weights.weight_values``.  Every cocycle splits uniquely as |Omega| times
+a unimodular phase, and both parts are again cocycles.
 
 The finite model of the circle extension realizes G x T as G x Z_n for
-cocycles whose phase takes values in the n-th roots of unity.  With
-counting measure on the fiber, the embedding Gamma(f)(s, k) = zeta^{-k} f(s)
+cocycles whose phase takes values in the n-th roots of unity; its elements
+are the flat tuples (*s, a) of a base element s and a fiber coordinate a,
+so it is a group like any other, ``op_many`` included.  With counting
+measure on the fiber, the embedding Gamma(f)(*s, a) = zeta^{-a} f(s)
 intertwines the twisted and plain convolutions up to the factor 1/n
 (the circle has total mass 1, the fiber has mass n); see
 ``central_extension_embed``.
@@ -32,14 +32,15 @@ intertwines the twisted and plain convolutions up to the factor 1/n
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements, pair_table, product_classes, row_classes, word_length
+from .groups import Group, ball_elements, pair_table, row_classes
 from .orlicz import SupportedFunction
-from .weights import Weight
+from .weights import Weight, weight_values
 
 # verify_cocycle checks all triples up to TRIPLE_CAP of them, else a sample
 TRIPLE_CAP = 6_000_000
@@ -71,11 +72,13 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Cocycle:
     """``fn`` gives one value; ``tabulate``, when present, maps broadcast
-    int64 coordinate arrays S (..., k) and T (..., k), plus their
-    ``groups.product_classes`` when the caller has them (else None), to the
+    int64 coordinate arrays S (..., k) and T (..., k), plus the
+    ``groups.row_classes`` of their products when the caller has them (else
+    None), to the
     complex array of fn(s, t) over the broadcast shape, equal to the scalar
     values bit for bit, or to None when it cannot (then ``table`` maps the
-    scalar calls).  These four fields are all a cocycle holds."""
+    scalar calls).  It may raise ValueError where a factor vanishes.  These
+    four fields are all a cocycle holds."""
 
     group: Group
     fn: object
@@ -91,19 +94,19 @@ class Cocycle:
     def table(self, S: np.ndarray, T: np.ndarray, classes=None) -> np.ndarray:
         """The values at the row pairs of two broadcast int64 coordinate
         arrays as a complex array of their broadcast shape.  ``classes`` is
-        ``product_classes(group, S, T)`` if already computed.  A zero value
-        raises the scalar call's error at the first vanishing pair in
-        row-major order."""
-        tab = None if self.tabulate is None else self.tabulate(S, T, classes)
+        ``row_classes(group.op_many(S, T))`` if already computed.  Without a
+        table form, or where it declines, raises or holds a zero, the scalar
+        calls run in row-major order, so a zero value raises the scalar
+        call's error at the first vanishing pair, in a factor or here."""
+        try:
+            tab = None if self.tabulate is None else self.tabulate(S, T, classes)
+        except ValueError:  # a factor vanishes
+            tab = None
+        if tab is not None and tab.all():
+            return tab
         S, T = np.broadcast_arrays(S, T)
-        if tab is None:  # no table form, or it declined: the scalar calls
-            pairs = zip(*(map(tuple, X.reshape(-1, X.shape[-1]).tolist()) for X in (S, T)))
-            return np.array([self(s, t) for s, t in pairs], dtype=complex).reshape(S.shape[:-1])
-        if not tab.all():
-            at = tuple(np.argwhere(tab == 0)[0])
-            key = (tuple(S[at].tolist()), tuple(T[at].tolist()))
-            raise ValueError(f"cocycle {self.name} vanishes at {key}")
-        return tab
+        pairs = zip(*(map(tuple, X.reshape(-1, X.shape[-1]).tolist()) for X in (S, T)))
+        return np.array([self(s, t) for s, t in pairs], dtype=complex).reshape(S.shape[:-1])
 
     def __repr__(self):  # pragma: no cover
         return f"Cocycle({self.name} on {self.group.name})"
@@ -118,29 +121,22 @@ def one_cocycle(group: Group) -> Cocycle:
 
 def coboundary_from_weight(w: Weight) -> Cocycle:
     """The positive real coboundary (s, t) -> w(st) / (w(s) w(t)); its
-    phase part is identically 1.  Its table evaluates w once per distinct
-    word length of the distinct elements when w has ``of_tau`` (once per
-    distinct element otherwise) and gathers."""
+    phase part is identically 1.  Its table evaluates w at the distinct
+    elements through ``weight_values`` and gathers."""
     group = w.group
 
     def fn(s, t):
         return w(group.op(s, t)) / (w(s) * w(t))
 
-    def weights_at(rows):
-        elements = map(tuple, rows.tolist())
-        if w.of_tau is None:
-            return np.array([w(g) for g in elements])
-        # of_tau(word_length(g)) is w(g) bit for bit
-        lengths, at = np.unique([word_length(group, g) for g in elements], return_inverse=True)
-        return np.array([w.of_tau(t) for t in lengths.tolist()])[at]
-
     def tabulate(S, T, classes):
         if classes is None:
-            classes = product_classes(group, S, T)
+            classes = row_classes(group.op_many(S, T))
         parts = (classes, row_classes(S), row_classes(T))
         if None in parts:  # keys overflow int64
             return None
-        w_st, w_s, w_t = (weights_at(rows[first])[inverse] for rows, first, inverse in parts)
+        w_st, w_s, w_t = (
+            np.array(weight_values(w, map(tuple, rows[first].tolist())))[inverse] for rows, first, inverse in parts
+        )
         return (w_st / (w_s * w_t)).astype(complex)
 
     return Cocycle(group, fn, f"cobound:{w.name}", tabulate)
@@ -249,23 +245,9 @@ def polar(omega: Cocycle):
 
 def value_table(omega: Cocycle, A: list, B: list) -> np.ndarray:
     """omega(s, t) for s in A, t in B (ball elements) as a complex
-    (len(A), len(B)) array.  ``Cocycle.table`` on int64 coordinate arrays
-    when the group has ``op_many``; otherwise the scalar double loop, which
-    is also the exact form the tables are tested against."""
-    if omega.group.op_many is not None:
-        try:
-            return omega.table(np.array(A, dtype=np.int64)[:, None], np.array(B, dtype=np.int64)[None])
-        except ValueError:
-            pass  # a zero value: the loop raises the scalar call's error
-    return _value_table_loop(omega, A, B)
-
-
-def _value_table_loop(omega: Cocycle, A: list, B: list) -> np.ndarray:
-    w = np.empty((len(A), len(B)), dtype=complex)
-    for i, s in enumerate(A):
-        for j, t in enumerate(B):
-            w[i, j] = omega(s, t)
-    return w
+    (len(A), len(B)) array: ``Cocycle.table`` on all pairs of their int64
+    coordinate arrays."""
+    return omega.table(np.array(A, dtype=np.int64)[:, None], np.array(B, dtype=np.int64)[None])
 
 
 @dataclass(frozen=True)
@@ -288,15 +270,13 @@ def verify_cocycle(omega: Cocycle, radius: int, seed: int = 0) -> CocycleReport:
     Above ``TRIPLE_CAP`` total triples, a random sample of
     ``SAMPLE_TRIPLES`` triples drawn with ``seed`` is checked instead and
     the report says so.  The sample runs on ``op_many`` and paired-row
-    ``Cocycle.table`` arrays, ``SAMPLE_BLOCK`` rows at a time, so a group
-    without ``op_many`` (the finite central-extension models) takes the
-    full check at any size.
+    ``Cocycle.table`` arrays, ``SAMPLE_BLOCK`` rows at a time.
     """
     group = omega.group
     elems = ball_elements(group, radius)
     n1 = len(elems)
 
-    if n1**3 <= TRIPLE_CAP or group.op_many is None:
+    if n1**3 <= TRIPLE_CAP:
         _, elems2, prod = pair_table(group, radius)
         w = value_table(omega, elems2, elems2)
         worst = 0.0
@@ -401,38 +381,64 @@ def _root_exponent(value: complex, n: int) -> int:
 
 
 def central_extension_group(base: Group, omega_t: Cocycle, n: int) -> Group:
-    """G x Z_n with the product (s, a)(t, b) = (st, a + b + c(s, t)) where
-    Omega_T(s, t) = zeta^c(s,t); requires a finite base group and phase
-    values that are exactly n-th roots of unity.  Build it once and pass it
-    to every ``central_extension_embed``."""
+    """G x Z_n with elements (*s, a), s in G and a in Z_n, and the product
+
+        (*s, a)(*t, b) = (*st, (a + b + c(s, t)) mod n),   Omega_T(s, t) = zeta^c(s, t);
+
+    requires n >= 1, a finite base group and phase values that are exactly
+    n-th roots of unity.  The scalar product is one dict lookup of
+    (st, c(s, t)); ``op_many`` applies the base's ``op_many`` to the first k
+    columns and reads c from an (|G|, |G|) int64 table indexed by the base
+    elements' keys, built on its first call.  Build the group once and pass
+    it to every ``central_extension_embed``."""
+    if n < 1:
+        raise ValueError(f"central extension model needs a fiber order n >= 1, got {n}")
     if base.order is None:
         raise ValueError("central extension model needs a finite base group")
     elems = ball_elements(base, base.order)  # exhausts the finite group
-    expo = {(s, t): _root_exponent(omega_t(s, t), n) for s in elems for t in elems}
+    products = {(s, t): (base.op(s, t), _root_exponent(omega_t(s, t), n)) for s in elems for t in elems}
+    k = len(base.identity)
 
     def op(x, y):
-        (s, a), (t, b) = x, y
-        return (base.op(s, t), (a + b + expo[(s, t)]) % n)
+        st, c = products[x[:k], y[:k]]
+        return st + ((x[k] + y[k] + c) % n,)
 
     def inv(x):
-        s, a = x
+        s = x[:k]
         si = base.inv(s)
-        return (si, (-a - expo[(s, si)]) % n)
+        return si + ((-x[k] - products[s, si][1]) % n,)
 
-    ident = (base.identity, 0)
-    generators = tuple((g, k) for g in elems for k in range(n))
+    @functools.cache
+    def fiber_table():
+        # c(s, t) at the keys of s and t, their flat indices in the box of
+        # canonical (nonnegative) base coordinates
+        dims = tuple(np.max(elems, axis=0) + 1)
+        c = np.zeros(2 * dims, dtype=np.int64)
+        for (s, t), (_, e) in products.items():
+            c[s + t] = e
+        return dims, c.reshape(math.prod(dims), -1)
+
+    def op_many(u, v):
+        dims, c = fiber_table()
+        out = np.empty(np.broadcast_shapes(u.shape, v.shape), dtype=np.int64)
+        out[..., :k] = base.op_many(u[..., :k], v[..., :k])
+        keys = (np.ravel_multi_index(np.moveaxis(x[..., :k], -1, 0), dims) for x in (u, v))
+        out[..., k] = (u[..., k] + v[..., k] + c[tuple(keys)]) % n
+        return out
+
     return Group(
         name=f"{base.name}xZ{n}",
         op=op,
         inv=inv,
-        identity=ident,
-        generators=generators,
+        identity=base.identity + (0,),
+        generators=tuple(s + (a,) for s in elems for a in range(n)),
+        op_many=op_many,
         order=base.order * n,
     )
 
 
 def central_extension_embed(f: SupportedFunction, ext: Group) -> SupportedFunction:
-    """Gamma(f)(s, k) = zeta^{-k} f(s) on the finite extension
+    """Gamma(f)(*s, a) = zeta^{-a} f(s) on the finite extension
     ext = G x Z_n built by ``central_extension_group(f.group, omega_t, n)``.
 
     Convention: with counting measure on the fiber (each point has mass 1,
@@ -443,7 +449,7 @@ def central_extension_embed(f: SupportedFunction, ext: Group) -> SupportedFuncti
     if ext.name != f"{f.group.name}xZ{n}":
         raise ValueError(f"{ext.name} is not a central extension of {f.group.name}")
     zeta = cmath.exp(2j * math.pi / n)
-    values = {(s, k): zeta ** (-k) * v for s, v in f.values.items() for k in range(n)}
+    values = {s + (a,): zeta ** (-a) * v for s, v in f.values.items() for a in range(n)}
     return SupportedFunction(ext, values)
 
 

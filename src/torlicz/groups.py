@@ -9,11 +9,10 @@ is computed by breadth-first search over the Cayley graph, one layer at a
 time; layers are memoized so repeated queries are cheap.  Groups with an
 exact closed form for the word length (``length_hint``) or for the sphere
 sizes |S_n| = #{g : tau(g) = n} (``sphere_hint``) answer those queries
-without a BFS.  Where the group
-has an array product (``op_many``, elementwise on broadcast coordinate
-arrays) and a layer has at least ``BFS_ARRAY_MIN_PRODUCTS`` frontier x
-generator products, the layer is one numpy step with the scalar loop's
-element order; otherwise the loop runs.
+without a BFS.  Every group has an array product (``op_many``,
+elementwise on broadcast int64 coordinate arrays); a layer with at least
+``BFS_ARRAY_MIN_PRODUCTS`` frontier x generator products is one numpy step
+with the scalar loop's element order, a shorter one runs the loop.
 Elements held as int64 coordinate rows are classed through one packed key
 per row in [0, span): by a direct table of the span when it holds at most
 a few slots per key (a running count of the keys present ranks them, and
@@ -63,9 +62,10 @@ class Group:
     for the word length, and ``sphere_hint`` one for the sphere sizes
     ``sphere_sizes`` returns; both are validated against BFS layers in the
     test suite.  ``order`` is the group order for finite groups, else None.
-    ``op_many``, when present, is ``op`` on int64 coordinate arrays of shape
-    (..., k), elementwise under numpy broadcasting: paired rows give paired
-    products, ``op_many(S[:, None], T[None])`` all of S x T.
+    Elements are flat tuples of k integers, and ``op_many`` is ``op`` on
+    int64 coordinate arrays of shape (..., k), elementwise under numpy
+    broadcasting: paired rows give paired products, ``op_many(S[:, None],
+    T[None])`` all of S x T.
     """
 
     name: str
@@ -73,9 +73,9 @@ class Group:
     inv: Callable
     identity: tuple
     generators: tuple
+    op_many: Callable
     length_hint: Callable | None = None
     order: int | None = None
-    op_many: Callable | None = None
     sphere_hint: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -132,7 +132,7 @@ def _extend_bfs(group: Group, radius: int) -> dict:
     while len(layers) - 1 < radius and not st["exhausted"]:
         n = len(layers)
         nxt = None
-        if group.op_many is not None and len(layers[-1]) * len(group.generators) >= BFS_ARRAY_MIN_PRODUCTS:
+        if len(layers[-1]) * len(group.generators) >= BFS_ARRAY_MIN_PRODUCTS:
             nxt = _next_layer_array(group, st)
         if nxt is None:
             nxt = []
@@ -316,16 +316,6 @@ def row_classes(coords: np.ndarray):
     return rows, first, inverse.reshape(coords.shape[:-1])
 
 
-def product_classes(group: Group, S: np.ndarray, T: np.ndarray):
-    """``row_classes`` of the products s t of two broadcast int64
-    coordinate arrays (pass ``S[:, None]`` and ``T[None]`` for all of
-    S x T).  None when the group has no ``op_many`` or the products do not
-    pack into int64 keys."""
-    if group.op_many is None:
-        return None
-    return row_classes(group.op_many(S, T))
-
-
 def pair_table(group: Group, radius: int):
     """The ball-pair product table: ``(elems, elems2, prod)`` with ``elems``
     the radius ball, ``elems2`` the 2*radius ball (both in BFS order, so
@@ -333,8 +323,8 @@ def pair_table(group: Group, radius: int):
     ``elems2`` of ``elems[i] elems[j]``.
 
     Built from ``op_many`` and one joint int64 keying of ``elems2`` and the
-    products; groups without ``op_many`` and keys that overflow int64 take
-    the exact double loop, ``_pair_index_loop``.
+    products; keys that overflow int64 take the exact double loop,
+    ``_pair_index_loop``.
     """
     elems = ball_elements(group, radius)
     elems2 = ball_elements(group, 2 * radius)
@@ -345,8 +335,6 @@ def pair_table(group: Group, radius: int):
 
 
 def _pair_index_array(group: Group, elems: list, elems2: list) -> np.ndarray | None:
-    if group.op_many is None:  # elements need not be flat integer tuples
-        return None
     n, n2 = len(elems), len(elems2)
     coords = np.array(elems, dtype=np.int64)
     prods = group.op_many(coords[:, None], coords[None]).reshape(n * n, -1)

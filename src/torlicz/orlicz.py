@@ -80,9 +80,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_table, word_length
+from .groups import Group, ball_table
 from .numeric import expand_bracket_log, secant_bisect_log
-from .weights import length_values
+from .weights import length_values, weight_values
 from .young import YoungFunction, YoungPair
 
 # relative width at which the Luxemburg root search stops
@@ -171,25 +171,16 @@ class SupportedFunction:
     def sub(self, other: "SupportedFunction") -> "SupportedFunction":
         return self.add(other.scale(-1))
 
-    def _weight_values(self, w) -> list:
-        """w at each support point: a weight with ``of_tau`` is evaluated
-        once per distinct word length, any other callable once per point."""
-        of_tau = getattr(w, "of_tau", None)
-        if of_tau is None:
-            return [w(s) for s in self.values]
-        lengths = [word_length(w.group, s) for s in self.values]
-        by_length = {t: of_tau(t) for t in set(lengths)}
-        return [by_length[t] for t in lengths]
-
     def mul_pointwise(self, w) -> "SupportedFunction":
-        """Pointwise product with a callable on group elements."""
+        """Pointwise product with a callable on group elements, evaluated
+        through ``weights.weight_values``."""
         return SupportedFunction.from_canonical(
-            self.group, {s: v * x for (s, v), x in zip(self.values.items(), self._weight_values(w))}
+            self.group, {s: v * x for (s, v), x in zip(self.values.items(), weight_values(w, self.values))}
         )
 
     def div_pointwise(self, w) -> "SupportedFunction":
         return SupportedFunction.from_canonical(
-            self.group, {s: v / x for (s, v), x in zip(self.values.items(), self._weight_values(w))}
+            self.group, {s: v / x for (s, v), x in zip(self.values.items(), weight_values(w, self.values))}
         )
 
 
@@ -222,7 +213,7 @@ def l1_norm(f: SupportedFunction) -> float:
 
 
 def weighted_l1_norm(f: SupportedFunction, w) -> float:
-    return float(sum(abs(v) * w(s) for s, v in f.values.items()))
+    return float(sum(abs(v) * x for v, x in zip(f.values.values(), weight_values(w, f.values))))
 
 
 def _sum_in_loop_order(terms: np.ndarray, start: float) -> float:
@@ -424,7 +415,8 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> Serie
     ratios is evidence that 1/w lies in the Psi-space; ratios at or above 1
     flag divergence.  A finite group terminates the series, which counts as
     convergent.  The first block ratio needs n_max >= 4; a smaller n_max
-    is a ValueError, as its verdict would rest on no ratio at all.
+    is a ValueError, as its verdict would rest on no ratio at all.  So is
+    N <= 0: at N = 0 every term is Psi(0) = 0, whatever the weight.
 
     A weight with ``of_tau`` has one value per length, so layer n adds
     |S_n| copies of one term: ``of_tau`` and Psi run once per length, on
@@ -437,6 +429,8 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> Serie
     """
     if n_max < SERIES_MIN_LAYERS:
         raise ValueError(f"psi-series needs n_max >= {SERIES_MIN_LAYERS} for one block ratio, got {n_max}")
+    if not big_n > 0:
+        raise ValueError(f"psi-series needs N > 0, got {big_n}")
 
     psi = pair.psi
     layer_sums = np.zeros(n_max + 1)
@@ -446,7 +440,7 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> Serie
     else:
         layers = ball_table(w.group, n_max).layers
         lens = np.array([len(layer) for layer in layers])
-        values = np.array([w(g) for layer in layers for g in layer], dtype=float)
+        values = np.array(weight_values(w, (g for layer in layers for g in layer)), dtype=float)
         # one zero-padded row per layer; accumulate adds along a row in order
         rows = np.zeros((len(layers), lens.max()))
         rows[np.arange(lens.max()) < lens[:, None]] = psi.many(big_n / values)

@@ -6,12 +6,11 @@ The twisted convolution of finitely supported f, g under a cocycle Omega is
 
 summed in the order of the double loop over the supports (cocycle twists
 break the translation invariance that fast transforms need).  From
-``TABLE_MIN_PAIRS`` support pairs on, when the group has an array product
-(``Group.op_many``), all pair products and cocycle values
-(``Cocycle.table``, which maps the scalar calls for a cocycle without a
-table form) are formed at once in numpy and the terms are accumulated with
-``np.bincount`` in loop order, so the result is equal to the loop's bit for
-bit, keys in the same order.  Otherwise the scalar
+``TABLE_MIN_PAIRS`` support pairs on, all pair products (``Group.op_many``)
+and cocycle values (``Cocycle.table``, which maps the scalar calls for a
+cocycle without a table form) are formed at once in numpy and the terms
+are accumulated with ``np.bincount`` in loop order, so the result is equal
+to the loop's bit for bit, keys in the same order.  Otherwise the scalar
 loop ``_twisted_convolve_exact`` runs; it is also the test oracle for the
 table path.  All groups here are discrete, so the modular function is 1
 and the involution reads
@@ -29,12 +28,13 @@ exactly what the inequalities need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycles import Cocycle, DominationPair, complex_product
-from .groups import BudgetError, ball_elements, product_classes, word_length
+from .groups import BudgetError, ball_elements, row_classes, word_length
 from .orlicz import (
     SupportedFunction,
     _leq,
@@ -117,16 +117,14 @@ def _coords(elements) -> np.ndarray | None:
 
 
 def _twisted_convolve_table(f: SupportedFunction, g: SupportedFunction, omega: Cocycle):
-    """The table path, or None where it does not apply: no array product,
-    coordinates or packed keys too large for int64."""
+    """The table path, or None where it does not apply: coordinates or
+    packed keys too large for int64."""
     group = f.group
-    if group.op_many is None:  # elements need not be flat integer tuples
-        return None
     S, T = _coords(f.values), _coords(g.values)
     if S is None or T is None:
         return None
     S, T = S[:, None], T[None]  # all support pairs
-    classes = product_classes(group, S, T)
+    classes = row_classes(group.op_many(S, T))
     if classes is None:
         return None
     table = omega.table(S, T, classes)
@@ -240,12 +238,12 @@ def check_intertwining(f, g, w: Weight, omega: Cocycle) -> ResidualReport:
     """l1 residual of Lambda_w(f *_O g) = Lambda_w(f) *_T Lambda_w(g), where
     *_T uses the phase part of Omega.  Requires |Omega| to be the coboundary
     of w on the support pairs (validated pointwise)."""
-    from .cocycles import polar
+    from .cocycles import coboundary_from_weight, polar
 
-    group = f.group
+    cobound = coboundary_from_weight(w).fn
     for s in f.support:
         for t in g.support:
-            cob = w(group.op(s, t)) / (w(s) * w(t))
+            cob = cobound(s, t)
             if abs(abs(omega(s, t)) - cob) > MODULUS_TOL * max(1.0, cob):
                 raise ValueError(
                     f"|Omega| is not the coboundary of {w.name} at ({s}, {t})"
@@ -316,23 +314,64 @@ def spectral_radius_estimate(
     an estimate of the spectral radius."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    sigma = ctx.weight if ctx.weight is not None else constant_weight(f.group)
-    rho = quotient_weight(sigma, ctx.aux_weight) if ctx.aux_weight is not None else sigma
+    if norm not in ("phi", "l1"):
+        raise ValueError("norm must be 'phi' or 'l1'")
+    sigma, rho = _spectral_weights(f, ctx)
     out = np.empty(n_max)
+    for n, power in enumerate(_powers(f, ctx.cocycle, n_max), start=1):
+        if norm == "phi":
+            val = orlicz_norm(power.mul_pointwise(sigma), ctx.pair)
+        else:
+            val = weighted_l1_norm(power, rho)
+        out[n - 1] = val ** (1.0 / n)
+    return out
+
+
+def _spectral_weights(f: SupportedFunction, ctx: AlgebraContext) -> tuple:
+    """(sigma, rho): the norm weight (1 without one) and the l1 weight,
+    sigma over the comparison weight where there is one."""
+    sigma = ctx.weight if ctx.weight is not None else constant_weight(f.group)
+    return sigma, quotient_weight(sigma, ctx.aux_weight) if ctx.aux_weight is not None else sigma
+
+
+def _powers(f: SupportedFunction, omega: Cocycle, n_max: int):
+    """f, f^{*2}, ..., f^{*n_max}, each the previous one twisted-convolved
+    with f; BudgetError before yielding a support past ``SUPPORT_CAP``."""
     power = f
     for n in range(1, n_max + 1):
         if len(power.values) > SUPPORT_CAP:
             raise BudgetError(f"support of f^{n} exceeds the budget ({SUPPORT_CAP})")
-        if norm == "phi":
-            val = orlicz_norm(power.mul_pointwise(sigma), ctx.pair)
-        elif norm == "l1":
-            val = weighted_l1_norm(power, rho)
-        else:
-            raise ValueError("norm must be 'phi' or 'l1'")
-        out[n - 1] = val ** (1.0 / n)
+        yield power
         if n < n_max:
-            power = twisted_convolve(power, f, ctx.cocycle)
-    return out
+            power = twisted_convolve(power, f, omega)
+
+
+def weight_growth_rate(f: SupportedFunction, ctx: AlgebraContext, n_max: int) -> float:
+    """The slope b of the least-squares fit
+
+        L_n = log(||f^n||_{1,rho} / ||f^n||_1) ~ a + b n + c log n
+
+    over n_max/2 <= n <= n_max, with rho the l1 weight of
+    ``spectral_radius_estimate``.  b estimates log(r_rho(f) / r(f)), the
+    gap between the weighted and the unweighted spectral radius of f: 0
+    where l1_rho is inverse-closed in l1, as for GRS weights on groups of
+    polynomial growth, and positive for an exponential weight and most f
+    (Fendler, Groechenig and Leinert, "Symmetry of weighted L1-algebras and
+    the GRS-condition", Bull. LMS 38 (2006)).  The c log n term takes up
+    the polynomial factors of a weight; at finite n a subexponential weight
+    still leaves a small positive b.  A power that vanishes makes b NaN."""
+    ns = np.arange((n_max + 1) // 2, n_max + 1)
+    if len(ns) < 3:
+        raise ValueError(f"the growth-rate fit needs n_max >= 4, got {n_max}")
+    _, rho = _spectral_weights(f, ctx)
+    weighted, plain = np.array(
+        [(weighted_l1_norm(p, rho), l1_norm(p)) for n, p in enumerate(_powers(f, ctx.cocycle, n_max), 1) if n >= ns[0]]
+    ).T
+    if not plain.all():
+        return math.nan
+    design = np.stack([np.ones(len(ns)), ns, np.log(ns)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, np.log(weighted / plain), rcond=None)
+    return float(coef[1])
 
 
 @dataclass(frozen=True)

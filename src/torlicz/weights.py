@@ -48,6 +48,18 @@ class Weight:
         return f"Weight({self.name} on {self.group.name})"
 
 
+def weight_values(w, elements) -> list:
+    """w(s) at each element, bit for bit: a weight with ``of_tau`` is
+    evaluated once per distinct word length and gathered, any other callable
+    once per element."""
+    of_tau = getattr(w, "of_tau", None)
+    if of_tau is None:
+        return [w(s) for s in elements]
+    lengths = [word_length(w.group, s) for s in elements]
+    by_length = {t: of_tau(t) for t in set(lengths)}
+    return [by_length[t] for t in lengths]
+
+
 def _tau_weight(group: Group, name: str, of_tau) -> Weight:
     # The per-element memo stays for the scalar callers: the twisted
     # convolution's pair loop below its table cutover calls a ``cobound``
@@ -164,9 +176,9 @@ def length_values(w: Weight, n: int) -> tuple:
 def _ball_values(w: Weight, radius: int, elems: list) -> np.ndarray:
     """w at each element of the radius ball ``elems`` (BFS order): the
     per-length values repeated over their spheres when w has ``of_tau``,
-    else one call per element.  Both give the same floats."""
+    else ``weight_values``.  Both give the same floats."""
     if w.of_tau is None:
-        return np.array([w(g) for g in elems])
+        return np.array(weight_values(w, elems))
     sizes, values = length_values(w, radius)
     return np.repeat(values, sizes)
 

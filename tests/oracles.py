@@ -1,16 +1,21 @@
 """The searches and loops the library used before its exact minimisers,
-root solves and length-indexed sums, kept as the tests' oracle for them.
+root solves, length-indexed sums and cocycle tables, kept as the tests'
+oracle for them.
 
 ``scan_amemiya`` is the Amemiya form inf_k (1 + modular(k f)) / k by a
 91-point geometric scan anchored at 1/max|f| plus golden section on the
 bracketing cells, ``bisected_xlog_conjugate`` bisects the maximiser of
-x y - x log(1 + x) to the last bit, and ``psi_series_layer_loop`` forms the
-psi-series partial sums one element of the BFS layers at a time.
+x y - x log(1 + x) to the last bit, ``psi_series_layer_loop`` forms the
+psi-series partial sums one element of the BFS layers at a time, and
+``_value_table_loop`` fills a cocycle's value table one scalar call at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from torlicz.groups import ball_table
 from torlicz.numeric import golden_section_min
@@ -84,3 +89,13 @@ def psi_series_layer_loop(w, pair, big_n: float, n_max: int, exact_layers: bool 
         total += s_layer
         partial.append(total)
     return tuple(partial)
+
+
+def _value_table_loop(omega, A: list, B: list) -> np.ndarray:
+    """omega(s, t) for s in A, t in B by the scalar double loop, the form
+    ``cocycles.value_table`` is tested against."""
+    w = np.empty((len(A), len(B)), dtype=complex)
+    for i, s in enumerate(A):
+        for j, t in enumerate(B):
+            w[i, j] = omega(s, t)
+    return w

@@ -783,6 +783,35 @@ def test_psi_series_runs_from_n_max_4():
         assert res["pass"] is passed and len(res["block_ratios_tail"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # 1/w = 1 is not in l^Psi; with N = 0 every term is Psi(0) = 0 and the series "converged"
+    (["check", "psi-series", "--group", "Z^d:1", "--weight", "const", "--params", '{"N": 0, "n_max": 64}'],
+     "psi-series needs N > 0, got 0"),
+    (["check", "psi-series", "--group", "Z^d:1", "--weight", "const", "--params", '{"N": -1.5}'],
+     "psi-series needs N > 0, got -1.5"),
+    # Gamma(f) over range(-4) made both sides the zero function
+    (["check", "central-ext", "--group", "Zn:4", "--cocycle", "bichar:", "--params", '{"n": -4}'],
+     "central extension model needs a fiber order n >= 1, got -4"),
+    (["check", "central-ext", "--group", "Zn:4", "--cocycle", "bichar:", "--params", '{"n": 0}'],
+     "central extension model needs a fiber order n >= 1, got 0"),
+    # fewer than three points for the growth-rate fit of spectral on Z
+    (["check", "spectral", "--group", "Z^d:1", "--weight", "poly:2", "--params", '{"n_max": 3}'],
+     "the growth-rate fit needs n_max >= 4, got 3"),
+], ids=["psi-N-0", "psi-N-negative", "ext-n-negative", "ext-n-0", "spectral-n_max-3"])
+def test_degenerate_params_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("weight, code", [("poly:2", 0), ("subexp:0.5:1", 0), ("subexp:1:1", 1)])
+def test_spectral_decides_on_infinite_groups(weight, code, capsys):
+    assert main(["check", "spectral", "--group", "Z^d:1", "--weight", weight]) == code
+    res = _strict_loads(capsys.readouterr().out)
+    assert res["trend_only"] is False and res["growth_rate_tol"] == cli.GROWTH_RATE_TOL
+    assert res["pass"] is (res["weight_growth_rate"] <= cli.GROWTH_RATE_TOL) is (code == 0)
+
+
 PW_TABLE = {"name": "pw", "points": [[0, 0], [0.5, 0.1], [1, 0.5], [2, 2.0], [3, 6.0]]}
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torlicz.cocycles as cocycles_mod
+from oracles import _value_table_loop
 from torlicz.cocycles import (
     Cocycle,
     CocycleReport,
@@ -24,7 +25,7 @@ from torlicz.cocycles import (
 )
 from torlicz.groups import ball_elements, cyclic_group, integer_lattice, parse_group
 from torlicz.orlicz import SupportedFunction, delta, l1_norm
-from torlicz.twisted import twisted_convolve
+from torlicz.twisted import TABLE_MIN_PAIRS, _twisted_convolve_exact, _twisted_convolve_table, twisted_convolve
 from torlicz.weights import Weight, constant_weight, make_poly_weight, parse_weight
 from torlicz.young import lp_pair
 
@@ -180,55 +181,66 @@ def test_domination_violation_witnessed():
     assert exc.value.witness == ((2,), (3,))
 
 
+def _parts(h):
+    """The points and the bits of the values of a supported function."""
+    return [(s, v.real.hex(), v.imag.hex()) for s, v in h.values.items()]
+
+
 def test_central_extension_trivial_fiber():
     group = cyclic_group(3)
     om = one_cocycle(group)
     f = SupportedFunction(group, {(1,): 2.0, (2,): -1.0j})
     emb = central_extension_embed(f, central_extension_group(group, om, 1))
-    assert emb.group.order == 3
-    assert {s for (s, k) in emb.support} == set(f.support)
-    assert emb.values[((1,), 0)] == 2.0
+    assert emb.group.order == 3 and emb.group.identity == (0, 0)
+    assert list(emb.values) == [(1, 0), (2, 0)]
+    assert emb.values[(1, 0)] == 2.0
 
 
-def test_central_extension_z4_intertwines():
+def test_central_extension_z4_intertwines_on_the_table_path():
     group = cyclic_group(4)
     om = bicharacter_cocycle(group)  # values i^{jk}
     n = 4
     ext = central_extension_group(group, om, n)
     one_ext = one_cocycle(ext)
-    worst = 0.0
-    for j in range(4):
-        for k in range(4):
-            f = delta(group, (j,))
-            g = delta(group, (k,))
-            lhs = central_extension_embed(twisted_convolve(f, g, om), ext)
-            gf = central_extension_embed(f, ext)
-            gg = central_extension_embed(g, ext)
-            rhs = twisted_convolve(gf, gg, one_ext).scale(1.0 / n)
-            worst = max(worst, l1_norm(lhs.sub(rhs)))
-    assert worst <= 1e-12
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        f, g = (SupportedFunction(group, {(k,): complex(*rng.standard_normal(2)) for k in range(4)}) for _ in "fg")
+        gf, gg = central_extension_embed(f, ext), central_extension_embed(g, ext)
+        assert len(gf.values) * len(gg.values) >= TABLE_MIN_PAIRS
+        rhs = _twisted_convolve_table(gf, gg, one_ext)
+        assert _parts(rhs) == _parts(_twisted_convolve_exact(gf, gg, one_ext))
+        lhs = central_extension_embed(twisted_convolve(f, g, om), ext)
+        assert l1_norm(lhs.sub(rhs.scale(1.0 / n))) <= 1e-12
 
 
 def test_central_extension_identity_value():
     group = cyclic_group(4)
     om = bicharacter_cocycle(group)
     emb = central_extension_embed(delta(group), central_extension_group(group, om, 4))
-    assert emb.values[((0,), 0)] == 1.0
+    assert emb.values[(0, 0)] == 1.0
     zeta = cmath.exp(2j * math.pi / 4)
-    assert emb.values[((0,), 1)] == pytest.approx(zeta ** (-1))
+    assert emb.values[(0, 1)] == pytest.approx(zeta ** (-1))
 
 
-def test_central_extension_group_axioms():
+@pytest.mark.parametrize("spec, theta, n", [("Zn:4", None, 4), ("Zn:2x2", math.pi, 2), ("Zn:2x4", None, 2)])
+def test_central_extension_group_axioms(spec, theta, n):
+    base = parse_group(spec)
+    ext = central_extension_group(base, bicharacter_cocycle(base, theta), n)
+    elems = ball_elements(ext, 1)  # every element is a generator
+    assert ext.order == base.order * n == len(elems)
+    assert sorted(elems) == sorted(s + (a,) for s in ball_elements(base, base.order) for a in range(n))
+    X = np.array(elems, dtype=np.int64)
+    left = ext.op_many(ext.op_many(X[:, None, None], X[None, :, None]), X[None, None])
+    right = ext.op_many(X[:, None, None], ext.op_many(X[None, :, None], X[None, None]))
+    assert np.array_equal(left, right)
+    assert all(ext.op(x, ext.inv(x)) == ext.op(ext.inv(x), x) == ext.identity for x in elems)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_central_extension_rejects_a_fiber_order_below_one(n):
     group = cyclic_group(4)
-    om = bicharacter_cocycle(group)
-    ext = central_extension_group(group, om, 4)
-    rng = np.random.default_rng(4)
-    elems = [(g, int(k)) for g in ball_elements(group, 4) for k in range(4)]
-    assert ext.order == 16
-    for _ in range(60):
-        a, b, c = (elems[rng.integers(0, len(elems))] for _ in range(3))
-        assert ext.op(ext.op(a, b), c) == ext.op(a, ext.op(b, c))
-        assert ext.op(a, ext.inv(a)) == ext.identity
+    with pytest.raises(ValueError, match="n >= 1"):
+        central_extension_group(group, bicharacter_cocycle(group), n)
 
 
 def test_central_extension_rejects_non_roots():
@@ -359,13 +371,11 @@ def test_table_maps_the_scalar_calls_without_a_table_form_and_flags_zeros():
 # ---------------------------------------------------------------------------
 # Value tables in the verifiers against the scalar pair loop
 
-ORACLE_RADII = {"Z^d:1": 4, "Z^d:2": 2, "Z^d:3": 1, "H3": 2, "Zn:8": 2, "Zn:4x6": 2, "Block:5": 2, "ext:Zn:4": 1}
+ORACLE_RADII = {
+    "Z^d:1": 4, "Z^d:2": 2, "Z^d:3": 1, "H3": 2, "Zn:8": 2, "Zn:4x6": 2, "Block:5": 2, "ext:Zn:4": 1, "ext:Zn:2x2": 1,
+}
 KINDS = ["one", "bichar", "skew", "cobound", "prod", "abs", "phase", "scalar"]
-# the central extension has no op_many, and its elements ((s,), k) have no
-# coordinates for the bicharacter to pair
-ORACLE_CASES = [
-    (g, k) for g in ORACLE_RADII for k in KINDS if not (g.startswith("ext:") and k not in ("one", "cobound", "scalar"))
-]
+ORACLE_CASES = [(g, k) for g in ORACLE_RADII for k in KINDS]
 
 
 def _oracle_group(spec):
@@ -392,7 +402,7 @@ def _oracle_cocycles(group_spec, kind):
 
 
 def _on_table_path(cocycles):
-    return cocycles[-1].group.op_many is not None and cocycles[-1].tabulate is not None
+    return cocycles[-1].tabulate is not None
 
 
 def _bits(x):
@@ -407,7 +417,7 @@ def test_verify_cocycle_table_path_matches_the_scalar_fill(group_spec, kind, mon
     report = verify_cocycle(fast[-1], radius)
     if _on_table_path(fast):
         assert calls == [0]
-    monkeypatch.setattr(cocycles_mod, "value_table", cocycles_mod._value_table_loop)
+    monkeypatch.setattr(cocycles_mod, "value_table", _value_table_loop)
     exact = verify_cocycle(_oracle_cocycles(group_spec, kind)[-1], radius)
     assert not exact.sampled
     for name in report.__dataclass_fields__:
@@ -448,19 +458,27 @@ def test_domination_table_path_matches_the_pair_loop(group_spec, kind, c, count_
         assert calls == [0]
 
 
-def test_value_table_raises_the_scalar_calls_error_on_a_zero():
+def _vanishing(name, where):
+    """A cocycle-shaped function on Z with a table form, 0 at the pair of
+    integers ``where`` and 1 elsewhere."""
+
+    def tabulate(S, T, _):
+        return np.where((S[..., 0] == where[0]) & (T[..., 0] == where[1]), 0.0, 1.0).astype(complex)
+
+    return Cocycle(Z1, lambda s, t: 0.0 if (s[0], t[0]) == where else 1.0, name, tabulate)
+
+
+def _late_and_early():
     # c1 vanishes at a later pair than c2: the table of c1 fails first, the
-    # pair loop (and so value_table) at c2's earlier pair
-    def vanishing(name, where):
-        def tabulate(S, T, _):
-            return np.where((S[..., 0] == where[0]) & (T[..., 0] == where[1]), 0.0, 1.0).astype(complex)
+    # pair loop at c2's earlier pair
+    return product_cocycle(_vanishing("late", (1, 1)), _vanishing("early", (0, 1)))
 
-        return Cocycle(Z1, lambda s, t: 0.0 if (s[0], t[0]) == where else 1.0, name, tabulate)
 
-    omega = product_cocycle(vanishing("late", (1, 1)), vanishing("early", (0, 1)))
+def test_value_table_raises_the_scalar_calls_error_on_a_zero():
+    omega = _late_and_early()
     elems = ball_elements(Z1, 1)
     with pytest.raises(ValueError) as loop:
-        cocycles_mod._value_table_loop(omega, elems, elems)
+        _value_table_loop(omega, elems, elems)
     with pytest.raises(ValueError) as table:
         value_table(omega, elems, elems)
     assert str(table.value) == str(loop.value) == "cocycle early vanishes at ((0,), (1,))"
@@ -566,9 +584,33 @@ def test_one_draw_of_all_triples_repeats_the_per_triple_draws(n1):
     assert np.random.default_rng(3).integers(0, n1, size=(500, 3)).tolist() == one_at_a_time
 
 
-def test_a_group_without_op_many_takes_the_full_check_above_the_cap(monkeypatch):
+def test_the_central_extension_model_samples_above_the_cap(monkeypatch):
     monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 3000)
     ext = _oracle_group("ext:Zn:4")
-    rep = verify_cocycle(coboundary_from_weight(parse_weight(ext, "poly:1.5")), 1)
-    assert not rep.sampled and rep.n_triples == 16**3
+    rep = verify_cocycle(coboundary_from_weight(parse_weight(ext, "poly:1.5")), 1, seed=5)
+    exact = _sampled_loop(coboundary_from_weight(parse_weight(ext, "poly:1.5")), 1, seed=5)
+    assert rep.sampled and rep.n_triples == 3000
     assert rep.identity_residual <= 1e-12 and rep.normalization_residual == 0.0
+    for name in rep.__dataclass_fields__:
+        assert _bits(getattr(rep, name)) == _bits(getattr(exact, name)), name
+
+
+def test_sampled_path_raises_the_scalar_calls_error_on_a_vanishing_factor(monkeypatch):
+    # the sample reads the (r, s) table of its first block first, so its
+    # error is that of the scalar calls on those pairs in row order: the
+    # second factor vanishes at the first sampled pair, the first factor
+    # (whose table is built first) at a later one
+    monkeypatch.setattr(cocycles_mod, "TRIPLE_CAP", 10)
+    monkeypatch.setattr(cocycles_mod, "SAMPLE_TRIPLES", 3000)
+    elems = ball_elements(Z1, 3)
+    idx = np.random.default_rng(5).integers(0, len(elems), size=(3000, 3))
+    pairs = [(elems[r][0], elems[s][0]) for r, s, _ in idx.tolist()]
+    late = next(p for p in pairs if p != pairs[0])
+    omega = product_cocycle(_vanishing("late", late), _vanishing("early", pairs[0]))
+    with pytest.raises(ValueError) as sampled:
+        verify_cocycle(omega, 3, seed=5)
+    with pytest.raises(ValueError) as scalar_call:
+        omega((pairs[0][0],), (pairs[0][1],))
+    assert str(sampled.value) == str(scalar_call.value)
+    assert str(sampled.value).startswith("cocycle early vanishes")

@@ -27,7 +27,6 @@ from torlicz.groups import (
     integer_lattice,
     pair_table,
     parse_group,
-    product_classes,
     word_length,
 )
 
@@ -201,6 +200,7 @@ def test_generators_symmetry_enforced():
             inv=lambda a: (-a[0],),
             identity=(0,),
             generators=((1,),),  # missing the inverse
+            op_many=np.add,
         )
 
 
@@ -251,9 +251,23 @@ def test_cyclic_product_word_length():
         assert word_length(group, g) == d
 
 
-@pytest.mark.parametrize("spec", ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5"])
+def _make(spec):
+    """A group from its spec; ``ext:{spec}`` is the central extension of the
+    ``Zn:`` group by its default bicharacter, with fiber Z_4."""
+    if not spec.startswith("ext:"):
+        return parse_group(spec)
+    from torlicz.cocycles import central_extension_group, parse_cocycle
+
+    base = parse_group(spec[4:])
+    return central_extension_group(base, parse_cocycle(base, "bichar:"), 4)
+
+
+OP_MANY_GROUPS = ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5", "ext:Zn:4", "ext:Zn:2x2"]
+
+
+@pytest.mark.parametrize("spec", OP_MANY_GROUPS)
 def test_op_many_agrees_with_op(spec):
-    group = parse_group(spec)
+    group = _make(spec)
     elems = ball_elements(group, 3)
     rng = np.random.default_rng(2)
     left = [elems[k] for k in rng.integers(0, len(elems), 20)]
@@ -265,9 +279,9 @@ def test_op_many_agrees_with_op(spec):
             assert tuple(prods[i, j].tolist()) == group.op(s, t)
 
 
-@pytest.mark.parametrize("spec", ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5"])
+@pytest.mark.parametrize("spec", OP_MANY_GROUPS)
 def test_op_many_on_paired_rows_agrees_with_op(spec):
-    group = parse_group(spec)
+    group = _make(spec)
     elems = ball_elements(group, 3)
     rng = np.random.default_rng(4)
     pairs = [(elems[i], elems[j]) for i, j in rng.integers(0, len(elems), (40, 2))]
@@ -277,17 +291,16 @@ def test_op_many_on_paired_rows_agrees_with_op(spec):
     assert [tuple(p) for p in prods.tolist()] == [group.op(s, t) for s, t in pairs]
 
 
-def test_product_classes_group_equal_products_and_guard_key_overflow():
+def test_row_classes_of_products_group_equal_products_and_guard_key_overflow():
     z3 = integer_lattice(3)
     rows = np.array([(a, b, c) for a in (-3, 0, 5) for b in (-1, 2) for c in (0, 9, -7)], dtype=np.int64)
     zero = np.zeros((1, 3), dtype=np.int64)
-    prods, first, inverse = product_classes(z3, np.concatenate([rows, rows[::-1]]), zero)
+    prods, first, inverse = groups_mod.row_classes(z3.op_many(np.concatenate([rows, rows[::-1]]), zero))
     assert len(first) == len(rows)
     assert inverse[: len(rows)].tolist() == inverse[len(rows):][::-1].tolist()
     assert sorted(map(tuple, prods[first].tolist())) == sorted(map(tuple, rows.tolist()))
     wide = np.array([(0, 0, 0), (2**22, 2**22, 2**22)], dtype=np.int64)
-    assert product_classes(z3, wide, zero) is None
-    assert product_classes(dataclasses.replace(z3, op_many=None), rows, zero) is None
+    assert groups_mod.row_classes(z3.op_many(wide, zero)) is None
 
 
 @st.composite
@@ -334,17 +347,6 @@ def _force_path(path, monkeypatch):
         monkeypatch.setattr(groups_mod, "_dense", lambda span, n_keys: path == "dense")
     if path == "overflow":
         monkeypatch.setattr(groups_mod, "_element_keys", lambda coords: None)
-
-
-def _make(spec):
-    """A group from its spec; ``ext:{spec}`` is the central extension by the
-    default bicharacter, a group without ``op_many``."""
-    if not spec.startswith("ext:"):
-        return parse_group(spec)
-    from torlicz.cocycles import central_extension_group, parse_cocycle
-
-    base = parse_group(spec[4:])
-    return central_extension_group(base, parse_cocycle(base, "bichar:"), 4)
 
 
 @pytest.mark.parametrize(

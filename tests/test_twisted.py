@@ -36,11 +36,13 @@ from torlicz.twisted import (
     involution,
     spectral_radius_estimate,
     twisted_convolve,
+    weight_growth_rate,
 )
 from torlicz.weights import (
     constant_weight,
     make_poly_weight,
     make_subexp_weight,
+    parse_weight,
 )
 from torlicz.young import l1_pair, lp_pair
 
@@ -334,6 +336,23 @@ def test_spectral_radius_support_budget(monkeypatch):
         spectral_radius_estimate(f, ctx, norm="l1", n_max=40)
 
 
+@pytest.mark.parametrize("c", [0.05, 0.3, 1.0])
+def test_weight_growth_rate_of_a_point_mass_is_the_exponential_rate(c):
+    # ||delta_1^n||_{1,w} / ||delta_1^n||_1 = w(n) = exp(c n): L_n = c n exactly
+    ctx = AlgebraContext(cocycle=one_cocycle(Z1), pair=P2, weight=make_subexp_weight(Z1, 1.0, c))
+    assert weight_growth_rate(delta(Z1, (1,)), ctx, 24) == pytest.approx(c, rel=1e-9)
+
+
+def test_weight_growth_rate_separates_grs_from_exponential_weights():
+    f = SupportedFunction(Z2, {(0, 0): 1.0, (1, 0): 0.5j, (0, -1): -0.25, (1, 1): 0.3})
+    rates = {
+        spec: weight_growth_rate(f, AlgebraContext(cocycle=one_cocycle(Z2), pair=P2, weight=parse_weight(Z2, spec)), 24)
+        for spec in ("const", "poly:3", "subexp:0.5:1", "subexp:1:1")
+    }
+    assert rates["const"] == 0.0
+    assert 0.0 < rates["poly:3"] < rates["subexp:0.5:1"] < 0.1 < rates["subexp:1:1"]
+
+
 def test_finite_symmetry_identity_point_mass():
     group = cyclic_group(4)
     ctx = AlgebraContext(cocycle=bicharacter_cocycle(group), pair=P2)
@@ -401,7 +420,6 @@ from torlicz.twisted import (  # noqa: E402
     _twisted_convolve_exact,
     _twisted_convolve_table,
 )
-from torlicz.weights import parse_weight  # noqa: E402
 
 TABLE_GROUPS = ("Z^d:1", "Z^d:2", "Z^d:3", "H3", "Zn:8", "Zn:4x6", "Zn:3x5x6", "Block:5")
 TABLE_COCYCLES = (
@@ -543,17 +561,36 @@ def test_table_path_declines_and_dispatch_falls_back():
     assert _bits(twisted_convolve(box, box, scalar_only)) == _bits(
         _twisted_convolve_exact(box, box, one_cocycle(Z2))
     )
-    # central extensions have no array product
+    # the central extension model takes the table path like every other group
     base = cyclic_group(4)
     phase = bicharacter_cocycle(base)
     ext_f = central_extension_embed(
         SupportedFunction(base, {(k,): 1.0 + k for k in range(4)}), central_extension_group(base, phase, 4)
     )
-    ext_one = one_cocycle(ext_f.group)
-    assert _twisted_convolve_table(ext_f, ext_f, ext_one) is None
-    assert _bits(twisted_convolve(ext_f, ext_f, ext_one)) == _bits(
-        _twisted_convolve_exact(ext_f, ext_f, one_cocycle(ext_f.group))
-    )
+    ext = ext_f.group
+    for om in (one_cocycle(ext), parse_cocycle(ext, "cobound:poly:1.5"), bicharacter_cocycle(ext, 0.8)):
+        table = _twisted_convolve_table(ext_f, ext_f, om)
+        assert table is not None and _bits(table) == _bits(_twisted_convolve_exact(ext_f, ext_f, om))
+        assert _bits(twisted_convolve(ext_f, ext_f, om)) == _bits(table)
+
+
+def test_table_path_raises_the_loops_error_on_a_vanishing_factor():
+    # the first factor vanishes at a later pair than the second, and its
+    # table is built first; the loop meets the second factor's pair first
+    def vanishing(name, where):
+        def tabulate(S, T, _):
+            return np.where((S[..., 0] == where[0]) & (T[..., 0] == where[1]), 0.0, 1.0).astype(complex)
+
+        return Cocycle(Z1, lambda s, t: 0.0 if (s[0], t[0]) == where else 1.0, name, tabulate)
+
+    omega = product_cocycle(vanishing("late", (5, 5)), vanishing("early", (0, 1)))
+    f = SupportedFunction(Z1, {(k,): 1.0 + k for k in range(12)})
+    assert len(f.values) ** 2 >= TABLE_MIN_PAIRS
+    with pytest.raises(ValueError) as loop:
+        _twisted_convolve_exact(f, f, omega)
+    with pytest.raises(ValueError) as table:
+        _twisted_convolve_table(f, f, omega)
+    assert str(table.value) == str(loop.value) == "cocycle early vanishes at ((0,), (1,))"
 
 
 # ---------------------------------------------------------------------------

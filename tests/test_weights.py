@@ -264,3 +264,34 @@ def test_parse_weight_specs():
     assert parse_weight(block_group(4), "block:1,3,9").name == "block"
     with pytest.raises(ValueError):
         parse_weight(Z1, "exp:1")
+
+
+@pytest.mark.parametrize("group_spec, spec", [
+    ("Z^d:2", "poly:1.5"), ("H3", "poly:2"), ("Z^d:2", "subexp2:1:1"), ("H3", "subexp2:0.5:2"),
+    ("Z^d:2", "quot:subexp:0.5:1/poly:2"), ("Block:5", "block:1,3,9,27"), ("Z^d:2", "lambda"),
+])
+def test_weight_values_and_weighted_l1_norm_equal_the_scalar_calls(group_spec, spec):
+    from torlicz.groups import ball_elements
+    from torlicz.orlicz import SupportedFunction, weighted_l1_norm
+
+    group = parse_group(group_spec)
+    if spec == "lambda":
+        w = lambda s: 1.0 + 0.1 * sum(map(abs, s)) ** 1.3  # noqa: E731  no of_tau, no group
+    else:
+        w = parse_weight(group, spec)
+        assert (getattr(w, "of_tau", None) is None) == spec.startswith("block")
+    rng = np.random.default_rng(9)
+    ball = ball_elements(group, 3)
+    elements = [ball[k] for k in rng.integers(0, len(ball), 300)]  # repeats, in no length order
+    assert [x.hex() for x in weights_mod.weight_values(w, elements)] == [float(w(s)).hex() for s in elements]
+    f = SupportedFunction(group, {s: complex(*rng.standard_normal(2)) for s in elements})
+    expected = float(sum(abs(v) * w(s) for s, v in f.values.items()))
+    assert weighted_l1_norm(f, w).hex() == expected.hex()
+
+
+def test_weight_values_calls_of_tau_once_per_distinct_length():
+    lengths = []
+    w = weights_mod._tau_weight(Z2, "logged", lambda t: lengths.append(t) or 1.0 + t)
+    elements = [(0, 0), (3, -1), (1, 1), (-3, 2), (0, 1), (2, 3)]
+    assert weights_mod.weight_values(w, elements) == [1.0, 4.0, 2.0, 4.0, 2.0, 4.0]
+    assert sorted(lengths) == [0, 1, 3]
