@@ -49,6 +49,8 @@ from .orlicz import (
     FLOAT_GUARD,
     SpaceContext,
     SupportedFunction,
+    build_supported_functions,
+    draw_supported_function,
     dual_pairing_bound,
     function_from_json,
     function_to_json,
@@ -69,8 +71,9 @@ from .twisted import (
     check_differential_bound,
     check_intertwining,
     check_module_bound,
+    convolution_powers,
     finite_symmetry_check,
-    spectral_radius_estimate,
+    power_norms,
     twisted_convolve,
     weight_growth_rate,
 )
@@ -244,11 +247,19 @@ def _run_domination(spec: CheckSpec) -> dict:
 def _run_spectral(spec: CheckSpec) -> dict:
     ctx = _ctx(spec)
     group = ctx.cocycle.group
+    radius = spec.params.get("sample_radius", 2)
+    # op reduces a generator that is not canonical, such as Zn:1's (1,)
+    if radius < 1 or all(group.op(u, group.identity) == group.identity for u in group.generators):
+        raise ValueError(f"spectral on {group.name} at sample_radius {radius} draws only point masses at the identity")
     rng = np.random.default_rng(spec.seed)
-    f = random_supported_function(group, rng, radius=spec.params.get("sample_radius", 2))
-    n_max = spec.params.get("n_max", 24)
-    seq_phi = spectral_radius_estimate(f, ctx, norm="phi", n_max=n_max)
-    seq_l1 = spectral_radius_estimate(f, ctx, norm="l1", n_max=n_max)
+    f = random_supported_function(group, rng, radius=radius)
+    # a multiple of the identity's point mass has the same weighted and
+    # plain norms in every power, for every weight: that pass is vacuous
+    while f.values.keys() == {group.identity}:
+        f = random_supported_function(group, rng, radius=radius)
+    powers = convolution_powers(f, ctx.cocycle, spec.params.get("n_max", 24))
+    seq_phi = power_norms(powers, ctx, "phi")
+    seq_l1 = power_norms(powers, ctx, "l1")
     gap = abs(seq_phi[-1] - seq_l1[-1]) / max(seq_l1[-1], 1e-300)
     out = {
         "phi_sequence_tail": float(seq_phi[-1]),
@@ -258,7 +269,7 @@ def _run_spectral(spec: CheckSpec) -> dict:
     }
     if group.order is not None:
         return {**out, "pass": bool(gap <= spec.params.get("gap_tol", 0.05))}
-    rate = weight_growth_rate(f, ctx, n_max)
+    rate = weight_growth_rate(powers, ctx)
     return {**out, "weight_growth_rate": rate, "growth_rate_tol": GROWTH_RATE_TOL, "pass": rate <= GROWTH_RATE_TOL}
 
 
@@ -394,12 +405,18 @@ def _run_block_weight(spec: CheckSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sampled-trial checks.  One loop draws random functions for each trial,
-# scores them, and keeps the worst score under each report key, with the
-# witness of the trial behind the worst first score.
+# Sampled-trial checks.  The trials run in chunks of TRIAL_CHUNK: every
+# trial's functions of a chunk are drawn first, in the scalar RNG order of a
+# trial-by-trial loop, and built into one FunctionBatch per function slot;
+# the measure scores the chunk's trials at once and the report keeps the
+# worst score under each report key, with the witness of the trial behind
+# the worst first score.
 
 MIN, MAX = operator.lt, operator.gt  # a margin is worse when lower, a residual when higher
 RESIDUAL = (("worst_residual", MAX),)
+# Trials measured at once: the batched arrays grow with the chunk, not with
+# spec.trials.  The presets run at most 60 trials, one chunk each.
+TRIAL_CHUNK = 256
 
 
 class Trial(NamedTuple):
@@ -411,13 +428,15 @@ class Trial(NamedTuple):
 @dataclass(frozen=True)
 class TrialCheck:
     """``draws`` functions per trial from the ball of radius
-    ``sample_radius(spec)``; ``measure(trial, *fs)`` returns ``(scores, ok,
-    witness)``, one score per ``(key, MIN | MAX)`` of ``worst`` (MIN keys
-    start at inf, MAX keys at 0; a NaN score is worse than any number) and
-    a function of no arguments that gives the trial's witness, called only
-    for the kept one (None for checks without a witness).  The check passes
-    when every trial is ok.  A ``dominated`` check gets the
-    spec's domination pair as ``trial.dom``."""
+    ``sample_radius(spec)``; ``measure(trial, *batches)`` gets one
+    FunctionBatch per drawn function (row i of each is trial i) and returns
+    ``(scores, ok, witness)``: one score array per ``(key, MIN | MAX)`` of
+    ``worst`` (MIN keys start at inf, MAX keys at 0; a NaN score is worse
+    than any number), a bool array, and a function of a trial index that
+    gives that trial's witness, called only for a trial that becomes the
+    worst so far, at most once a chunk (None for checks without a
+    witness).  The check passes when every trial is ok.
+    A ``dominated`` check gets the spec's domination pair as ``trial.dom``."""
 
     draws: int
     sample_radius: Callable
@@ -427,45 +446,84 @@ class TrialCheck:
     dominated: bool = False
 
 
-def _replaces(worse: Callable, score, worst) -> bool:
-    """Whether a trial's score becomes the worst so far: strictly worse, or
-    the first NaN (which then stays the worst)."""
-    return worse(score, worst) or (math.isnan(score) and not math.isnan(worst))
+def _worst(scores: np.ndarray, worse: Callable, start: float | None = None) -> tuple:
+    """(worst score, its trial or None): the score a loop over the trials
+    keeps when it replaces the worst so far by a strictly worse score or by
+    the first NaN (which then stays the worst), starting from ``start``,
+    by default 0 (MAX) or inf (MIN); None where no trial replaced it."""
+    if start is None:
+        start = 0.0 if worse is MAX else math.inf
+    if math.isnan(start):
+        return start, None
+    nan = np.isnan(scores)
+    if nan.any():
+        i = int(np.argmax(nan))
+        return float(scores[i]), i
+    i = int(np.argmax(scores) if worse is MAX else np.argmin(scores))  # the first extreme
+    return (float(scores[i]), i) if worse(scores[i], start) else (start, None)
+
+
+def _measure(check: TrialCheck, trial: Trial, batches: list) -> tuple:
+    """``check.measure`` on a chunk of trials.  Where it raises, the trials
+    run again one at a time, so the error that leaves is the first failing
+    trial's, as in a loop over the trials."""
+    try:
+        return check.measure(trial, *batches)
+    except (ValueError, ArithmeticError, BudgetError):
+        for i in range(len(batches[0])):
+            check.measure(trial, *(b.take([i]) for b in batches))
+        raise
 
 
 def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
     ctx, dom = _domination(spec) if check.dominated else (_ctx(spec), None)
     trial = Trial(spec, ctx, dom)
+    group = ctx.cocycle.group
     rng = np.random.default_rng(spec.seed)
     radius = check.sample_radius(spec)
     keys, worse = zip(*check.worst)
-    worst = [math.inf if w is MIN else 0.0 for w in worse]
-    witness, ok = None, True
-    for _ in range(spec.trials):
-        fs = [random_supported_function(ctx.cocycle.group, rng, radius=radius) for _ in range(check.draws)]
-        scores, trial_ok, found = check.measure(trial, *fs)
-        if _replaces(worse[0], scores[0], worst[0]):
-            witness = found
-        worst = [x if _replaces(w, x, y) else y for w, x, y in zip(worse, scores, worst)]
-        ok = ok and trial_ok
-    out = {"trials": spec.trials, **dict(zip(keys, worst)), "pass": ok}
+    worst = [None] * len(keys)  # _worst's start values
+    passed, kept = True, None
+    for start in range(0, spec.trials, TRIAL_CHUNK):
+        n = min(TRIAL_CHUNK, spec.trials - start) * check.draws
+        built = build_supported_functions(group, [draw_supported_function(group, rng, radius=radius) for _ in range(n)])
+        batches = [built.take(np.arange(k, n, check.draws)) for k in range(check.draws)]
+        scores, ok, witness = _measure(check, trial, batches)
+        passed &= bool(np.all(ok))
+        for j, (x, w) in enumerate(zip(scores, worse)):
+            worst[j], i = _worst(np.asarray(x, dtype=float), w, worst[j])
+            if j == 0 and i is not None and check.witness:
+                kept = witness(i)
+    out = {"trials": spec.trials, **dict(zip(keys, worst)), "pass": passed}
     if check.witness:
-        out["witness"] = None if witness is None else witness()
+        out["witness"] = kept
     return out
 
 
-def _inputs(**fs) -> Callable:
-    """The witness of a trial on the functions ``fs``: their JSON forms,
-    made only for the trial whose witness is kept."""
-    return lambda: {name: function_to_json(f) for name, f in fs.items()}
+def _inputs(**batches) -> Callable:
+    """The witness of trial i on the functions ``batches``: their JSON
+    forms, made only for the trial whose witness is kept."""
+    return lambda i: {name: function_to_json(b.function(i)) for name, b in batches.items()}
 
 
-def _margin(rep: dict, **fs):
-    return (rep["margin"],), rep["pass"], _inputs(**fs)
+def _margin(rep: dict, **batches):
+    return (rep["margin"],), rep["pass"], _inputs(**batches)
 
 
 def _residual(t: Trial, rep):
-    return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), lambda: rep.witness
+    return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), rep.witness.__getitem__
+
+
+def _each(measure: Callable, *names: str) -> Callable:
+    """A measure of all trials from ``measure(trial, *fs)``, which scores
+    one trial's functions as (scores, ok), run trial by trial; the witness
+    is the functions under ``names``, if any."""
+
+    def measure_all(t: Trial, *batches):
+        scores, ok = zip(*(measure(t, *fs) for fs in zip(*(b.functions() for b in batches))))
+        return tuple(map(np.array, zip(*scores))), np.array(ok), _inputs(**dict(zip(names, batches)))
+
+    return measure_all
 
 
 def _sandwich(t: Trial, f):
@@ -474,13 +532,13 @@ def _sandwich(t: Trial, f):
     slack = t.spec.params.get("slack", FLOAT_GUARD)
     n, o = luxemburg_norm(f, t.ctx.pair.phi), orlicz_norm(f, t.ctx.pair)
     low, high = o - n * (1.0 - slack), 2.0 * n * (1.0 + slack) - o
-    return (min(low, high),), low >= 0 and high >= 0, None
+    return (min(low, high),), low >= 0 and high >= 0
 
 
 def _holder(t: Trial, f, v):
     rep = dual_pairing_bound(f, v, t.ctx.pair)
     ok = rep["holder_ok"] and rep["dual_certificate_ok"]
-    return (rep["holder_bound"] - rep["pairing_l1"],), ok, _inputs(f=f, v=v)
+    return (rep["holder_bound"] - rep["pairing_l1"],), ok
 
 
 def _lambda_gap(t: Trial, f):
@@ -488,12 +546,12 @@ def _lambda_gap(t: Trial, f):
     pair, w = t.ctx.pair, t.ctx.weight
     plain = orlicz_norm(f, pair)
     gap = abs(plain - weighted_norm(lambda_map(f, w), SpaceContext(pair, w))) / max(plain, 1e-300)
-    return (gap,), gap <= t.spec.params.get("tol", RESIDUAL_TOL), None
+    return (gap,), gap <= t.spec.params.get("tol", RESIDUAL_TOL)
 
 
 def _symmetry(t: Trial, f):
     rep = finite_symmetry_check(f, t.ctx, tol=t.spec.params.get("tol", EIGEN_TOL))
-    return (rep.min_real / rep.scale, rep.max_imag / rep.scale), rep.passed, None
+    return (rep.min_real / rep.scale, rep.max_imag / rep.scale), rep.passed
 
 
 def _param_radius(default: int):
@@ -517,12 +575,12 @@ TRIAL_CHECKS = {
     "intertwine": TrialCheck(
         2, _param_radius(4),
         lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL),
-    "sandwich": TrialCheck(1, lambda spec: 4, _sandwich, witness=False),
-    "holder": TrialCheck(2, lambda spec: 4, _holder),
+    "sandwich": TrialCheck(1, lambda spec: 4, _each(_sandwich), witness=False),
+    "holder": TrialCheck(2, lambda spec: 4, _each(_holder, "f", "v")),
     "lambda-isometry": TrialCheck(
-        1, lambda spec: 4, _lambda_gap, (("worst_relative_gap", MAX),), witness=False),
+        1, lambda spec: 4, _each(_lambda_gap), (("worst_relative_gap", MAX),), witness=False),
     "symmetry-finite": TrialCheck(
-        1, lambda spec: 2, _symmetry,
+        1, lambda spec: 2, _each(_symmetry),
         (("worst_scaled_min_real", MIN), ("worst_scaled_max_imag", MAX)), witness=False),
 }
 

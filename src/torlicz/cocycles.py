@@ -40,7 +40,7 @@ import numpy as np
 
 from .groups import Group, ball_elements, pair_table, row_classes
 from .orlicz import SupportedFunction
-from .weights import Weight, weight_values
+from .weights import Weight, class_weights
 
 # verify_cocycle checks all triples up to TRIPLE_CAP of them, else a sample
 TRIPLE_CAP = 6_000_000
@@ -69,6 +69,17 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def real_quotient(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise a / x for complex a and positive real x, broadcast,
+    rounded exactly as Python 3.11 divides a complex by the complex (x, 0.0):
+    (re + im 0.0) / x and (im - re 0.0) / x."""
+    out = np.empty(np.broadcast_shapes(a.shape, x.shape), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out.real = (a.real + a.imag * 0.0) / x
+        out.imag = (a.imag - a.real * 0.0) / x
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Cocycle:
     """``fn`` gives one value; ``tabulate``, when present, maps broadcast
@@ -94,7 +105,8 @@ class Cocycle:
     def table(self, S: np.ndarray, T: np.ndarray, classes=None) -> np.ndarray:
         """The values at the row pairs of two broadcast int64 coordinate
         arrays as a complex array of their broadcast shape.  ``classes`` is
-        ``row_classes(group.op_many(S, T))`` if already computed.  Without a
+        ``row_classes(group.op_many(S, T))`` if already computed, or a finer
+        classing of those products (one with a ``lead``).  Without a
         table form, or where it declines, raises or holds a zero, the scalar
         calls run in row-major order, so a zero value raises the scalar
         call's error at the first vanishing pair, in a factor or here."""
@@ -132,11 +144,7 @@ def coboundary_from_weight(w: Weight) -> Cocycle:
         if classes is None:
             classes = row_classes(group.op_many(S, T))
         parts = (classes, row_classes(S), row_classes(T))
-        if None in parts:  # keys overflow int64
-            return None
-        w_st, w_s, w_t = (
-            np.array(weight_values(w, map(tuple, rows[first].tolist())))[inverse] for rows, first, inverse in parts
-        )
+        w_st, w_s, w_t = map(functools.partial(class_weights, w), parts)
         return (w_st / (w_s * w_t)).astype(complex)
 
     return Cocycle(group, fn, f"cobound:{w.name}", tabulate)
@@ -226,12 +234,7 @@ def polar(omega: Cocycle):
 
     def phase_table(S, T, classes):
         tab = omega.table(S, T, classes)
-        re, im = tab.real, tab.imag
-        mod = np.hypot(re, im)
-        out = np.empty_like(tab)
-        out.real = (re + im * 0.0) / mod
-        out.imag = (im - re * 0.0) / mod
-        return out
+        return real_quotient(tab, np.hypot(tab.real, tab.imag))
 
     return (
         Cocycle(omega.group, modulus_fn, f"abs({omega.name})", modulus_table),

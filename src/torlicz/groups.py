@@ -16,7 +16,8 @@ with the scalar loop's element order, a shorter one runs the loop.
 Elements held as int64 coordinate rows are classed through one packed key
 per row in [0, span): by a direct table of the span when it holds at most
 a few slots per key (a running count of the keys present ranks them, and
-the ball-pair table looks product keys up), by np.unique's sort otherwise.
+the ball-pair table looks product keys up), by np.unique's sort otherwise;
+``row_classes`` sorts the rows themselves where the keys overflow int64.
 Ball sizes lambda(U^n) use the counting measure, which is the Haar measure
 throughout this package (all provided groups are discrete and unimodular,
 so the modular function is identically 1).
@@ -257,17 +258,18 @@ def growth_degree_estimate(sizes: Iterable[int]) -> GrowthFit:
     )
 
 
-def _element_keys(coords: np.ndarray) -> tuple | None:
+def _element_keys(coords: np.ndarray, lead: np.ndarray | None = None) -> tuple | None:
     """``(keys, span)``: one int64 key in [0, span) per row of an integer
     coordinate array, injective on the rows (mixed radix over the column
-    ranges), or None when the key range would overflow int64."""
+    ranges, after the nonnegative ``lead`` of each row if given), or None
+    when the key range would overflow int64."""
     cols = coords.T  # per-column reductions: numpy's axis=0 ones are slow here
     lo = [int(c.min()) for c in cols]
     spans = [int(c.max()) - a + 1 for c, a in zip(cols, lo)]
-    span = math.prod(spans)
+    span = math.prod(spans) * (1 if lead is None else int(lead.max()) + 1)
     if span >= 2**63:
         return None
-    keys = np.zeros(len(coords), dtype=np.int64)
+    keys = np.zeros(len(coords), dtype=np.int64) if lead is None else np.asarray(lead, dtype=np.int64)
     for c, a, width in zip(cols, lo, spans):
         keys = keys * width + (c - a)
     return keys, span
@@ -302,17 +304,22 @@ def _key_classes(keys: np.ndarray, span: int) -> tuple:
     return first, inverse
 
 
-def row_classes(coords: np.ndarray):
+def row_classes(coords: np.ndarray, lead: np.ndarray | None = None):
     """The rows of an int64 coordinate array (..., k), flattened row-major,
     with np.unique's ``first`` (index of each distinct row's first
     occurrence, in sorted key order) and ``inverse`` (class of every row,
-    shaped ``coords.shape[:-1]``), from ``_key_classes``.  None when the
-    rows do not pack into int64 keys."""
+    shaped ``coords.shape[:-1]``), from ``_key_classes``.  A ``lead``, a
+    nonnegative integer array of shape ``coords.shape[:-1]``, keys ahead of
+    the coordinates, as a first column would: equal rows with different
+    leads fall in different classes.  Rows whose keys would overflow int64
+    are classed by np.unique's lexicographic sort of the rows (lead first)."""
     rows = coords.reshape(-1, coords.shape[-1])
-    packed = _element_keys(rows)
+    packed = _element_keys(rows, None if lead is None else lead.reshape(-1))
     if packed is None:
-        return None
-    first, inverse = _key_classes(*packed)
+        cols = rows if lead is None else np.column_stack([lead.reshape(-1), rows])
+        _, first, inverse = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+    else:
+        first, inverse = _key_classes(*packed)
     return rows, first, inverse.reshape(coords.shape[:-1])
 
 
@@ -445,6 +452,13 @@ def cyclic_product_group(orders: tuple) -> Group:
     def hint(a):
         return sum(min(x, n - x) for x, n in zip(a, orders))
 
+    def op_many(u, v):
+        n = np.array(orders, dtype=np.int64)
+        if max(orders) < 2**62:
+            return (u + v) % n
+        d = u - (n - v)  # u + v - n for canonical u and v, without leaving int64
+        return np.where(d < 0, d + n, d)
+
     name = "Zn:" + "x".join(str(n) for n in orders)
     order = math.prod(orders)
     return Group(
@@ -455,7 +469,7 @@ def cyclic_product_group(orders: tuple) -> Group:
         generators=tuple(sorted(gens)),
         length_hint=hint,
         order=order,
-        op_many=lambda u, v: (u + v) % np.array(orders, dtype=np.int64),
+        op_many=op_many,
     )
 
 

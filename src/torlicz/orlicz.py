@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_table
+from .groups import Group, ball_table, row_classes
 from .numeric import expand_bracket_log, secant_bisect_log
 from .weights import length_values, weight_values
 from .young import YoungFunction, YoungPair
@@ -475,6 +475,146 @@ def psi_membership_series(w, pair: YoungPair, big_n: float, n_max: int) -> Serie
 # Sampling and serialization
 
 
+@dataclass(frozen=True, eq=False)
+class FunctionBatch:
+    """Finitely supported functions f_0, ..., f_{n-1} on one group as padded
+    arrays: row i holds the support points of f_i in its dict order in
+    ``coords[i, :sizes[i]]`` (int64, shape (n, m, k)) and their values in
+    ``values[i, :sizes[i]]`` (complex, shape (n, m)).  Padding is the
+    identity with value 0, and m >= 1."""
+
+    group: Group
+    coords: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(n, m) mask of the support points."""
+        return np.arange(self.values.shape[1]) < self.sizes[:, None]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(n, m) row index of every point, n at the padding: the ``rows``
+        of ``keyed_sum`` for entries laid out like this batch."""
+        return np.where(self.valid, np.arange(len(self))[:, None], len(self))
+
+    def function(self, i: int) -> SupportedFunction:
+        n = int(self.sizes[i])
+        points = map(tuple, self.coords[i, :n].tolist())
+        return SupportedFunction.from_canonical(self.group, dict(zip(points, self.values[i, :n].tolist())))
+
+    def functions(self) -> list:
+        return [self.function(i) for i in range(len(self))]
+
+    def take(self, rows) -> "FunctionBatch":
+        """The batch of the functions at ``rows``, padded to the widest."""
+        sizes = self.sizes[rows]
+        width = max(int(sizes.max(initial=0)), 1)
+        return FunctionBatch(self.group, self.coords[rows, :width], self.values[rows, :width], sizes)
+
+    @staticmethod
+    def empty(group: Group, n: int, width: int) -> "FunctionBatch":
+        """n zero functions with room for ``width`` points each."""
+        coords = np.empty((n, max(width, 1), len(group.identity)), dtype=np.int64)
+        coords[...] = group.identity
+        return FunctionBatch(group, coords, np.zeros(coords.shape[:2], dtype=complex), np.zeros(n, dtype=np.intp))
+
+    @staticmethod
+    def of(group: Group, functions: list) -> "FunctionBatch | None":
+        """The batch of these functions, or None when a coordinate is past
+        +-2^31, where a product of two (as H3 forms) could overflow int64."""
+        batch = FunctionBatch.empty(group, len(functions), max(map(len, (f.values for f in functions))))
+        for i, f in enumerate(functions):
+            n = len(f.values)
+            batch.sizes[i] = n
+            if n:
+                try:
+                    batch.coords[i, :n] = list(f.values)
+                except OverflowError:
+                    return None
+                batch.values[i, :n] = list(f.values.values())
+        return batch if -2**31 < batch.coords.min() and batch.coords.max() < 2**31 else None
+
+
+def keyed_sum(group: Group, n: int, rows: np.ndarray, coords: np.ndarray, values: np.ndarray,
+              classes=None) -> FunctionBatch:
+    """The n functions f_i = sum of values[e] delta_{coords[e]} over the
+    entries e with rows[e] == i (entries of row n are left out, such as
+    padding), for entries listed row by row: each point's values added in
+    entry order from 0.0, the points in order of first occurrence, exact
+    zeros dropped.  That is ``SupportedFunction`` built by adding the
+    entries one at a time into a dict, bit for bit.  One keying of the
+    (row, point) pairs, ``groups.row_classes(coords, rows)`` (``classes``,
+    if the caller has it), and one ``np.bincount`` per part."""
+    if classes is None:
+        classes = row_classes(coords, rows)
+    _, first, inverse = classes
+    # number the distinct (row, point) keys by first occurrence: dict order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    labels = rank[inverse.reshape(-1)]
+    # bincount adds in input order starting from 0.0, as the dict does from 0
+    re = np.bincount(labels, weights=values.real.reshape(-1), minlength=len(order))
+    im = np.bincount(labels, weights=values.imag.reshape(-1), minlength=len(order))
+    at = first[order]
+    keep = ((re != 0.0) | (im != 0.0)) & (rows[at] < n)
+    at = at[keep]
+    out_rows = rows[at]
+    sizes = np.bincount(out_rows, minlength=n)
+    pos = np.arange(len(at)) - (np.cumsum(sizes) - sizes)[out_rows]
+    out = FunctionBatch.empty(group, n, int(sizes.max(initial=0)))
+    out.sizes[:] = sizes
+    out.coords[out_rows, pos] = coords[at]
+    out.values.real[out_rows, pos] = re[keep]
+    out.values.imag[out_rows, pos] = im[keep]
+    return out
+
+
+def draw_supported_function(group: Group, rng: np.random.Generator, max_support: int = 6,
+                            radius: int = 5, real: bool = False) -> list:
+    """The random choices behind ``random_supported_function``: up to
+    ``max_support`` points, each a (word, value) pair of a random word of at
+    most ``radius`` generator indices and a standard complex Gaussian value
+    (real part first).  A draw is a list of scalar RNG calls, so a sequence
+    of draws consumes the generator exactly as a sequence of
+    ``random_supported_function`` calls does."""
+    n_gens = len(group.generators)
+    integers, normal = rng.integers, rng.standard_normal
+    points = []
+    for _ in range(int(integers(1, max_support + 1))):
+        word = [int(integers(0, n_gens)) for _ in range(int(integers(0, radius + 1)))]
+        points.append((word, complex(normal(), 0.0 if real else normal())))
+    return points
+
+
+def build_supported_functions(group: Group, draws: list) -> FunctionBatch:
+    """The functions of ``draw_supported_function`` draws as one batch.
+    Every point's word is multiplied out left to right with one
+    ``op_many`` per step over the points of all draws (words padded with
+    the identity), repeated points are summed by ``keyed_sum``, and a draw
+    whose values cancel to zero becomes the point mass 1 at the identity."""
+    words = [word for points in draws for word, _ in points]
+    rows = np.repeat(np.arange(len(draws)), list(map(len, draws)))
+    gens = np.array(group.generators + (group.identity,), dtype=np.int64)
+    steps = max(map(len, words))
+    pad = [len(group.generators)]
+    index = np.array([word + pad * (steps - len(word)) for word in words], dtype=np.intp).reshape(len(words), steps)
+    coords = np.broadcast_to(np.array(group.identity, dtype=np.int64), (len(words), len(group.identity)))
+    for step in index.T:
+        coords = group.op_many(coords, gens[step])
+    values = np.array([v for points in draws for _, v in points], dtype=complex)
+    batch = keyed_sum(group, len(draws), rows, coords, values)
+    cancelled = batch.sizes == 0
+    batch.values[cancelled, 0] = 1.0
+    batch.sizes[cancelled] = 1
+    return batch
+
+
 def random_supported_function(
     group: Group,
     rng: np.random.Generator,
@@ -484,19 +624,8 @@ def random_supported_function(
 ) -> SupportedFunction:
     """A random finitely supported function: support from short random
     words in the generators, values standard complex Gaussian."""
-    gens = group.generators
-    size = int(rng.integers(1, max_support + 1))
-    values = {}
-    for _ in range(size):
-        g = group.identity
-        for _ in range(int(rng.integers(0, radius + 1))):
-            g = group.op(g, gens[int(rng.integers(0, len(gens)))])
-        v = complex(rng.standard_normal(), 0.0 if real else rng.standard_normal())
-        values[g] = values.get(g, 0) + v
-    f = SupportedFunction(group, values)
-    if f.is_zero():
-        return delta(group, value=1.0)
-    return f
+    draw = draw_supported_function(group, rng, max_support, radius, real)
+    return build_supported_functions(group, [draw]).function(0)
 
 
 def function_to_json(f: SupportedFunction) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_elements, block_index, pair_table, word_length
+from .groups import Group, ball_elements, block_index, pair_table, row_classes, word_length
 
 
 class WeightParameterError(ValueError):
@@ -60,22 +60,23 @@ def weight_values(w, elements) -> list:
     return [by_length[t] for t in lengths]
 
 
+def class_weights(w, classes) -> np.ndarray:
+    """w at every row classed by ``groups.row_classes`` (its ``(rows,
+    first, inverse)``), as an array of the shape of ``inverse``:
+    ``weight_values`` at the distinct rows, gathered."""
+    rows, first, inverse = classes
+    return np.array(weight_values(w, map(tuple, rows[first].tolist())))[inverse]
+
+
+def weight_table(w, coords: np.ndarray) -> np.ndarray:
+    """w (a weight or any callable on elements) at every row of an int64
+    coordinate array (..., k), as an array of shape ``coords.shape[:-1]``:
+    one evaluation per distinct row."""
+    return class_weights(w, row_classes(coords))
+
+
 def _tau_weight(group: Group, name: str, of_tau) -> Weight:
-    # The per-element memo stays for the scalar callers: the twisted
-    # convolution's pair loop below its table cutover calls a ``cobound``
-    # weight thousands of times per suite run on the same few elements, and
-    # without the memo the thm-orlicz-alg suite ran 14% slower.  Array
-    # callers go through ``of_tau`` and never fill it.
-    memo: dict = {}
-
-    def fn(s) -> float:
-        v = memo.get(s)
-        if v is None:
-            v = of_tau(word_length(group, s))
-            memo[s] = v
-        return v
-
-    return Weight(group=group, fn=fn, name=name, of_tau=of_tau)
+    return Weight(group=group, fn=lambda s: of_tau(word_length(group, s)), name=name, of_tau=of_tau)
 
 
 def constant_weight(group: Group) -> Weight:

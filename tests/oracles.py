@@ -9,6 +9,13 @@ x y - x log(1 + x) to the last bit, ``psi_series_layer_loop`` forms the
 psi-series partial sums one element of the BFS layers at a time, and
 ``_value_table_loop`` fills a cocycle's value table one scalar call at a
 time.
+
+The sampled-trial checks ran one trial at a time before they took all
+trials of a check at once: ``random_supported_function_loop`` walks each
+drawn word with scalar ``group.op`` calls as it draws, the ``*_loop``
+checkers score one trial's functions with the scalar convolution loop and
+the pointwise maps of ``SupportedFunction``, and ``run_trials_loop`` is the
+trial-by-trial runner with the worst-score rule of its ``_replaces``.
 """
 
 from __future__ import annotations
@@ -17,9 +24,25 @@ import math
 
 import numpy as np
 
-from torlicz.groups import ball_table
+from torlicz import cli
+from torlicz.cocycles import coboundary_from_weight, polar
+from torlicz.groups import ball_elements, ball_table, word_length
 from torlicz.numeric import golden_section_min
-from torlicz.orlicz import _normalized_magnitudes, _sum_in_loop_order
+from torlicz.orlicz import (
+    FunctionBatch,
+    SupportedFunction,
+    _leq,
+    _normalized_magnitudes,
+    _sum_in_loop_order,
+    delta,
+    function_to_json,
+    l1_norm,
+    luxemburg_norm,
+    orlicz_norm,
+    weighted_l1_norm,
+)
+from torlicz.twisted import MODULUS_TOL, ResidualReport, _twisted_convolve_exact
+from torlicz.weights import check_lss_domination, check_weak_subadditive, constant_weight, quotient_weight
 
 
 def grid_then_golden_min(f, grid):
@@ -99,3 +122,244 @@ def _value_table_loop(omega, A: list, B: list) -> np.ndarray:
         for j, t in enumerate(B):
             w[i, j] = omega(s, t)
     return w
+
+
+# ---------------------------------------------------------------------------
+# Sampled trials, one at a time
+
+
+def random_supported_function_loop(group, rng, max_support=6, radius=5, real=False):
+    """A random function, each word multiplied out by scalar ``group.op``
+    calls between the RNG calls that draw it."""
+    gens = group.generators
+    size = int(rng.integers(1, max_support + 1))
+    values = {}
+    for _ in range(size):
+        g = group.identity
+        for _ in range(int(rng.integers(0, radius + 1))):
+            g = group.op(g, gens[int(rng.integers(0, len(gens)))])
+        v = complex(rng.standard_normal(), 0.0 if real else rng.standard_normal())
+        values[g] = values.get(g, 0) + v
+    f = SupportedFunction(group, values)
+    if f.is_zero():
+        return delta(group, value=1.0)
+    return f
+
+
+def function_of_draw_loop(group, draw):
+    """The function of one ``draw_supported_function`` draw, built point by
+    point as ``random_supported_function_loop`` builds it."""
+    values = {}
+    for word, v in draw:
+        g = group.identity
+        for k in word:
+            g = group.op(g, group.generators[k])
+        values[g] = values.get(g, 0) + v
+    f = SupportedFunction(group, values)
+    return delta(group, value=1.0) if f.is_zero() else f
+
+
+def _witness_point(diff):
+    return max(diff.values, key=lambda t: abs(diff.values[t]), default=None)
+
+
+def check_associativity_loop(f, g, h, omega):
+    left = _twisted_convolve_exact(_twisted_convolve_exact(f, g, omega), h, omega)
+    right = _twisted_convolve_exact(f, _twisted_convolve_exact(g, h, omega), omega)
+    diff = left.sub(right)
+    return ResidualReport(value=l1_norm(diff), witness=_witness_point(diff))
+
+
+def _sup_abs_on_supports(omega, left_support, right_support):
+    worst = 0.0
+    for s in left_support:
+        for t in right_support:
+            worst = max(worst, abs(omega(s, t)))
+    return worst
+
+
+def check_module_bound_loop(f, g, ctx):
+    omega, pair = ctx.cocycle, ctx.pair
+    c = max(
+        _sup_abs_on_supports(omega, f.support, g.support),
+        _sup_abs_on_supports(omega, g.support, f.support),
+    )
+    lhs_left = orlicz_norm(_twisted_convolve_exact(f, g, omega), pair)
+    lhs_right = orlicz_norm(_twisted_convolve_exact(g, f, omega), pair)
+    f1, gphi = l1_norm(f), orlicz_norm(g, pair)
+    rhs = c * f1 * gphi
+    return {
+        "c_sup": c,
+        "left_lhs": lhs_left,
+        "right_lhs": lhs_right,
+        "rhs": rhs,
+        "margin": min(rhs - lhs_left, rhs - lhs_right),
+        "pass": _leq(lhs_left, rhs) and _leq(lhs_right, rhs),
+    }
+
+
+def check_algebra_bound_loop(f, g, ctx, dom):
+    omega, pair = ctx.cocycle, ctx.pair
+    for s in list(f.support) + list(g.support):
+        if s not in dom.u:
+            raise ValueError(f"domination ball (radius {dom.radius}) does not cover support point {s}")
+    lhs = orlicz_norm(_twisted_convolve_exact(f, g, omega), pair)
+    fu1 = float(sum(abs(v) * dom.u[s] for s, v in f.values.items()))
+    gv1 = float(sum(abs(v) * dom.v[s] for s, v in g.values.items()))
+    fphi = orlicz_norm(f, pair)
+    gphi = orlicz_norm(g, pair)
+    rhs_split = fu1 * gphi + fphi * gv1
+    rhs_submult = dom.algebra_constant * fphi * gphi
+    return {
+        "lhs": lhs,
+        "fu_l1": fu1,
+        "g_phi": gphi,
+        "f_phi": fphi,
+        "gv_l1": gv1,
+        "rhs_split": rhs_split,
+        "rhs_submult": rhs_submult,
+        "margin": min(rhs_split - lhs, rhs_submult - lhs),
+        "pass": _leq(lhs, rhs_split) and _leq(lhs, rhs_submult),
+    }
+
+
+def check_intertwining_loop(f, g, w, omega):
+    cobound = coboundary_from_weight(w).fn
+    for s in f.support:
+        for t in g.support:
+            cob = cobound(s, t)
+            if abs(abs(omega(s, t)) - cob) > MODULUS_TOL * max(1.0, cob):
+                raise ValueError(f"|Omega| is not the coboundary of {w.name} at ({s}, {t})")
+    _, phase = polar(omega)
+    left = _twisted_convolve_exact(f, g, omega).div_pointwise(w)
+    right = _twisted_convolve_exact(f.div_pointwise(w), g.div_pointwise(w), phase)
+    diff = left.sub(right)
+    return ResidualReport(value=l1_norm(diff), witness=_witness_point(diff))
+
+
+def check_differential_bound_loop(f, g, ctx, radius):
+    if ctx.weight is None:
+        raise ValueError("differential bound needs the norm weight sigma")
+    sigma = ctx.weight
+    omega_w = ctx.aux_weight if ctx.aux_weight is not None else constant_weight(sigma.group)
+    group = sigma.group
+    support = list(f.support) + list(g.support)
+    cover = max((word_length(group, s) for s in support), default=0)
+    if radius < cover:
+        raise ValueError(f"radius {radius} does not cover the supports (need {cover})")
+    c_const = check_weak_subadditive(omega_w, radius).constant
+    m_const = check_lss_domination(sigma, omega_w, radius).constant
+    rho = quotient_weight(sigma, omega_w)
+    _, phase = polar(ctx.cocycle)
+    conv = _twisted_convolve_exact(f, g, phase)
+    lhs = orlicz_norm(conv.mul_pointwise(sigma), ctx.pair)
+    f1r = weighted_l1_norm(f, rho)
+    g1r = weighted_l1_norm(g, rho)
+    fps = orlicz_norm(f.mul_pointwise(sigma), ctx.pair)
+    gps = orlicz_norm(g.mul_pointwise(sigma), ctx.pair)
+    rhs = c_const * m_const * (f1r * gps + fps * g1r)
+    inv_omega = SupportedFunction(group, {s: 1.0 / omega_w(s) for s in ball_elements(group, radius)})
+    n_psi_inv = luxemburg_norm(inv_omega, ctx.pair.psi)
+    cert_ok = _leq(f1r, fps * n_psi_inv) and _leq(g1r, gps * n_psi_inv)
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "c_weak_subadd": c_const,
+        "m_domination": m_const,
+        "n_psi_inv_omega": n_psi_inv,
+        "containment_ok": bool(cert_ok),
+        "margin": rhs - lhs,
+        "pass": bool(_leq(lhs, rhs) and cert_ok),
+    }
+
+
+def _inputs(**fs):
+    return lambda: {name: function_to_json(f) for name, f in fs.items()}
+
+
+def _margin(rep, **fs):
+    return (rep["margin"],), rep["pass"], _inputs(**fs)
+
+
+def _residual(t, rep):
+    return (rep.value,), rep.value <= t.spec.params.get("tol", cli.RESIDUAL_TOL), lambda: rep.witness
+
+
+def _unwitnessed(measure, *names):
+    def scored(t, *fs):
+        scores, ok = measure(t, *fs)
+        return scores, ok, _inputs(**dict(zip(names, fs))) if names else None
+
+    return scored
+
+
+# check name -> measure(trial, *fs) of one trial: (scores, ok, witness or None)
+MEASURES_LOOP = {
+    "algebra-bound": lambda t, f, g: _margin(check_algebra_bound_loop(f, g, t.ctx, t.dom), f=f, g=g),
+    "module-bound": lambda t, f, g: _margin(check_module_bound_loop(f, g, t.ctx), f=f, g=g),
+    "differential": lambda t, f, g: _margin(check_differential_bound_loop(f, g, t.ctx, t.spec.radius), f=f, g=g),
+    "assoc": lambda t, f, g, h: _residual(t, check_associativity_loop(f, g, h, t.ctx.cocycle)),
+    "intertwine": lambda t, f, g: _residual(t, check_intertwining_loop(f, g, t.ctx.weight, t.ctx.cocycle)),
+    "sandwich": _unwitnessed(cli._sandwich),
+    "holder": _unwitnessed(cli._holder, "f", "v"),
+    "lambda-isometry": _unwitnessed(cli._lambda_gap),
+    "symmetry-finite": _unwitnessed(cli._symmetry),
+}
+
+
+def _replaces(worse, score, worst) -> bool:
+    """Whether a trial's score becomes the worst so far: strictly worse, or
+    the first NaN (which then stays the worst)."""
+    return worse(score, worst) or (math.isnan(score) and not math.isnan(worst))
+
+
+def worst_loop(scores, worse):
+    """(worst score, its trial or None) by ``_replaces``, trial by trial."""
+    worst, kept = (math.inf if worse is cli.MIN else 0.0), None
+    for i, score in enumerate(scores):
+        if _replaces(worse, score, worst):
+            worst, kept = score, i
+    return worst, kept
+
+
+def run_trials_loop(spec, measure=None):
+    """A sampled-trial check run one trial at a time: draw a trial's
+    functions, score them, keep the worst scores; ``measure`` defaults to
+    the check's ``MEASURES_LOOP`` entry."""
+    check = cli.TRIAL_CHECKS[spec.check]
+    measure = measure or MEASURES_LOOP[spec.check]
+    ctx, dom = cli._domination(spec) if check.dominated else (cli._ctx(spec), None)
+    trial = cli.Trial(spec, ctx, dom)
+    rng = np.random.default_rng(spec.seed)
+    radius = check.sample_radius(spec)
+    keys, worse = zip(*check.worst)
+    worst = [math.inf if w is cli.MIN else 0.0 for w in worse]
+    witness, ok = None, True
+    for _ in range(spec.trials):
+        fs = [random_supported_function_loop(ctx.cocycle.group, rng, radius=radius) for _ in range(check.draws)]
+        scores, trial_ok, found = measure(trial, *fs)
+        if _replaces(worse[0], scores[0], worst[0]):
+            witness = found
+        worst = [x if _replaces(w, x, y) else y for w, x, y in zip(worse, scores, worst)]
+        ok = ok and trial_ok
+    out = {"trials": spec.trials, **dict(zip(keys, worst)), "pass": ok}
+    if check.witness:
+        out["witness"] = None if witness is None else witness()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Batches of one, for tests that score a single trial
+
+
+def singletons(*fs):
+    """One FunctionBatch of one row per function."""
+    return [FunctionBatch.of(f.group, [f]) for f in fs]
+
+
+def first_trial(rep):
+    """Trial 0 of a batched checker's report: a ResidualReport of one value
+    and witness, or the dict with each per-trial array read at row 0."""
+    if isinstance(rep, ResidualReport):
+        return ResidualReport(float(rep.value[0]), rep.witness[0])
+    return {k: v[0].item() if isinstance(v, np.ndarray) else v for k, v in rep.items()}

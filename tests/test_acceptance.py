@@ -40,6 +40,7 @@ from torlicz.groups import (
     integer_lattice,
 )
 from torlicz.orlicz import (
+    FunctionBatch,
     delta,
     dual_pairing_bound,
     l1_norm,
@@ -192,15 +193,11 @@ def test_c05_algebra_bound():
     ctx = AlgebraContext(cocycle=om, pair=pair)
     dom = domination_from_subadditive(om, w, 2.0**beta, pair, 20)
     rng = np.random.default_rng(105)
-    violations = 0
-    worst = math.inf
-    for _ in range(200):
-        f = random_supported_function(Z1, rng, radius=4)
-        g = random_supported_function(Z1, rng, radius=4)
-        rep = check_algebra_bound(f, g, ctx, dom)
-        worst = min(worst, rep["margin"])
-        if not rep["pass"]:
-            violations += 1
+    fs, gs = zip(*((random_supported_function(Z1, rng, radius=4), random_supported_function(Z1, rng, radius=4))
+                   for _ in range(200)))
+    rep = check_algebra_bound(FunctionBatch.of(Z1, fs), FunctionBatch.of(Z1, gs), ctx, dom)
+    worst = min(rep["margin"].tolist())
+    violations = int(np.sum(~rep["pass"]))
     ok = violations == 0
     report_line("C05 algebra-bound", ok, f"trials=200 violations={violations} worst_margin={worst:.3e}")
     assert ok
@@ -231,11 +228,8 @@ def test_c07_lambda_intertwining():
     w = make_poly_weight(Z2, 2.0)
     om = product_cocycle(coboundary_from_weight(w), bicharacter_cocycle(Z2, 1.7))
     rng = np.random.default_rng(107)
-    worst = 0.0
-    for _ in range(200):
-        f = random_supported_function(Z2, rng)
-        g = random_supported_function(Z2, rng)
-        worst = max(worst, check_intertwining(f, g, w, om).value)
+    fs, gs = zip(*((random_supported_function(Z2, rng), random_supported_function(Z2, rng)) for _ in range(200)))
+    worst = max(check_intertwining(FunctionBatch.of(Z2, fs), FunctionBatch.of(Z2, gs), w, om).value.tolist())
     ok = worst <= 1e-10
     report_line("C07 intertwining", ok, f"trials=200 worst_residual={worst:.3e}")
     assert ok

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from torlicz.cli import (
 )
 from torlicz.cocycles import parse_cocycle, polar
 from torlicz.groups import ball_elements, integer_lattice, parse_group
-from torlicz.orlicz import SupportedFunction, function_to_json
+from torlicz.orlicz import SupportedFunction, function_to_json, random_supported_function
 from torlicz.twisted import ResidualReport
 from torlicz.weights import check_weak_subadditive, parse_weight
 
@@ -605,6 +606,11 @@ TRIAL_CHECKERS = {
 }
 
 
+# the convolution checks score all trials in one checker call, the others
+# call theirs once per trial
+BATCHED_TRIAL_CHECKS = {"algebra-bound", "module-bound", "differential", "assoc", "intertwine"}
+
+
 @pytest.mark.parametrize("check", sorted(TRIAL_CHECKS))
 def test_trial_checks_call_checkers_through_module_globals(check, monkeypatch):
     assert set(TRIAL_CHECKERS) == set(TRIAL_CHECKS)
@@ -619,36 +625,38 @@ def test_trial_checks_call_checkers_through_module_globals(check, monkeypatch):
     monkeypatch.setattr(cli, name, spy)
     doc = next(d for suite in SUITES.values() for d in suite if d["check"] == check)
     res = run_check(CheckSpec.from_dict({**doc, "trials": 3}))
-    assert res["pass"] and res["trials"] == 3 and len(calls) == 3
+    assert res["pass"] and res["trials"] == 3 and len(calls) == (1 if check in BATCHED_TRIAL_CHECKS else 3)
 
 
 def test_nan_residual_fails_the_trial(monkeypatch):
     # trial 2 is NaN, trial 3 NaN again, trial 4 worse than trial 1
-    values = iter([0.5, math.nan, math.nan, 2.0])
-    witnesses = iter([(1,), (2,), (3,), (4,)])
-    monkeypatch.setattr(
-        cli, "check_associativity", lambda f, g, h, omega: ResidualReport(next(values), next(witnesses))
-    )
+    values = np.array([0.5, math.nan, math.nan, 2.0])
+    witnesses = [(1,), (2,), (3,), (4,)]
+    monkeypatch.setattr(cli, "check_associativity", lambda f, g, h, omega: ResidualReport(values, witnesses))
     res = run_check(CheckSpec(check="assoc", trials=4))
     assert res["pass"] is False
     assert res["worst_residual"] == "nan" and res["witness"] == [2]
     # a NaN margin is the worst margin too (reports encode it as "nan")
-    monkeypatch.setattr(cli, "check_module_bound", lambda f, g, ctx: {"margin": math.nan, "pass": False})
+    monkeypatch.setattr(
+        cli, "check_module_bound", lambda f, g, ctx: {"margin": np.full(len(f), math.nan), "pass": np.zeros(len(f), bool)}
+    )
     res = run_check(CheckSpec(check="module-bound", trials=2))
     assert res["pass"] is False and res["worst_margin"] == "nan" and res["witness"] is not None
 
 
 def test_trial_witness_comes_from_the_first_strictly_worse_trial(monkeypatch):
     # a residual that never exceeds 0 reports no witness
-    monkeypatch.setattr(cli, "check_associativity", lambda f, g, h, omega: ResidualReport(0.0, (1,)))
+    monkeypatch.setattr(
+        cli, "check_associativity", lambda f, g, h, omega: ResidualReport(np.zeros(len(f)), [(1,)] * len(f))
+    )
     res = run_check(CheckSpec(check="assoc", trials=3))
     assert res["pass"] and res["worst_residual"] == 0.0 and res["witness"] is None
     # tied margins keep the first trial's functions
     seen = []
 
     def margin(f, g, ctx):
-        seen.append(_jsonable(function_to_json(f)))
-        return {"margin": 1.0, "pass": True}
+        seen.extend(_jsonable(function_to_json(x)) for x in f.functions())
+        return {"margin": np.ones(len(f)), "pass": np.ones(len(f), bool)}
 
     monkeypatch.setattr(cli, "check_module_bound", margin)
     res = run_check(CheckSpec(check="module-bound", trials=3))
@@ -835,3 +843,33 @@ def test_null_params_take_their_defaults_and_specs_keep_params_as_given():
     res = run_check(CheckSpec(check="central-ext", group="Zn:4", cocycle="bichar:", params={"n": None, "tol": 1}))
     assert res["n"] == 4 and res["pass"] and res["spec"]["params"] == {"n": None, "tol": 1}
     assert run_check(CheckSpec(check="domination", cocycle="cobound:poly:2", weight="poly:2", params={"C": None}))["pass"]
+
+
+SPECTRAL_POINT_MASS_SEEDS = (11, 12, 14, 21, 23, 24, 30, 34, 37)
+
+
+@pytest.mark.parametrize("seed", SPECTRAL_POINT_MASS_SEEDS)
+def test_spectral_redraws_a_point_mass_at_the_identity(seed, capsys):
+    # the first draw is a multiple of delta_e, whose powers have equal
+    # weighted and plain norms for every weight: an exponential weight passed
+    first = random_supported_function(parse_group("Z^d:1"), np.random.default_rng(seed), radius=2)
+    assert first.values.keys() == {(0,)}
+    argv = ["check", "spectral", "--group", "Z^d:1", "--seed", str(seed), "--weight"]
+    assert main(argv + ["subexp:1:1"]) == 1
+    assert main(argv + ["poly:2"]) == 0 and main(argv + ["subexp:0.5:1"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("group, params", [("Z^d:1", '{"sample_radius": 0}'), ("Zn:1", "{}")])
+def test_spectral_without_other_draws_exits_2(group, params, capsys):
+    assert main(["check", "spectral", "--group", group, "--cocycle", "one", "--weight", "poly:2",
+                 "--params", params]) == 2
+    assert "draws only point masses at the identity" in capsys.readouterr().err
+
+
+def test_spectral_forms_the_powers_once(monkeypatch):
+    calls = []
+    convolve = twisted.twisted_convolve
+    monkeypatch.setattr(twisted, "twisted_convolve", lambda *a: calls.append(1) or convolve(*a))
+    res = run_check(CheckSpec(check="spectral", group="Z^d:1", weight="poly:2", params={"n_max": 12}))
+    assert res["pass"] and len(calls) == 11

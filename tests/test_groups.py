@@ -262,7 +262,9 @@ def _make(spec):
     return central_extension_group(base, parse_cocycle(base, "bichar:"), 4)
 
 
-OP_MANY_GROUPS = ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5", "ext:Zn:4", "ext:Zn:2x2"]
+# the last Zn: orders where u + v leaves int64 before the reduction
+OP_MANY_GROUPS = ["Z^d:1", "Z^d:3", "H3", "Zn:7", "Zn:4x6", "Block:5", "ext:Zn:4", "ext:Zn:2x2",
+                  f"Zn:{2**63 - 1}x{5 * 10**18}"]
 
 
 @pytest.mark.parametrize("spec", OP_MANY_GROUPS)
@@ -299,8 +301,13 @@ def test_row_classes_of_products_group_equal_products_and_guard_key_overflow():
     assert len(first) == len(rows)
     assert inverse[: len(rows)].tolist() == inverse[len(rows):][::-1].tolist()
     assert sorted(map(tuple, prods[first].tolist())) == sorted(map(tuple, rows.tolist()))
-    wide = np.array([(0, 0, 0), (2**22, 2**22, 2**22)], dtype=np.int64)
-    assert groups_mod.row_classes(z3.op_many(wide, zero)) is None
+    # keys past int64: the rows themselves are sorted, lead first
+    wide = np.array([(0, 0, 0), (2**22, 2**22, 2**22), (0, 0, 0), (-2**40, 5, 2**50)], dtype=np.int64)
+    assert groups_mod._element_keys(wide) is None
+    for lead, classes in ((None, [1, 2, 1, 0]), (np.array([1, 0, 0, 0]), [3, 2, 1, 0])):
+        rows, first, inverse = groups_mod.row_classes(z3.op_many(wide, zero), lead)
+        assert np.array_equal(rows, wide) and inverse.tolist() == classes
+        assert sorted(first.tolist()) == sorted(set(first.tolist())) and inverse[first].tolist() == list(range(len(first)))
 
 
 @st.composite
