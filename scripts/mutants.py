@@ -39,10 +39,7 @@ def killed(mutant: dict, workdir: Path) -> bool:
         raise SystemExit(f"{mutant['name']}: its old text occurs {text.count(mutant['old'])} times in {mutant['file']}")
     path.write_text(text.replace(mutant["old"], mutant["new"]), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    # hypothesis imports libcst to print a patch for a failing example, and
-    # libcst's import warns, which the tests' filterwarnings turn into an error
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-            "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning", *mutant["tests"]]
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *mutant["tests"]]
     run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     if run.returncode not in (0, 1):
         raise SystemExit(f"{mutant['name']}: pytest exited {run.returncode}\n{run.stdout[-2000:]}{run.stderr[-2000:]}")

@@ -59,15 +59,19 @@ from .cocycles import (
     verify_cocycle,
 )
 from .orlicz import (
+    FunctionBatch,
     SpaceContext,
     SupportedFunction,
     delta,
     dual_pairing_bound,
+    dual_pairing_bounds,
     l1_norm,
     lambda_map,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     orlicz_norm,
+    orlicz_norms,
     psi_membership_series,
     random_supported_function,
     weighted_l1_norm,

@@ -47,25 +47,27 @@ from .groups import (
 )
 from .orlicz import (
     FLOAT_GUARD,
-    SpaceContext,
     SupportedFunction,
+    _min,
     build_supported_functions,
     draw_supported_function,
-    dual_pairing_bound,
+    dual_pairing_bounds,
     function_from_json,
     function_to_json,
     l1_norm,
-    lambda_map,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     orlicz_norm,
+    orlicz_norms,
     psi_membership_series,
     random_supported_function,
     weighted_l1_norm,
-    weighted_norm,
 )
 from .twisted import (
     AlgebraContext,
+    _divided,
+    _times,
     check_algebra_bound,
     check_associativity,
     check_differential_bound,
@@ -86,6 +88,7 @@ from .weights import (
     check_symmetric,
     check_weak_subadditive,
     parse_weight,
+    weight_table,
 )
 from .young import parse_pair
 
@@ -415,7 +418,9 @@ def _run_block_weight(spec: CheckSpec) -> dict:
 MIN, MAX = operator.lt, operator.gt  # a margin is worse when lower, a residual when higher
 RESIDUAL = (("worst_residual", MAX),)
 # Trials measured at once: the batched arrays grow with the chunk, not with
-# spec.trials.  The presets run at most 60 trials, one chunk each.
+# spec.trials (symmetry-finite's (|G|, |G|) matrices, which also grow with
+# the group, go in stacks of twisted.SYMMETRY_MATRIX_BYTES).  The presets
+# run at most 60 trials, one chunk each.
 TRIAL_CHUNK = 256
 
 
@@ -514,44 +519,33 @@ def _residual(t: Trial, rep):
     return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), rep.witness.__getitem__
 
 
-def _each(measure: Callable, *names: str) -> Callable:
-    """A measure of all trials from ``measure(trial, *fs)``, which scores
-    one trial's functions as (scores, ok), run trial by trial; the witness
-    is the functions under ``names``, if any."""
-
-    def measure_all(t: Trial, *batches):
-        scores, ok = zip(*(measure(t, *fs) for fs in zip(*(b.functions() for b in batches))))
-        return tuple(map(np.array, zip(*scores))), np.array(ok), _inputs(**dict(zip(names, batches)))
-
-    return measure_all
-
-
 def _sandwich(t: Trial, f):
     """N_Phi(f) <= ||f||_Phi <= 2 N_Phi(f), each side with relative slack
     (by default the float guard of the other one-sided checks)."""
     slack = t.spec.params.get("slack", FLOAT_GUARD)
-    n, o = luxemburg_norm(f, t.ctx.pair.phi), orlicz_norm(f, t.ctx.pair)
+    n, o = luxemburg_norms(f, t.ctx.pair.phi), orlicz_norms(f, t.ctx.pair)
     low, high = o - n * (1.0 - slack), 2.0 * n * (1.0 + slack) - o
-    return (min(low, high),), low >= 0 and high >= 0
+    return (_min(low, high),), (low >= 0) & (high >= 0), None
 
 
 def _holder(t: Trial, f, v):
-    rep = dual_pairing_bound(f, v, t.ctx.pair)
-    ok = rep["holder_ok"] and rep["dual_certificate_ok"]
-    return (rep["holder_bound"] - rep["pairing_l1"],), ok
+    rep = dual_pairing_bounds(f, v, t.ctx.pair)
+    ok = rep["holder_ok"] & rep["dual_certificate_ok"]
+    return (rep["holder_bound"] - rep["pairing_l1"],), ok, _inputs(f=f, v=v)
 
 
 def _lambda_gap(t: Trial, f):
     """Relative gap between ||f||_Phi and the weighted norm of Lambda_w f."""
     pair, w = t.ctx.pair, t.ctx.weight
-    plain = orlicz_norm(f, pair)
-    gap = abs(plain - weighted_norm(lambda_map(f, w), SpaceContext(pair, w))) / max(plain, 1e-300)
-    return (gap,), gap <= t.spec.params.get("tol", RESIDUAL_TOL)
+    plain = orlicz_norms(f, pair)
+    gap = np.abs(plain - orlicz_norms(_times(_divided(f, weight_table(w, f.coords)), w), pair))
+    gap /= np.where(1e-300 > plain, 1e-300, plain)
+    return (gap,), gap <= t.spec.params.get("tol", RESIDUAL_TOL), None
 
 
 def _symmetry(t: Trial, f):
     rep = finite_symmetry_check(f, t.ctx, tol=t.spec.params.get("tol", EIGEN_TOL))
-    return (rep.min_real / rep.scale, rep.max_imag / rep.scale), rep.passed
+    return (rep.min_real / rep.scale, rep.max_imag / rep.scale), rep.passed, None
 
 
 def _param_radius(default: int):
@@ -575,12 +569,11 @@ TRIAL_CHECKS = {
     "intertwine": TrialCheck(
         2, _param_radius(4),
         lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL),
-    "sandwich": TrialCheck(1, lambda spec: 4, _each(_sandwich), witness=False),
-    "holder": TrialCheck(2, lambda spec: 4, _each(_holder, "f", "v")),
-    "lambda-isometry": TrialCheck(
-        1, lambda spec: 4, _each(_lambda_gap), (("worst_relative_gap", MAX),), witness=False),
+    "sandwich": TrialCheck(1, lambda spec: 4, _sandwich, witness=False),
+    "holder": TrialCheck(2, lambda spec: 4, _holder),
+    "lambda-isometry": TrialCheck(1, lambda spec: 4, _lambda_gap, (("worst_relative_gap", MAX),), witness=False),
     "symmetry-finite": TrialCheck(
-        1, lambda spec: 2, _each(_symmetry),
+        1, lambda spec: 2, _symmetry,
         (("worst_scaled_min_real", MIN), ("worst_scaled_max_imag", MAX)), witness=False),
 }
 

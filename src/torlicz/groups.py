@@ -380,9 +380,13 @@ def _pair_index_loop(group: Group, elems: list, elems2: list) -> np.ndarray:
 def integer_lattice(d: int) -> Group:
     """Z^d with the generating set of all vectors with coordinates in
     {-1,0,1}.  Word length is the sup norm, so U^n is the cube of side
-    2n + 1 and |S_n| = (2n + 1)^d - (2n - 1)^d for n >= 1."""
+    2n + 1 and |S_n| = (2n + 1)^d - (2n - 1)^d for n >= 1.  BudgetError,
+    before any is built, where the 3^d generators are more than
+    ``DEFAULT_MAX_ELEMENTS``."""
     if d < 1:
         raise ValueError("d must be >= 1")
+    if 3**d > DEFAULT_MAX_ELEMENTS:
+        raise BudgetError(f"Z^d:{d} has 3^{d} generators, more than the element budget ({DEFAULT_MAX_ELEMENTS})")
     gens = tuple(g for g in itertools.product((-1, 0, 1), repeat=d))
 
     def sphere_hint(n):

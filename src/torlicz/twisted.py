@@ -44,10 +44,12 @@ from .orlicz import (
     SupportedFunction,
     keyed_sum,
     _leq,
+    _min,
     _require_same_group,
     l1_norm,
     luxemburg_norm,
     orlicz_norm,
+    orlicz_norms,
     weighted_l1_norm,
 )
 from .weights import (
@@ -69,6 +71,11 @@ TABLE_MIN_PAIRS = 128
 MODULUS_TOL = 1e-9
 # Support size of f^n above which spectral_radius_estimate raises BudgetError
 SUPPORT_CAP = 50_000
+# Bytes of (|G|, |G|) complex convolution matrices finite_symmetry_check
+# builds and decomposes at once (one matrix at least): its memory is then
+# bounded in the number of trials, where a large finite group makes each
+# matrix big
+SYMMETRY_MATRIX_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -224,15 +231,6 @@ def _l1(f: FunctionBatch) -> np.ndarray:
     return _row_sums(_abs(f))
 
 
-def _norms(f: FunctionBatch, pair: YoungPair) -> np.ndarray:
-    return np.array([orlicz_norm(h, pair) for h in f.functions()])
-
-
-def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Python's min(a, b) per element: b only where b < a."""
-    return np.where(b < a, b, a)
-
-
 def _residual(diff: FunctionBatch) -> ResidualReport:
     """The l1 size of each row and its largest point, the first of
     ``max(diff.values, key=abs)``: the first point if its size is NaN, else
@@ -272,9 +270,9 @@ def check_module_bound(f, g, ctx: AlgebraContext) -> dict:
     tables = _pair_values(f, g, omega), _pair_values(g, f, omega)
     c_fg, c_gf = _sup_abs(tables[0], _pairs(f, g)), _sup_abs(tables[1], _pairs(g, f))
     c = np.where(c_gf > c_fg, c_gf, c_fg)
-    lhs_left = _norms(convolve_batch(f, g, omega, tables[0]), pair)
-    lhs_right = _norms(convolve_batch(g, f, omega, tables[1]), pair)
-    f1, gphi = _l1(f), _norms(g, pair)
+    lhs_left = orlicz_norms(convolve_batch(f, g, omega, tables[0]), pair)
+    lhs_right = orlicz_norms(convolve_batch(g, f, omega, tables[1]), pair)
+    f1, gphi = _l1(f), orlicz_norms(g, pair)
     rhs = c * f1 * gphi
     return {
         "c_sup": c,
@@ -312,11 +310,11 @@ def check_algebra_bound(f, g, ctx: AlgebraContext, dom: DominationPair) -> dict:
         trial, k = np.unravel_index(int(np.argmax(outside)), outside.shape)
         s = tuple(np.concatenate([f.coords, g.coords], axis=1)[trial, k].tolist())
         raise ValueError(f"domination ball (radius {dom.radius}) does not cover support point {s}")
-    lhs = _norms(convolve_batch(f, g, omega), pair)
+    lhs = orlicz_norms(convolve_batch(f, g, omega), pair)
     fu1 = _row_sums(_abs(f) * u)
     gv1 = _row_sums(_abs(g) * v)
-    fphi = _norms(f, pair)
-    gphi = _norms(g, pair)
+    fphi = orlicz_norms(f, pair)
+    gphi = orlicz_norms(g, pair)
     rhs_split = fu1 * gphi + fphi * gv1
     rhs_submult = dom.algebra_constant * fphi * gphi
     return {
@@ -386,11 +384,11 @@ def check_differential_bound(f, g, ctx: AlgebraContext, radius: int) -> dict:
     m_const = check_lss_domination(sigma, omega_w, radius).constant
     rho = quotient_weight(sigma, omega_w)
     _, phase = polar(ctx.cocycle)
-    lhs = _norms(_times(convolve_batch(f, g, phase), sigma), ctx.pair)
+    lhs = orlicz_norms(_times(convolve_batch(f, g, phase), sigma), ctx.pair)
     f1r = _row_sums(_abs(f) * weight_table(rho, f.coords))
     g1r = _row_sums(_abs(g) * weight_table(rho, g.coords))
-    fps = _norms(_times(f, sigma), ctx.pair)
-    gps = _norms(_times(g, sigma), ctx.pair)
+    fps = orlicz_norms(_times(f, sigma), ctx.pair)
+    gps = orlicz_norms(_times(g, sigma), ctx.pair)
     rhs = c_const * m_const * (f1r * gps + fps * g1r)
     inv_omega = SupportedFunction(
         group, {s: 1.0 / omega_w(s) for s in ball_elements(group, radius)}
@@ -485,10 +483,13 @@ def weight_growth_rate(powers: list, ctx: AlgebraContext) -> float:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    min_real: float
-    max_imag: float
-    scale: float
-    passed: bool
+    """Per trial: the least real part and the largest |imaginary part| of
+    the spectrum, the matrix 2-norm (1 for a zero matrix), the verdict."""
+
+    min_real: np.ndarray
+    max_imag: np.ndarray
+    scale: np.ndarray
+    passed: np.ndarray
 
 
 def convolution_matrix(h: SupportedFunction, omega: Cocycle) -> tuple:
@@ -498,33 +499,69 @@ def convolution_matrix(h: SupportedFunction, omega: Cocycle) -> tuple:
     if group.order is None:
         raise ValueError("convolution matrix needs a finite group")
     elems = ball_elements(group, group.order)
-    mat = np.zeros((len(elems), len(elems)), dtype=complex)
-    for j, x in enumerate(elems):
-        col = twisted_convolve(h, SupportedFunction(group, {x: 1.0}), omega)
-        for i, t in enumerate(elems):
-            v = col.values.get(t)
-            if v is not None:
-                mat[i, j] = v
-    return mat, elems
+    return _convolution_matrices(FunctionBatch.of(group, [h]), omega, elems)[0], elems
 
 
-def finite_symmetry_check(f: SupportedFunction, ctx: AlgebraContext, tol: float = 1e-8) -> SymmetryReport:
-    """Spectrum test of h = f^* * f on a finite group: eigenvalues of the
-    left-convolution matrix must be real and nonnegative up to
-    tol * ||h||.  The cocycle must be a unimodular phase."""
+def _convolution_matrices(h: FunctionBatch, omega: Cocycle, elems: list) -> np.ndarray:
+    """(n, |G|, |G|): for each row h_i the matrix with column j the twisted
+    convolution h_i * delta_{elems[j]} (``convolve_batch`` of h_i against
+    every point mass), entry (t, j) at the index of t in ``elems``."""
+    group, n, size = h.group, len(h), len(elems)
+    points = np.array(elems, dtype=np.int64)
+    deltas = FunctionBatch(group, np.tile(points[:, None], (n, 1, 1)), np.ones((n * size, 1), dtype=complex),
+                           np.ones(n * size, dtype=np.intp))
+    cols = convolve_batch(h.take(np.repeat(np.arange(n), size)), deltas, omega)
+    _, _, classes = row_classes(np.concatenate([points, cols.coords.reshape(-1, points.shape[1])]))
+    index = np.empty(classes.max() + 1, dtype=np.intp)
+    index[classes[:size]] = np.arange(size)
+    r, k = np.nonzero(cols.valid)
+    mats = np.zeros((n, size, size), dtype=complex)
+    mats[r // size, index[classes[size:]].reshape(cols.values.shape)[r, k], r % size] = cols.values[r, k]
+    return mats
+
+
+def _involution(f: FunctionBatch, phase: Cocycle) -> FunctionBatch:
+    """``involution`` of every row, with the loop's error at the first
+    point (row by row) whose phase is not unimodular."""
+    group, valid = f.group, f.valid
+    inv = np.empty_like(f.coords)
+    inv[...] = group.identity
+    inv[valid] = np.array([group.inv(u) for u in map(tuple, f.coords[valid].tolist())], dtype=np.int64)
+    w = phase.table(inv, f.coords)
+    size = np.hypot(w.real, w.imag)
+    off = (np.abs(size - 1.0) > MODULUS_TOL) & valid
+    if off.any():
+        trial, k = np.unravel_index(int(np.argmax(off)), off.shape)
+        ui, u = (tuple(x[trial, k].tolist()) for x in (inv, f.coords))
+        raise ValueError(f"involution needs a unimodular phase; |Omega({ui},{u})| = {size[trial, k]:g}")
+    return _pointwise(FunctionBatch(group, inv, f.values, f.sizes), complex_product(f.values.conj(), w.conj()))
+
+
+def finite_symmetry_check(f: FunctionBatch, ctx: AlgebraContext, tol: float = 1e-8) -> SymmetryReport:
+    """Spectrum test of h = f^* * f per trial on a finite group: eigenvalues
+    of the left-convolution matrix must be real and nonnegative up to
+    tol * ||h|| (the matrix 2-norm).  The cocycle must be a unimodular
+    phase.  The trials' matrices go to ``eigvals`` and the 2-norm in
+    stacks of at most ``SYMMETRY_MATRIX_BYTES``."""
     group = f.group
     if group.order is None:
         raise ValueError("finite_symmetry_check needs a finite group")
     omega = ctx.cocycle
-    h = twisted_convolve(involution(f, omega), f, omega)
-    mat, _ = convolution_matrix(h, omega)
-    scale = float(np.linalg.norm(mat, 2)) or 1.0
-    eig = np.linalg.eigvals(mat)
-    min_real = float(eig.real.min())
-    max_imag = float(np.abs(eig.imag).max())
+    h = convolve_batch(_involution(f, omega), f, omega)
+    elems = ball_elements(group, group.order)
+    step = max(1, SYMMETRY_MATRIX_BYTES // (16 * len(elems) ** 2))
+    scales, eigs = [], []
+    for start in range(0, len(h), step):
+        mats = _convolution_matrices(h.take(np.arange(start, min(start + step, len(h)))), omega, elems)
+        scales.append(np.linalg.norm(mats, 2, axis=(1, 2)))
+        eigs.append(np.linalg.eigvals(mats))
+    scale, eig = np.concatenate(scales), np.concatenate(eigs)
+    scale[scale == 0.0] = 1.0
+    min_real = eig.real.min(axis=1)
+    max_imag = np.abs(eig.imag).max(axis=1)
     return SymmetryReport(
         min_real=min_real,
         max_imag=max_imag,
         scale=scale,
-        passed=bool(min_real >= -tol * scale and max_imag <= tol * scale),
+        passed=(min_real >= -tol * scale) & (max_imag <= tol * scale),
     )

@@ -35,6 +35,7 @@ of the pair) carries ``kinks``, the points where Phi' jumps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -80,21 +81,28 @@ class YoungFunction:
         return self.fn(x)
 
     def many(self, x: np.ndarray) -> np.ndarray:
-        """The eval at each entry of a float array; float overflow in an
-        array form gives +inf without a warning."""
+        """The eval at each entry of a float array of any shape; float
+        overflow in an array form gives +inf without a warning."""
         if self.array_fn is None:
-            return np.fromiter(map(self.fn, x.tolist()), dtype=float, count=len(x))
+            return np.fromiter(map(self.fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
         with np.errstate(over="ignore"):
             return self.array_fn(x)
+
+
+@functools.cache
+def _validation_grid() -> tuple:
+    """24 sorted points, log-uniform in [1e-4, 1e3] from a fixed seed, at
+    which every Young function is checked; drawn once, on first use."""
+    rng = np.random.default_rng(0xA11CE)
+    return tuple(np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(1e3), size=24))).tolist())
 
 
 def _validate_young(fn, name: str) -> None:
     v0 = fn(0.0)
     if v0 != 0.0:
         raise YoungFunctionError(f"{name}: eval(0) = {v0!r}, expected 0")
-    rng = np.random.default_rng(0xA11CE)
-    xs = np.sort(np.exp(rng.uniform(math.log(1e-4), math.log(1e3), size=24)))
-    vals = [fn(float(x)) for x in xs]
+    xs = _validation_grid()
+    vals = [fn(x) for x in xs]
     for v in vals:
         if isinstance(v, float) and math.isnan(v):
             raise YoungFunctionError(f"{name}: eval returned NaN")
@@ -104,7 +112,7 @@ def _validate_young(fn, name: str) -> None:
     # midpoint convexity on finite triples
     for x, z in zip(xs, xs[2:]):
         mid = 0.5 * (x + z)
-        fm, fx, fz = fn(float(mid)), fn(float(x)), fn(float(z))
+        fm, fx, fz = fn(mid), fn(x), fn(z)
         if math.isinf(fx) or math.isinf(fz):
             continue
         if fm > 0.5 * (fx + fz) + 1e-9 * (1.0 + abs(fx) + abs(fz)):

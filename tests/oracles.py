@@ -13,9 +13,16 @@ time.
 The sampled-trial checks ran one trial at a time before they took all
 trials of a check at once: ``random_supported_function_loop`` walks each
 drawn word with scalar ``group.op`` calls as it draws, the ``*_loop``
-checkers score one trial's functions with the scalar convolution loop and
-the pointwise maps of ``SupportedFunction``, and ``run_trials_loop`` is the
-trial-by-trial runner with the worst-score rule of its ``_replaces``.
+checkers and measures score one trial's functions with the scalar
+convolution loop, the pointwise maps of ``SupportedFunction``, the
+single-function norms and ``dual_pairing_bound_loop`` (the Hoelder
+report as it ran on one pair of functions), and one convolution
+matrix (``convolution_matrix_loop``, a column at a time) per spectrum
+test; ``run_trials_loop`` is the trial-by-trial runner with the
+worst-score rule of its ``_replaces``.  ``lp_norms_one_at_a_time`` is the
+x^p/p closed forms of both norms as they ran on one function at a time,
+before the norms took a batch of rows, on the magnitudes of
+``normalized_magnitudes_loop`` (Python's abs of each value).
 """
 
 from __future__ import annotations
@@ -29,20 +36,33 @@ from torlicz.cocycles import coboundary_from_weight, polar
 from torlicz.groups import ball_elements, ball_table, word_length
 from torlicz.numeric import golden_section_min
 from torlicz.orlicz import (
+    FLOAT_GUARD,
+    LP_MAX_STEPS,
+    LP_ROUND_UP,
     FunctionBatch,
+    SpaceContext,
     SupportedFunction,
     _leq,
-    _normalized_magnitudes,
     _sum_in_loop_order,
     delta,
     function_to_json,
     l1_norm,
+    lambda_map,
     luxemburg_norm,
+    modular,
     orlicz_norm,
     weighted_l1_norm,
+    weighted_norm,
 )
-from torlicz.twisted import MODULUS_TOL, ResidualReport, _twisted_convolve_exact
+from torlicz.twisted import (
+    MODULUS_TOL,
+    ResidualReport,
+    _twisted_convolve_exact,
+    involution,
+    twisted_convolve,
+)
 from torlicz.weights import check_lss_domination, check_weak_subadditive, constant_weight, quotient_weight
+from torlicz.young import YoungPair
 
 
 def grid_then_golden_min(f, grid):
@@ -58,11 +78,22 @@ def grid_then_golden_min(f, grid):
     return x, v
 
 
+def normalized_magnitudes_loop(f) -> tuple:
+    """(|f| 2^-e, max |f| 2^-e, 2^e) of one function, the maximum in
+    [1, 2), from Python's abs of each value."""
+    mags = [abs(v) for v in f.values.values()]
+    if not all(map(math.isfinite, mags)):
+        raise ValueError("norms need finite function values")
+    big = max(mags)
+    e = math.frexp(big)[1] - 1
+    return np.ldexp(mags, -e), math.ldexp(big, -e), 2.0**e
+
+
 def scan_amemiya(f, phi) -> tuple:
     """(k, value) of the Amemiya form of f under phi, by the scan; k is the
     minimiser in the units of f.  A linear Phi pushes the infimum to the
     grid's right end, where the residual 1/k is below 1e-15 relative."""
-    mags, top, unit = _normalized_magnitudes(f)
+    mags, top, unit = normalized_magnitudes_loop(f)
 
     def objective(k: float) -> float:
         return _sum_in_loop_order(phi.many(k * mags), 1.0) / k
@@ -70,6 +101,28 @@ def scan_amemiya(f, phi) -> tuple:
     grid = [2.0**j / top for j in range(-40, 51)]
     k, best = grid_then_golden_min(objective, grid)
     return k / unit, best * unit
+
+
+def lp_norms_one_at_a_time(f, phi) -> tuple:
+    """(Orlicz, Luxemburg) norms of one function under phi = x^p / p by the
+    closed forms as they ran on one function at a time: the power sum and
+    k* by Python's ** and math.fsum, the objective and the modular by
+    ``phi.many`` added left to right, the Luxemburg value stepped up by
+    ``math.nextafter`` (the root search, as ``luxemburg_norm`` runs it,
+    past ``LP_MAX_STEPS`` steps)."""
+    if f.is_zero():
+        return 0.0, 0.0
+    mags, top, unit = normalized_magnitudes_loop(f)
+    p = phi.power
+    s = math.fsum((m / top) ** p for m in mags.tolist())
+    k = (p / ((p - 1.0) * s)) ** (1.0 / p) / top
+    orlicz = _sum_in_loop_order(phi.many(k * mags), 1.0) / k * (1.0 + LP_ROUND_UP) * unit
+    n = top * (s / p) ** (1.0 / p)
+    for _ in range(LP_MAX_STEPS):
+        if _sum_in_loop_order(phi.many(mags / n), 0.0) <= 1.0:
+            return orlicz, n * unit
+        n = math.nextafter(n, math.inf)
+    return orlicz, luxemburg_norm(f, phi)
 
 
 def bisected_xlog_conjugate(y: float) -> float:
@@ -273,6 +326,84 @@ def check_differential_bound_loop(f, g, ctx, radius):
     }
 
 
+def sandwich_loop(t, f):
+    slack = t.spec.params.get("slack", FLOAT_GUARD)
+    n, o = luxemburg_norm(f, t.ctx.pair.phi), orlicz_norm(f, t.ctx.pair)
+    low, high = o - n * (1.0 - slack), 2.0 * n * (1.0 + slack) - o
+    return (min(low, high),), low >= 0 and high >= 0
+
+
+def dual_pairing_bound_loop(f, v, pair):
+    """``dual_pairing_bound`` from the single-function norms and modular."""
+    psi_pair = YoungPair(name=f"dual({pair.name})", phi=pair.psi, psi=pair.phi)
+    pairing = float(sum(abs(f.values[s] * v.values[s]) for s in f.support & v.support))
+    lux_f = luxemburg_norm(f, pair.phi)
+    orl_v = orlicz_norm(v, psi_pair)
+    orl_f = orlicz_norm(f, pair)
+    lux_v = luxemburg_norm(v, pair.psi)
+    bound = min(lux_f * orl_v, orl_f * lux_v)
+    report = {
+        "pairing_l1": pairing,
+        "luxemburg_f": lux_f,
+        "orlicz_v": orl_v,
+        "orlicz_f": orl_f,
+        "luxemburg_v": lux_v,
+        "holder_bound": bound,
+        "holder_ok": pairing <= bound,
+        "dual_certificate_ok": True,
+    }
+    if modular(v, pair.psi) <= 1.0:
+        report["dual_certificate_ok"] = _leq(pairing, orl_f)
+    return report
+
+
+def holder_loop(t, f, v):
+    rep = dual_pairing_bound_loop(f, v, t.ctx.pair)
+    ok = rep["holder_ok"] and rep["dual_certificate_ok"]
+    return (rep["holder_bound"] - rep["pairing_l1"],), ok
+
+
+def lambda_gap_loop(t, f):
+    pair, w = t.ctx.pair, t.ctx.weight
+    plain = orlicz_norm(f, pair)
+    gap = abs(plain - weighted_norm(lambda_map(f, w), SpaceContext(pair, w))) / max(plain, 1e-300)
+    return (gap,), gap <= t.spec.params.get("tol", cli.RESIDUAL_TOL)
+
+
+def convolution_matrix_loop(h, omega):
+    """The matrix of left twisted convolution by h, one column (one
+    scalar convolution with a point mass) at a time."""
+    group = h.group
+    elems = ball_elements(group, group.order)
+    mat = np.zeros((len(elems), len(elems)), dtype=complex)
+    for j, x in enumerate(elems):
+        col = twisted_convolve(h, SupportedFunction(group, {x: 1.0}), omega)
+        for i, t in enumerate(elems):
+            v = col.values.get(t)
+            if v is not None:
+                mat[i, j] = v
+    return mat
+
+
+def finite_symmetry_check_loop(f, ctx, tol=1e-8):
+    """(min_real, max_imag, scale, passed) of one trial's spectrum test."""
+    group = f.group
+    if group.order is None:
+        raise ValueError("finite_symmetry_check needs a finite group")
+    omega = ctx.cocycle
+    mat = convolution_matrix_loop(twisted_convolve(involution(f, omega), f, omega), omega)
+    scale = float(np.linalg.norm(mat, 2)) or 1.0
+    eig = np.linalg.eigvals(mat)
+    min_real = float(eig.real.min())
+    max_imag = float(np.abs(eig.imag).max())
+    return min_real, max_imag, scale, bool(min_real >= -tol * scale and max_imag <= tol * scale)
+
+
+def symmetry_loop(t, f):
+    min_real, max_imag, scale, passed = finite_symmetry_check_loop(f, t.ctx, tol=t.spec.params.get("tol", cli.EIGEN_TOL))
+    return (min_real / scale, max_imag / scale), passed
+
+
 def _inputs(**fs):
     return lambda: {name: function_to_json(f) for name, f in fs.items()}
 
@@ -300,10 +431,10 @@ MEASURES_LOOP = {
     "differential": lambda t, f, g: _margin(check_differential_bound_loop(f, g, t.ctx, t.spec.radius), f=f, g=g),
     "assoc": lambda t, f, g, h: _residual(t, check_associativity_loop(f, g, h, t.ctx.cocycle)),
     "intertwine": lambda t, f, g: _residual(t, check_intertwining_loop(f, g, t.ctx.weight, t.ctx.cocycle)),
-    "sandwich": _unwitnessed(cli._sandwich),
-    "holder": _unwitnessed(cli._holder, "f", "v"),
-    "lambda-isometry": _unwitnessed(cli._lambda_gap),
-    "symmetry-finite": _unwitnessed(cli._symmetry),
+    "sandwich": _unwitnessed(sandwich_loop),
+    "holder": _unwitnessed(holder_loop, "f", "v"),
+    "lambda-isometry": _unwitnessed(lambda_gap_loop),
+    "symmetry-finite": _unwitnessed(symmetry_loop),
 }
 
 

@@ -27,7 +27,7 @@ from torlicz.twisted import (
     check_module_bound,
 )
 from torlicz.weights import check_weak_subadditive, constant_weight, parse_weight
-from torlicz.young import lp_pair
+from torlicz.young import lp_pair, parse_pair
 
 GROUPS = ("Z^d:1", "Z^d:2", "H3", "Zn:4")
 COCYCLES = ("one", "bichar", "cobound", "prod")
@@ -137,6 +137,24 @@ def _batched_and_loop(check, group, kind, draws, trials):
     )
 
 
+def _measured_and_loop(check, group, kind, pair, draws, trials):
+    """(batched measure, per-trial loop measures) of a sampled-trial check
+    scored without a convolution checker, on the functions of ``draws``."""
+    k = TRIAL_CHECKS[check].draws
+    built = build_supported_functions(group, draws)
+    batches = [built.take(np.arange(j, trials * k, k)) for j in range(k)]
+    omega, w = _context(group, kind)
+    spec = CheckSpec(check=check, group=group.name, pair=pair)
+    trial = cli.Trial(spec, AlgebraContext(cocycle=omega, pair=parse_pair(pair), weight=w), None)
+    scores, ok, witness = TRIAL_CHECKS[check].measure(trial, *batches)
+    loops = []
+    for i in range(trials):
+        fs = [oracles.function_of_draw_loop(group, draws[i * k + j]) for j in range(k)]
+        loops.append(oracles.MEASURES_LOOP[check](trial, *fs))
+    batched = [(tuple(float(x[i]) for x in scores), bool(ok[i]), witness and witness(i)) for i in range(trials)]
+    return batched, [(tuple(map(float, sc)), bool(o), found and found()) for sc, o, found in loops]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.data(),
@@ -155,6 +173,27 @@ def test_batched_checkers_match_the_loop_bit_for_bit(data, check, group_spec, ki
         else:
             got = {k: v[i].item() if isinstance(v, np.ndarray) else v for k, v in batched.items()}
             assert _bits(got) == _bits(rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(("sandwich", "holder", "lambda-isometry", "symmetry-finite")),
+    st.sampled_from(GROUPS),
+    st.sampled_from(COCYCLES),
+    st.integers(1, 5),
+    st.sampled_from(("Lp:2", "Lp:1.5", "Lp:7.3", "cosh")),
+)
+def test_batched_measures_match_the_loop_bit_for_bit(data, check, group_spec, kind, trials, pair):
+    """The four checks scored without a convolution checker (their norms,
+    pairings, Lambda_w maps and spectra taken over all trials at once)
+    against their per-trial loops; symmetry-finite on the finite group."""
+    group = parse_group("Zn:4" if check == "symmetry-finite" else group_spec)
+    if check == "symmetry-finite":
+        kind = data.draw(st.sampled_from(("one", "bichar")))
+    draws = data.draw(_draws(group, trials * TRIAL_CHECKS[check].draws))
+    batched, loop = _measured_and_loop(check, group, kind, pair, draws, trials)
+    assert _bits(batched) == _bits(loop)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,6 +319,22 @@ def test_first_failing_trial_raises_its_error(monkeypatch, capsys):
     argv = ["check", "algebra-bound", "--cocycle", "cobound:poly:2", "--weight", "poly:2", "--radius", "2",
             "--trials", "2", "--params", '{"C": 4.0}']
     assert main(argv) == 2
+    assert capsys.readouterr().err == "error: norms need finite function values\n"
+
+
+def test_sandwich_error_is_the_first_failing_trials(monkeypatch, capsys):
+    """Trial 1's two values add up past the largest float, so its norms are
+    undefined; trials 0 and 2 are fine.  The batched check, the loop and
+    the CLI stop at trial 1 with the same error."""
+    group = parse_group("Z^d:2")
+    draws = [[([1], 0.5)], [([0], 1e308), ([0], 1e308)], [([2], 1.0)]]
+    spec = CheckSpec(check="sandwich", group="Z^d:2", trials=3)
+    _patched_draws(monkeypatch, group, draws)
+    batched = _raised(lambda: cli._run_trials(spec, TRIAL_CHECKS["sandwich"]))
+    _patched_draws(monkeypatch, group, draws)
+    assert batched == _raised(lambda: oracles.run_trials_loop(spec)) == (ValueError, "norms need finite function values")
+    _patched_draws(monkeypatch, group, draws)
+    assert main(["check", "sandwich", "--group", "Z^d:2", "--trials", "3"]) == 2
     assert capsys.readouterr().err == "error: norms need finite function values\n"
 
 

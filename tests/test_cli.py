@@ -592,23 +592,19 @@ def test_cmd_norm_malformed_piecewise_table_exits_2(doc, tmp_path, capsys):
     assert err.startswith("error: ") and table in err and "breakpoints" in err
 
 
-# a checker each sampled-trial check must call, by its name in cli
+# a checker each sampled-trial check must call once for all its trials, by
+# its name in cli
 TRIAL_CHECKERS = {
     "algebra-bound": "check_algebra_bound",
     "module-bound": "check_module_bound",
     "differential": "check_differential_bound",
     "assoc": "check_associativity",
     "intertwine": "check_intertwining",
-    "sandwich": "luxemburg_norm",
-    "holder": "dual_pairing_bound",
-    "lambda-isometry": "weighted_norm",
+    "sandwich": "luxemburg_norms",
+    "holder": "dual_pairing_bounds",
+    "lambda-isometry": "_divided",
     "symmetry-finite": "finite_symmetry_check",
 }
-
-
-# the convolution checks score all trials in one checker call, the others
-# call theirs once per trial
-BATCHED_TRIAL_CHECKS = {"algebra-bound", "module-bound", "differential", "assoc", "intertwine"}
 
 
 @pytest.mark.parametrize("check", sorted(TRIAL_CHECKS))
@@ -625,7 +621,7 @@ def test_trial_checks_call_checkers_through_module_globals(check, monkeypatch):
     monkeypatch.setattr(cli, name, spy)
     doc = next(d for suite in SUITES.values() for d in suite if d["check"] == check)
     res = run_check(CheckSpec.from_dict({**doc, "trials": 3}))
-    assert res["pass"] and res["trials"] == 3 and len(calls) == (1 if check in BATCHED_TRIAL_CHECKS else 3)
+    assert res["pass"] and res["trials"] == 3 and len(calls) == 1
 
 
 def test_nan_residual_fails_the_trial(monkeypatch):

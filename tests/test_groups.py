@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -217,6 +218,27 @@ def test_ball_sizes_element_budget(monkeypatch):
     with pytest.raises(BudgetError):
         ball_sizes(heisenberg_group(), 12)
     assert ball_sizes(integer_lattice(3), 12)[-1] == 25**3
+
+
+def test_integer_lattice_rejects_more_generators_than_the_budget(monkeypatch, capsys):
+    """Z^d:30 would build 3^30 generator tuples (the CLI was killed for
+    memory); it is a budget error before any is built, exit 2 from the CLI."""
+    from torlicz.cli import main
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"3\^30 generators"):
+            parse_group("Z^d:30")
+        assert main(["check", "assoc", "--group", "Z^d:30"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+    assert "budget error: Z^d:30 has 3^30 generators" in capsys.readouterr().err
+    monkeypatch.setattr(groups_mod, "DEFAULT_MAX_ELEMENTS", 27)
+    assert len(integer_lattice(3).generators) == 27
+    with pytest.raises(BudgetError):
+        integer_lattice(4)
 
 
 def test_parse_group_round_trip():

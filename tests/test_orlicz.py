@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import builtin_pairs
-from oracles import psi_series_layer_loop, scan_amemiya
+from oracles import lp_norms_one_at_a_time, psi_series_layer_loop, scan_amemiya
 from torlicz import orlicz
-from torlicz.groups import cyclic_group, integer_lattice, parse_group
+from torlicz.groups import ball_elements, cyclic_group, integer_lattice, parse_group
 from torlicz.orlicz import (
     BISECT_TOL,
     FLOAT_GUARD,
+    FunctionBatch,
     GroupMismatchError,
     SpaceContext,
     SupportedFunction,
@@ -23,8 +24,10 @@ from torlicz.orlicz import (
     l1_norm,
     lambda_map,
     luxemburg_norm,
+    luxemburg_norms,
     modular,
     orlicz_norm,
+    orlicz_norms,
     psi_membership_series,
     random_supported_function,
     weighted_l1_norm,
@@ -685,3 +688,80 @@ def test_a_kink_point_does_not_round_past_an_infinite_jump():
     dual = YoungPair(name="dual", phi=pair.psi, psi=pair.phi)
     for a in np.linspace(1.0, 2.0, 400):
         assert orlicz_norm(delta(Z1, value=a), dual) == pytest.approx(1.03 * a / 0.4, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Batched norms: one norm per FunctionBatch row, each the scalar norm's bits
+
+
+def _batch_rows(group, rng, rows):
+    """Functions with 0 to 8 points, magnitudes between 1e-200 and 1e200:
+    per row all near one size, a few decades apart, or spread over the whole
+    range (so some scale to subnormals or underflow next to the maximum)."""
+    points = ball_elements(group, 3)
+    fs = []
+    for _ in range(rows):
+        n = min(int(rng.integers(0, 9)), len(points))
+        spread = rng.choice([0.0, 3.0, 400.0])
+        exps = np.clip(rng.uniform(-200.0, 200.0) + rng.uniform(-spread, spread, n), -200.0, 200.0)
+        vals = 10.0**exps * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        fs.append(SupportedFunction(group, {s: complex(v) for s, v in zip(points, vals)}))
+    return fs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    group_spec=st.sampled_from(("Z^d:1", "Z^d:2", "Zn:4")),
+    pair_name=st.sampled_from(("Lp:1.1", "Lp:1.5", "Lp:2", "Lp:3", "Lp:7.3", "cosh", "L1")),
+    dual=st.booleans(),
+    rows=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_norms_equal_the_scalar_norms_bit_for_bit(group_spec, pair_name, dual, rows, seed):
+    """orlicz_norms and luxemburg_norms against orlicz_norm and
+    luxemburg_norm row by row, and for x^p/p against the closed forms run
+    one function at a time (Python's ** for the power sums, the nextafter
+    steps per function).  cosh and L1 take the row-by-row searches."""
+    group = parse_group(group_spec)
+    pair = parse_pair(pair_name)
+    if dual and pair.psi.power is not None:
+        pair = YoungPair(name=f"dual({pair.name})", phi=pair.psi, psi=pair.phi)
+    fs = _batch_rows(group, np.random.default_rng(seed), rows)
+    batch = FunctionBatch.of(group, fs)
+    got = list(zip(orlicz_norms(batch, pair).tolist(), luxemburg_norms(batch, pair.phi).tolist()))
+    scalar = [(orlicz_norm(f, pair), luxemburg_norm(f, pair.phi)) for f in fs]
+    assert [tuple(map(float.hex, x)) for x in got] == [tuple(map(float.hex, x)) for x in scalar]
+    if pair.phi.power is not None:
+        assert [lp_norms_one_at_a_time(f, pair.phi) for f in fs] == scalar
+
+
+def test_batched_luxemburg_steps_only_the_rows_not_yet_accepted():
+    """Rows whose rounded closed form is already feasible keep it while
+    other rows of the batch step up past theirs."""
+    group = parse_group("Z^d:1")
+    phi = lp_pair(3.0).phi
+    fs = _batch_rows(group, np.random.default_rng(5), 200)
+    steps = []
+    for f in fs:
+        if f.is_zero():
+            continue
+        mags = [abs(v) for v in f.values.values()]
+        top = max(mags)
+        first = top * (math.fsum((m / top) ** 3.0 for m in mags) / 3.0) ** (1.0 / 3.0)
+        steps.append(luxemburg_norm(f, phi) != first)
+    assert any(steps) and not all(steps)
+    norms = luxemburg_norms(FunctionBatch.of(group, fs), phi)
+    assert norms.tolist() == [luxemburg_norm(f, phi) for f in fs]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.3])
+def test_batched_lp_norms_are_the_closed_forms_run_one_function_at_a_time(p):
+    """300 functions of 8 points of one size, where the power sums carry
+    every term: numpy's power in place of Python's ** moves some norms."""
+    rng = np.random.default_rng(2)
+    points = ball_elements(Z1, 4)
+    fs = [SupportedFunction(Z1, dict(zip(points, rng.random(8) + 1j * rng.random(8)))) for _ in range(300)]
+    pair = lp_pair(p)
+    batch = FunctionBatch.of(Z1, fs)
+    got = list(zip(orlicz_norms(batch, pair).tolist(), luxemburg_norms(batch, pair.phi).tolist()))
+    assert got == [lp_norms_one_at_a_time(f, pair.phi) for f in fs]

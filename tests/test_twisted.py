@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from torlicz.cocycles import (
 )
 from torlicz.groups import BudgetError, ball_elements, cyclic_group, cyclic_product_group, integer_lattice
 from torlicz.orlicz import (
+    FunctionBatch,
     SupportedFunction,
     delta,
     l1_norm,
@@ -360,37 +363,59 @@ def test_weight_growth_rate_separates_grs_from_exponential_weights():
 def test_finite_symmetry_identity_point_mass():
     group = cyclic_group(4)
     ctx = AlgebraContext(cocycle=bicharacter_cocycle(group), pair=P2)
-    rep = finite_symmetry_check(delta(group), ctx)
-    assert rep.passed
-    assert rep.min_real == pytest.approx(1.0)
-    assert rep.max_imag <= 1e-12
+    rep = finite_symmetry_check(FunctionBatch.of(group, [delta(group)]), ctx)
+    assert rep.passed[0]
+    assert rep.min_real[0] == pytest.approx(1.0)
+    assert rep.max_imag[0] <= 1e-12
 
 
 def test_finite_symmetry_random_z4():
     group = cyclic_group(4)
     ctx = AlgebraContext(cocycle=bicharacter_cocycle(group), pair=P2)
     rng = np.random.default_rng(43)
-    for _ in range(50):
-        f = random_supported_function(group, rng)
-        rep = finite_symmetry_check(f, ctx, tol=1e-10)
-        assert rep.passed, rep
+    fs = [random_supported_function(group, rng) for _ in range(50)]
+    rep = finite_symmetry_check(FunctionBatch.of(group, fs), ctx, tol=1e-10)
+    assert rep.passed.all(), rep
 
 
 def test_finite_symmetry_klein_real_untwisted():
     group = cyclic_product_group((2, 2))
     ctx = AlgebraContext(cocycle=one_cocycle(group), pair=P2)
     rng = np.random.default_rng(47)
-    for _ in range(20):
-        f = random_supported_function(group, rng, real=True)
-        rep = finite_symmetry_check(f, ctx, tol=1e-10)
-        assert rep.passed
-        assert rep.max_imag <= 1e-10 * rep.scale
+    fs = [random_supported_function(group, rng, real=True) for _ in range(20)]
+    rep = finite_symmetry_check(FunctionBatch.of(group, fs), ctx, tol=1e-10)
+    assert rep.passed.all()
+    assert (rep.max_imag <= 1e-10 * rep.scale).all()
+
+
+def test_finite_symmetry_memory_is_bounded_by_the_matrix_budget(monkeypatch):
+    """The trials' (|G|, |G|) matrices go to eigvals in stacks of at most
+    SYMMETRY_MATRIX_BYTES, so memory does not grow with the trials: on
+    Zn:64 with a budget of four matrices, 48 trials peak below half of the
+    3 MB their matrices take stacked (about 6 MB in one stack), with the
+    one stack's report bit for bit."""
+    group = cyclic_group(64)
+    ctx = AlgebraContext(cocycle=bicharacter_cocycle(group), pair=P2)
+    rng = np.random.default_rng(61)
+    f = FunctionBatch.of(group, [random_supported_function(group, rng) for _ in range(48)])
+    whole = finite_symmetry_check(f, ctx)
+    matrix = 16 * 64**2
+    monkeypatch.setattr(twisted_mod, "SYMMETRY_MATRIX_BYTES", 4 * matrix)
+    tracemalloc.start()
+    try:
+        stacked = finite_symmetry_check(f, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * matrix / 2
+    for a, b in zip(dataclasses.astuple(whole), dataclasses.astuple(stacked)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_finite_symmetry_rejects_infinite_groups():
     ctx = AlgebraContext(cocycle=one_cocycle(Z1), pair=P2)
     with pytest.raises(ValueError):
-        finite_symmetry_check(delta(Z1), ctx)
+        finite_symmetry_check(FunctionBatch.of(Z1, [delta(Z1)]), ctx)
 
 
 def test_convolution_matrix_against_direct_convolution():
