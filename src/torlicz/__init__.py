@@ -60,13 +60,11 @@ from .cocycles import (
 )
 from .orlicz import (
     FunctionBatch,
-    SpaceContext,
     SupportedFunction,
     delta,
     dual_pairing_bound,
     dual_pairing_bounds,
     l1_norm,
-    lambda_map,
     luxemburg_norm,
     luxemburg_norms,
     modular,
@@ -75,7 +73,6 @@ from .orlicz import (
     psi_membership_series,
     random_supported_function,
     weighted_l1_norm,
-    weighted_norm,
 )
 from .twisted import (
     AlgebraContext,

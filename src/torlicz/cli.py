@@ -42,7 +42,6 @@ from .groups import (
     ball_sizes,
     element_from_list,
     growth_degree_estimate,
-    pair_table,
     parse_group,
 )
 from .orlicz import (
@@ -82,6 +81,7 @@ from .twisted import (
 from .weights import (
     PFunctionError,
     analyze_p_function,
+    ball_pair_max,
     check_grs,
     check_lss_domination,
     check_submultiplicative,
@@ -171,7 +171,8 @@ def _dumps(obj, **kwargs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Check runners.  Each takes a CheckSpec and returns a dict that includes at
+# Check runners.  Each takes a CheckSpec and its resolved params (every key
+# the check declares in CHECKS, below) and returns a dict that includes at
 # least {"check", "pass"}; numeric fields are fully determined by the spec.
 
 
@@ -184,10 +185,10 @@ def _ctx(spec: CheckSpec) -> AlgebraContext:
     return AlgebraContext(cocycle=cocycle, pair=pair, weight=weight, aux_weight=aux)
 
 
-def _run_cocycle_verify(spec: CheckSpec) -> dict:
+def _run_cocycle_verify(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
     rep = verify_cocycle(ctx.cocycle, spec.radius, seed=spec.seed)
-    tol = spec.params.get("tol", RESIDUAL_TOL)
+    tol = p["tol"]
     return {
         "identity_residual": rep.identity_residual,
         "normalization_residual": rep.normalization_residual,
@@ -199,7 +200,7 @@ def _run_cocycle_verify(spec: CheckSpec) -> dict:
     }
 
 
-def _run_cocycle_polar(spec: CheckSpec) -> dict:
+def _run_cocycle_polar(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
     modulus, phase = polar(ctx.cocycle)
     elems = ball_elements(ctx.cocycle.group, spec.radius)
@@ -228,16 +229,16 @@ def _run_cocycle_polar(spec: CheckSpec) -> dict:
     }
 
 
-def _domination(spec: CheckSpec):
+def _domination(spec: CheckSpec, p: dict):
     ctx = _ctx(spec)
-    c = spec.params.get("C")
+    c = p["C"]
     if c is None:
         c = check_weak_subadditive(ctx.weight, spec.radius).constant
     return ctx, domination_from_subadditive(ctx.cocycle, ctx.weight, float(c), ctx.pair, spec.radius)
 
 
-def _run_domination(spec: CheckSpec) -> dict:
-    _, dom = _domination(spec)
+def _run_domination(spec: CheckSpec, p: dict) -> dict:
+    _, dom = _domination(spec, p)
     return {
         "n_psi_u": dom.n_psi_u,
         "n_psi_v": dom.n_psi_v,
@@ -247,10 +248,10 @@ def _run_domination(spec: CheckSpec) -> dict:
     }
 
 
-def _run_spectral(spec: CheckSpec) -> dict:
+def _run_spectral(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
     group = ctx.cocycle.group
-    radius = spec.params.get("sample_radius", 2)
+    radius = p["sample_radius"]
     # op reduces a generator that is not canonical, such as Zn:1's (1,)
     if radius < 1 or all(group.op(u, group.identity) == group.identity for u in group.generators):
         raise ValueError(f"spectral on {group.name} at sample_radius {radius} draws only point masses at the identity")
@@ -260,7 +261,7 @@ def _run_spectral(spec: CheckSpec) -> dict:
     # plain norms in every power, for every weight: that pass is vacuous
     while f.values.keys() == {group.identity}:
         f = random_supported_function(group, rng, radius=radius)
-    powers = convolution_powers(f, ctx.cocycle, spec.params.get("n_max", 24))
+    powers = convolution_powers(f, ctx.cocycle, p["n_max"])
     seq_phi = power_norms(powers, ctx, "phi")
     seq_l1 = power_norms(powers, ctx, "l1")
     gap = abs(seq_phi[-1] - seq_l1[-1]) / max(seq_l1[-1], 1e-300)
@@ -271,36 +272,32 @@ def _run_spectral(spec: CheckSpec) -> dict:
         "trend_only": False,
     }
     if group.order is not None:
-        return {**out, "pass": bool(gap <= spec.params.get("gap_tol", 0.05))}
+        return {**out, "pass": bool(gap <= p["gap_tol"])}
     rate = weight_growth_rate(powers, ctx)
     return {**out, "weight_growth_rate": rate, "growth_rate_tol": GROWTH_RATE_TOL, "pass": rate <= GROWTH_RATE_TOL}
 
 
-def _run_central_ext(spec: CheckSpec) -> dict:
-    group = parse_group(spec.group)
+def _run_central_ext(spec: CheckSpec, p: dict) -> dict:
+    ctx = _ctx(spec)
+    group = ctx.cocycle.group
     if group.order is None:
         raise ValueError("central-ext needs a finite group")
-    ctx = _ctx(spec)
-    n = spec.params.get("n")
-    n = group.order if n is None else n
-    tol = spec.params.get("tol", EXTENSION_TOL)
+    n = group.order if p["n"] is None else p["n"]
     elems = ball_elements(group, group.order)
     ext = central_extension_group(group, ctx.cocycle, n)
     untwisted = one_cocycle(ext)
+    deltas = [SupportedFunction(group, {s: 1.0}) for s in elems]
+    lifts = [central_extension_embed(f, ext) for f in deltas]
     worst = 0.0
     witness = None
-    for s in elems:
-        for t in elems:
-            f = SupportedFunction(group, {s: 1.0})
-            g = SupportedFunction(group, {t: 1.0})
+    for s, f, gf in zip(elems, deltas, lifts):
+        for t, g, gg in zip(elems, deltas, lifts):
             lhs = central_extension_embed(twisted_convolve(f, g, ctx.cocycle), ext)
-            gf = central_extension_embed(f, ext)
-            gg = central_extension_embed(g, ext)
             rhs = twisted_convolve(gf, gg, untwisted).scale(1.0 / n)
             resid = l1_norm(lhs.sub(rhs))
             if resid > worst:
                 worst, witness = resid, (s, t)
-    return {"residual": worst, "witness": witness, "n": n, "pass": worst <= tol}
+    return {"residual": worst, "witness": witness, "n": n, "pass": worst <= p["tol"]}
 
 
 def _constant(rep, ok: bool) -> dict:
@@ -308,15 +305,15 @@ def _constant(rep, ok: bool) -> dict:
     return {"radius": rep.radius, "constant": rep.constant, "witness": rep.witness, "pass": ok}
 
 
-def _run_submult(spec: CheckSpec) -> dict:
+def _run_submult(spec: CheckSpec, p: dict) -> dict:
     rep = check_submultiplicative(_ctx(spec).weight, spec.radius)
-    bound = spec.params.get("bound")
+    bound = p["bound"]
     return _constant(rep, math.isfinite(rep.constant) and (bound is None or rep.constant <= bound))
 
 
-def _run_submult_stable(spec: CheckSpec) -> dict:
+def _run_submult_stable(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
-    factor = spec.params.get("factor", 1.05)
+    factor = p["factor"]
     rep1 = check_submultiplicative(ctx.weight, spec.radius)
     rep2 = check_submultiplicative(ctx.weight, 2 * spec.radius)
     growth = rep2.constant / rep1.constant
@@ -330,26 +327,26 @@ def _run_submult_stable(spec: CheckSpec) -> dict:
     }
 
 
-def _run_weak_subadd(spec: CheckSpec) -> dict:
+def _run_weak_subadd(spec: CheckSpec, p: dict) -> dict:
     rep = check_weak_subadditive(_ctx(spec).weight, spec.radius)
-    bound = spec.params.get("bound")
+    bound = p["bound"]
     return _constant(rep, bound is None or rep.constant <= bound)
 
 
-def _run_symmetric(spec: CheckSpec) -> dict:
+def _run_symmetric(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
     ok = check_symmetric(ctx.weight, spec.radius)
     return {"radius": spec.radius, "pass": bool(ok)}
 
 
-def _run_grs(spec: CheckSpec) -> dict:
+def _run_grs(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
     group = ctx.cocycle.group
-    s = spec.params.get("element")
+    s = p["element"]
     s = group.generators[-1] if s is None else element_from_list(group, s)
-    n_max = spec.params.get("n_max", 200)
+    n_max = p["n_max"]
     seq = check_grs(ctx.weight, s, n_max)
-    bound = spec.params.get("max_final")
+    bound = p["max_final"]
     final = float(seq[-1])
     return {
         "element": s,
@@ -359,15 +356,14 @@ def _run_grs(spec: CheckSpec) -> dict:
     }
 
 
-def _run_lss(spec: CheckSpec) -> dict:
+def _run_lss(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
     rep = check_lss_domination(ctx.weight, ctx.aux_weight, spec.radius)
     return _constant(rep, math.isfinite(rep.constant) and rep.constant >= 1.0)
 
 
-def _run_plemma(spec: CheckSpec) -> dict:
-    p = spec.params
-    res = analyze_p_function(p.get("beta", 1.0), p.get("gamma", 1.0), p.get("C", 1.0))
+def _run_plemma(spec: CheckSpec, p: dict) -> dict:
+    res = analyze_p_function(p["beta"], p["gamma"], p["C"])
     return {
         "x0": res.x0,
         "M": res.m_const,
@@ -376,15 +372,10 @@ def _run_plemma(spec: CheckSpec) -> dict:
     }
 
 
-def _run_psi_series(spec: CheckSpec) -> dict:
+def _run_psi_series(spec: CheckSpec, p: dict) -> dict:
     ctx = _ctx(spec)
-    rep = psi_membership_series(
-        ctx.weight,
-        ctx.pair,
-        spec.params.get("N", 1.0),
-        spec.params.get("n_max", 4096),
-    )
-    expect = spec.params.get("expect", "convergent")
+    rep = psi_membership_series(ctx.weight, ctx.pair, p["N"], p["n_max"])
+    expect = p["expect"]
     got = "convergent" if rep.converges else "divergent"
     return {
         "verdict": got,
@@ -395,16 +386,12 @@ def _run_psi_series(spec: CheckSpec) -> dict:
     }
 
 
-def _run_block_weight(spec: CheckSpec) -> dict:
+def _run_block_weight(spec: CheckSpec, p: dict) -> dict:
     group = parse_group(spec.group)
     weight = parse_weight(group, spec.weight or "block:1,3,9,27,81")
-    elems, elems2, prod = pair_table(group, len(group.identity))
-    w2 = np.array([weight(g) for g in elems2])
-    w = w2[: len(elems)]
-    excess = w2[prod] - np.maximum.outer(w, w)
-    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-    worst = float(excess[i, j])
-    return {"max_excess": worst, "witness": (elems[i], elems[j]), "pass": worst <= 1e-12}
+    # w(st) - max(w(s), w(t)): the block weight's ultrametric inequality
+    rep = ball_pair_max((weight,), len(group.identity), lambda wst, w: wst - np.maximum.outer(w, w))
+    return {"max_excess": rep.constant, "witness": rep.witness, "pass": rep.constant <= 1e-12}
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +413,16 @@ TRIAL_CHUNK = 256
 
 class Trial(NamedTuple):
     spec: CheckSpec
+    params: dict  # the spec's resolved params
     ctx: AlgebraContext
     dom: object  # the domination pair of a dominated check, else None
 
 
 @dataclass(frozen=True)
 class TrialCheck:
-    """``draws`` functions per trial from the ball of radius
-    ``sample_radius(spec)``; ``measure(trial, *batches)`` gets one
+    """The runner of a sampled-trial check: ``draws`` functions per trial
+    from the ball of radius ``radius``, or of the check's ``sample_radius``
+    param where ``radius`` is None; ``measure(trial, *batches)`` gets one
     FunctionBatch per drawn function (row i of each is trial i) and returns
     ``(scores, ok, witness)``: one score array per ``(key, MIN | MAX)`` of
     ``worst`` (MIN keys start at inf, MAX keys at 0; a NaN score is worse
@@ -444,11 +433,14 @@ class TrialCheck:
     A ``dominated`` check gets the spec's domination pair as ``trial.dom``."""
 
     draws: int
-    sample_radius: Callable
     measure: Callable
     worst: tuple = (("worst_margin", MIN),)
     witness: bool = True
     dominated: bool = False
+    radius: int | None = None
+
+    def __call__(self, spec: CheckSpec, p: dict) -> dict:
+        return _run_trials(spec, p, self)
 
 
 def _worst(scores: np.ndarray, worse: Callable, start: float | None = None) -> tuple:
@@ -480,12 +472,12 @@ def _measure(check: TrialCheck, trial: Trial, batches: list) -> tuple:
         raise
 
 
-def _run_trials(spec: CheckSpec, check: TrialCheck) -> dict:
-    ctx, dom = _domination(spec) if check.dominated else (_ctx(spec), None)
-    trial = Trial(spec, ctx, dom)
+def _run_trials(spec: CheckSpec, p: dict, check: TrialCheck) -> dict:
+    ctx, dom = _domination(spec, p) if check.dominated else (_ctx(spec), None)
+    trial = Trial(spec, p, ctx, dom)
     group = ctx.cocycle.group
     rng = np.random.default_rng(spec.seed)
-    radius = check.sample_radius(spec)
+    radius = p["sample_radius"] if check.radius is None else check.radius
     keys, worse = zip(*check.worst)
     worst = [None] * len(keys)  # _worst's start values
     passed, kept = True, None
@@ -516,13 +508,13 @@ def _margin(rep: dict, **batches):
 
 
 def _residual(t: Trial, rep):
-    return (rep.value,), rep.value <= t.spec.params.get("tol", RESIDUAL_TOL), rep.witness.__getitem__
+    return (rep.value,), rep.value <= t.params["tol"], rep.witness.__getitem__
 
 
 def _sandwich(t: Trial, f):
     """N_Phi(f) <= ||f||_Phi <= 2 N_Phi(f), each side with relative slack
     (by default the float guard of the other one-sided checks)."""
-    slack = t.spec.params.get("slack", FLOAT_GUARD)
+    slack = t.params["slack"]
     n, o = luxemburg_norms(f, t.ctx.pair.phi), orlicz_norms(f, t.ctx.pair)
     low, high = o - n * (1.0 - slack), 2.0 * n * (1.0 + slack) - o
     return (_min(low, high),), (low >= 0) & (high >= 0), None
@@ -540,121 +532,114 @@ def _lambda_gap(t: Trial, f):
     plain = orlicz_norms(f, pair)
     gap = np.abs(plain - orlicz_norms(_times(_divided(f, weight_table(w, f.coords)), w), pair))
     gap /= np.where(1e-300 > plain, 1e-300, plain)
-    return (gap,), gap <= t.spec.params.get("tol", RESIDUAL_TOL), None
+    return (gap,), gap <= t.params["tol"], None
 
 
 def _symmetry(t: Trial, f):
-    rep = finite_symmetry_check(f, t.ctx, tol=t.spec.params.get("tol", EIGEN_TOL))
+    rep = finite_symmetry_check(f, t.ctx, tol=t.params["tol"])
     return (rep.min_real / rep.scale, rep.max_imag / rep.scale), rep.passed, None
 
 
-def _param_radius(default: int):
-    return lambda spec: spec.params.get("sample_radius", default)
+# ---------------------------------------------------------------------------
+# The checks.  A check is one entry of CHECKS: its runner, the params it
+# reads and the spec weights it needs.  run_check rejects a spec without
+# those weights, or with any other param key or kind, (exit 2) before the
+# runner starts, and hands the runner every declared param.  A number is an
+# int or a float, never a bool; "or null" marks a param whose default is None.
 
-
-# The measures call their checkers through this module's globals, so a
-# rebinding such as cli.check_module_bound = traced(...) reaches the loop.
-TRIAL_CHECKS = {
-    "algebra-bound": TrialCheck(
-        2, lambda spec: spec.params.get("sample_radius", max(1, spec.radius // 4)),
-        lambda t, f, g: _margin(check_algebra_bound(f, g, t.ctx, t.dom), f=f, g=g), dominated=True),
-    "module-bound": TrialCheck(
-        2, _param_radius(3), lambda t, f, g: _margin(check_module_bound(f, g, t.ctx), f=f, g=g)),
-    "differential": TrialCheck(
-        2, _param_radius(3),
-        lambda t, f, g: _margin(check_differential_bound(f, g, t.ctx, radius=t.spec.radius), f=f, g=g)),
-    "assoc": TrialCheck(
-        3, _param_radius(3),
-        lambda t, f, g, h: _residual(t, check_associativity(f, g, h, t.ctx.cocycle)), RESIDUAL),
-    "intertwine": TrialCheck(
-        2, _param_radius(4),
-        lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL),
-    "sandwich": TrialCheck(1, lambda spec: 4, _sandwich, witness=False),
-    "holder": TrialCheck(2, lambda spec: 4, _holder),
-    "lambda-isometry": TrialCheck(1, lambda spec: 4, _lambda_gap, (("worst_relative_gap", MAX),), witness=False),
-    "symmetry-finite": TrialCheck(
-        1, lambda spec: 2, _symmetry,
-        (("worst_scaled_min_real", MIN), ("worst_scaled_max_imag", MAX)), witness=False),
-}
-
-
-CHECK_RUNNERS = {
-    "cocycle-verify": _run_cocycle_verify,
-    "cocycle-polar": _run_cocycle_polar,
-    "domination": _run_domination,
-    "spectral": _run_spectral,
-    "central-ext": _run_central_ext,
-    "submult": _run_submult,
-    "submult-stable": _run_submult_stable,
-    "weak-subadd": _run_weak_subadd,
-    "symmetric": _run_symmetric,
-    "grs": _run_grs,
-    "lss": _run_lss,
-    "plemma": _run_plemma,
-    "psi-series": _run_psi_series,
-    "block-weight": _run_block_weight,
-    **{name: functools.partial(_run_trials, check=check) for name, check in TRIAL_CHECKS.items()},
-}
-
-# The spec weights each check reads: run_check rejects a spec without them
-# (exit 2) before the runner starts.
-REQUIRED_WEIGHTS = {
-    **dict.fromkeys(
-        ("submult", "submult-stable", "weak-subadd", "symmetric", "grs", "psi-series", "domination",
-         "algebra-bound", "intertwine", "lambda-isometry", "differential"),
-        ("weight",),
-    ),
-    "lss": ("weight", "weight2"),
-}
-
-# The params each check reads and their kinds; run_check rejects any other
-# key or kind (exit 2) before the runner starts.  A number is an int or a
-# float, never a bool; "or null" marks a param whose default is None.
 _PARAM_KINDS = {
     "a number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
     "an int": lambda x: isinstance(x, int) and not isinstance(x, bool),
     "an integer array": lambda x: isinstance(x, list),
     '"convergent" or "divergent"': lambda x: x in ("convergent", "divergent"),
 }
-CHECK_PARAMS = {
-    "cocycle-verify": {"tol": "a number"},
-    "cocycle-polar": {},
-    "domination": {"C": "a number or null"},
-    "spectral": {"sample_radius": "an int", "n_max": "an int", "gap_tol": "a number"},
-    "central-ext": {"n": "an int or null", "tol": "a number"},
-    "submult": {"bound": "a number or null"},
-    "submult-stable": {"factor": "a number"},
-    "weak-subadd": {"bound": "a number or null"},
-    "symmetric": {},
-    "grs": {"element": "an integer array or null", "n_max": "an int", "max_final": "a number or null"},
-    "lss": {},
-    "plemma": {"beta": "a number", "gamma": "a number", "C": "a number"},
-    "psi-series": {"N": "a number", "n_max": "an int", "expect": '"convergent" or "divergent"'},
-    "block-weight": {},
-    "algebra-bound": {"C": "a number or null", "sample_radius": "an int"},
-    "module-bound": {"sample_radius": "an int"},
-    "differential": {"sample_radius": "an int"},
-    "assoc": {"sample_radius": "an int", "tol": "a number"},
-    "intertwine": {"sample_radius": "an int", "tol": "a number"},
-    "sandwich": {"slack": "a number"},
-    "holder": {},
-    "lambda-isometry": {"tol": "a number"},
-    "symmetry-finite": {"tol": "a number"},
+
+
+@dataclass(frozen=True)
+class Check:
+    """``run(spec, params)`` gives the check's report fields (a TrialCheck
+    for a sampled-trial check); ``params`` maps each key it reads to
+    ``(kind, default)``, a default that depends on the spec being a
+    function of it; ``weights`` names the spec weights it needs."""
+
+    run: Callable
+    params: dict = field(default_factory=dict)
+    weights: tuple = ()
+
+    def resolve(self, spec: CheckSpec) -> dict:
+        """Every declared param: the spec's value, or the default where the
+        spec gives none or null.  ValueError on an undeclared key or a value
+        of the wrong kind."""
+        for key, value in spec.params.items():
+            kind, _ = self.params.get(key, (None, None))
+            if kind is None:
+                problem = f"unknown param {key!r}"
+            elif value is None and kind.endswith(" or null") or _PARAM_KINDS[kind.removesuffix(" or null")](value):
+                continue
+            else:
+                problem = f"param {key!r} must be {kind}, got {value!r}"
+            keys = ", ".join(f"{k} ({v})" for k, (v, _) in self.params.items()) or "none"
+            raise ValueError(f"check {spec.check}: {problem}; its params: {keys}")
+        resolved = {}
+        for key, (_, default) in self.params.items():
+            value = spec.params.get(key)
+            if value is None:  # not given, or a nullable param given null
+                value = default(spec) if callable(default) else default
+            resolved[key] = value
+        return resolved
+
+
+_WEIGHT = ("weight",)
+_TOL = ("a number", RESIDUAL_TOL)
+_NULL = ("a number or null", None)
+
+# The measures call their checkers through this module's globals, so a
+# rebinding such as cli.check_module_bound = traced(...) reaches the loop.
+CHECKS = {
+    "cocycle-verify": Check(_run_cocycle_verify, {"tol": _TOL}),
+    "cocycle-polar": Check(_run_cocycle_polar),
+    "domination": Check(_run_domination, {"C": _NULL}, _WEIGHT),
+    "spectral": Check(
+        _run_spectral, {"sample_radius": ("an int", 2), "n_max": ("an int", 24), "gap_tol": ("a number", 0.05)}),
+    "central-ext": Check(_run_central_ext, {"n": ("an int or null", None), "tol": ("a number", EXTENSION_TOL)}),
+    "submult": Check(_run_submult, {"bound": _NULL}, _WEIGHT),
+    "submult-stable": Check(_run_submult_stable, {"factor": ("a number", 1.05)}, _WEIGHT),
+    "weak-subadd": Check(_run_weak_subadd, {"bound": _NULL}, _WEIGHT),
+    "symmetric": Check(_run_symmetric, {}, _WEIGHT),
+    "grs": Check(
+        _run_grs, {"element": ("an integer array or null", None), "n_max": ("an int", 200), "max_final": _NULL},
+        _WEIGHT),
+    "lss": Check(_run_lss, {}, ("weight", "weight2")),
+    "plemma": Check(_run_plemma, {"beta": ("a number", 1.0), "gamma": ("a number", 1.0), "C": ("a number", 1.0)}),
+    "psi-series": Check(
+        _run_psi_series,
+        {"N": ("a number", 1.0), "n_max": ("an int", 4096), "expect": ('"convergent" or "divergent"', "convergent")},
+        _WEIGHT),
+    "block-weight": Check(_run_block_weight),
+    "algebra-bound": Check(
+        TrialCheck(2, lambda t, f, g: _margin(check_algebra_bound(f, g, t.ctx, t.dom), f=f, g=g), dominated=True),
+        {"C": _NULL, "sample_radius": ("an int", lambda spec: max(1, spec.radius // 4))}, _WEIGHT),
+    "module-bound": Check(
+        TrialCheck(2, lambda t, f, g: _margin(check_module_bound(f, g, t.ctx), f=f, g=g)),
+        {"sample_radius": ("an int", 3)}),
+    "differential": Check(
+        TrialCheck(2, lambda t, f, g: _margin(check_differential_bound(f, g, t.ctx, radius=t.spec.radius), f=f, g=g)),
+        {"sample_radius": ("an int", 3)}, _WEIGHT),
+    "assoc": Check(
+        TrialCheck(3, lambda t, f, g, h: _residual(t, check_associativity(f, g, h, t.ctx.cocycle)), RESIDUAL),
+        {"sample_radius": ("an int", 3), "tol": _TOL}),
+    "intertwine": Check(
+        TrialCheck(2, lambda t, f, g: _residual(t, check_intertwining(f, g, t.ctx.weight, t.ctx.cocycle)), RESIDUAL),
+        {"sample_radius": ("an int", 4), "tol": _TOL}, _WEIGHT),
+    "sandwich": Check(TrialCheck(1, _sandwich, witness=False, radius=4), {"slack": ("a number", FLOAT_GUARD)}),
+    "holder": Check(TrialCheck(2, _holder, radius=4)),
+    "lambda-isometry": Check(
+        TrialCheck(1, _lambda_gap, (("worst_relative_gap", MAX),), witness=False, radius=4), {"tol": _TOL}, _WEIGHT),
+    "symmetry-finite": Check(
+        TrialCheck(1, _symmetry, (("worst_scaled_min_real", MIN), ("worst_scaled_max_imag", MAX)), witness=False,
+                   radius=2),
+        {"tol": ("a number", EIGEN_TOL)}),
 }
-
-
-def _check_params(spec: CheckSpec) -> None:
-    accepted = CHECK_PARAMS[spec.check]
-    for key, value in spec.params.items():
-        kind = accepted.get(key)
-        if kind is None:
-            problem = f"unknown param {key!r}"
-        elif value is None and kind.endswith(" or null") or _PARAM_KINDS[kind.removesuffix(" or null")](value):
-            continue
-        else:
-            problem = f"param {key!r} must be {kind}, got {value!r}"
-        keys = ", ".join(f"{k} ({v})" for k, v in accepted.items()) or "none"
-        raise ValueError(f"check {spec.check}: {problem}; its params: {keys}")
 
 
 # ---------------------------------------------------------------------------
@@ -709,20 +694,20 @@ SUITES = {
 
 
 def run_check(spec: CheckSpec) -> dict:
-    runner = CHECK_RUNNERS.get(spec.check)
-    if runner is None:
-        raise ValueError(f"unknown check {spec.check!r}; known: {sorted(CHECK_RUNNERS)}")
+    check = CHECKS.get(spec.check)
+    if check is None:
+        raise ValueError(f"unknown check {spec.check!r}; known: {sorted(CHECKS)}")
     if spec.trials < 1:
         raise ValueError(f"trials must be >= 1, got {spec.trials}")
     if spec.radius < 0:
         raise ValueError(f"radius must be >= 0, got {spec.radius}")
-    missing = [name for name in REQUIRED_WEIGHTS.get(spec.check, ()) if not getattr(spec, name)]
+    missing = [name for name in check.weights if not getattr(spec, name)]
     if missing:
         raise ValueError(f"{spec.check} needs {' and '.join(missing)}")
-    _check_params(spec)
+    params = check.resolve(spec)
     out = {"check": spec.check, "spec": asdict(spec)}
     try:
-        out.update(_jsonable(runner(spec)))
+        out.update(_jsonable(check.run(spec, params)))
     except DominationViolation as exc:  # a failed result with its witness pair
         out.update(_jsonable({"pass": False, "witness": exc.witness, "error": str(exc)}))
     return out

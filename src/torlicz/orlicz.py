@@ -217,14 +217,6 @@ def delta(group: Group, s=None, value: complex = 1.0) -> SupportedFunction:
     return SupportedFunction(group, {s: value})
 
 
-@dataclass(frozen=True)
-class SpaceContext:
-    """A Young pair plus an optional weight for the weighted norm."""
-
-    pair: YoungPair
-    weight: object | None = None
-
-
 # ---------------------------------------------------------------------------
 # Norms
 
@@ -431,19 +423,6 @@ def orlicz_norm(f: SupportedFunction, pair: YoungPair) -> float:
 def orlicz_norms(batch: "FunctionBatch", pair: YoungPair) -> np.ndarray:
     """``orlicz_norm`` of every row of a FunctionBatch, bit for bit."""
     return _row_norms(batch, _orlicz, pair.phi)
-
-
-def weighted_norm(f: SupportedFunction, ctx: SpaceContext) -> float:
-    """||f||_{Phi, w} = ||f w||_Phi."""
-    if ctx.weight is None:
-        raise ValueError("weighted_norm needs a weight in the context")
-    return orlicz_norm(f.mul_pointwise(ctx.weight), ctx.pair)
-
-
-def lambda_map(f: SupportedFunction, w) -> SupportedFunction:
-    """Pointwise division by the weight; an isometry from the plain Orlicz
-    norm onto the weighted one."""
-    return f.div_pointwise(w)
 
 
 def _pairing(f: dict, v: dict) -> float:

@@ -191,25 +191,30 @@ class PairCheck:
     radius: int
 
 
+def ball_pair_max(weights: tuple, radius: int, table) -> PairCheck:
+    """The largest entry of ``table(w1(st), w1(s), w2(st), w2(s), ...)``
+    over the radius ball pairs (s, t), given each weight's values at the
+    products as a (|U^r|, |U^r|) array and on the ball as a vector, with
+    its first argmax pair as the witness."""
+    elems, elems2, prod = pair_table(weights[0].group, radius)
+    args = []
+    for w in weights:
+        v2 = _ball_values(w, 2 * radius, elems2)
+        args += (v2[prod], v2[: len(elems)])
+    ratios = table(*args)
+    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)
+
+
 def check_submultiplicative(w: Weight, radius: int) -> PairCheck:
     """K = max over ball pairs of w(st) / (w(s) w(t)), with an argmax
     witness pair."""
-    elems, elems2, prod = pair_table(w.group, radius)
-    v2 = _ball_values(w, 2 * radius, elems2)
-    v = v2[: len(elems)]
-    ratios = v2[prod] / np.outer(v, v)
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)
+    return ball_pair_max((w,), radius, lambda wst, v: wst / np.outer(v, v))
 
 
 def check_weak_subadditive(w: Weight, radius: int) -> PairCheck:
     """Least C with w(st) <= C (w(s) + w(t)) over ball pairs."""
-    elems, elems2, prod = pair_table(w.group, radius)
-    v2 = _ball_values(w, 2 * radius, elems2)
-    v = v2[: len(elems)]
-    ratios = v2[prod] / (v[:, None] + v[None, :])
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)
+    return ball_pair_max((w,), radius, lambda wst, v: wst / (v[:, None] + v[None, :]))
 
 
 def check_symmetric(w: Weight, radius: int) -> bool:
@@ -241,13 +246,9 @@ def check_lss_domination(sigma: Weight, omega: Weight, radius: int) -> PairCheck
     over ball pairs; equals the submultiplicative constant of sigma/omega."""
     if sigma.group is not omega.group and sigma.group.name != omega.group.name:
         raise ValueError("check_lss_domination needs weights on one group")
-    elems, elems2, prod = pair_table(sigma.group, radius)
-    sv2 = _ball_values(sigma, 2 * radius, elems2)
-    ov2 = _ball_values(omega, 2 * radius, elems2)
-    sv, ov = sv2[: len(elems)], ov2[: len(elems)]
-    ratios = (sv2[prod] * np.outer(ov, ov)) / (np.outer(sv, sv) * ov2[prod])
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    return PairCheck(float(ratios[i, j]), (elems[i], elems[j]), radius)
+    return ball_pair_max(
+        (sigma, omega), radius, lambda sst, sv, ost, ov: (sst * np.outer(ov, ov)) / (np.outer(sv, sv) * ost)
+    )
 
 
 # ---------------------------------------------------------------------------

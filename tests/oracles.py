@@ -40,19 +40,16 @@ from torlicz.orlicz import (
     LP_MAX_STEPS,
     LP_ROUND_UP,
     FunctionBatch,
-    SpaceContext,
     SupportedFunction,
     _leq,
     _sum_in_loop_order,
     delta,
     function_to_json,
     l1_norm,
-    lambda_map,
     luxemburg_norm,
     modular,
     orlicz_norm,
     weighted_l1_norm,
-    weighted_norm,
 )
 from torlicz.twisted import (
     MODULUS_TOL,
@@ -366,7 +363,7 @@ def holder_loop(t, f, v):
 def lambda_gap_loop(t, f):
     pair, w = t.ctx.pair, t.ctx.weight
     plain = orlicz_norm(f, pair)
-    gap = abs(plain - weighted_norm(lambda_map(f, w), SpaceContext(pair, w))) / max(plain, 1e-300)
+    gap = abs(plain - orlicz_norm(f.div_pointwise(w).mul_pointwise(w), pair)) / max(plain, 1e-300)
     return (gap,), gap <= t.spec.params.get("tol", cli.RESIDUAL_TOL)
 
 
@@ -424,6 +421,9 @@ def _unwitnessed(measure, *names):
     return scored
 
 
+# the sampled-trial checks' runners (cli.TrialCheck) by check name
+TRIAL_RUNNERS = {name: c.run for name, c in cli.CHECKS.items() if isinstance(c.run, cli.TrialCheck)}
+
 # check name -> measure(trial, *fs) of one trial: (scores, ok, witness or None)
 MEASURES_LOOP = {
     "algebra-bound": lambda t, f, g: _margin(check_algebra_bound_loop(f, g, t.ctx, t.dom), f=f, g=g),
@@ -457,12 +457,12 @@ def run_trials_loop(spec, measure=None):
     """A sampled-trial check run one trial at a time: draw a trial's
     functions, score them, keep the worst scores; ``measure`` defaults to
     the check's ``MEASURES_LOOP`` entry."""
-    check = cli.TRIAL_CHECKS[spec.check]
+    check, params = TRIAL_RUNNERS[spec.check], cli.CHECKS[spec.check].resolve(spec)
     measure = measure or MEASURES_LOOP[spec.check]
-    ctx, dom = cli._domination(spec) if check.dominated else (cli._ctx(spec), None)
-    trial = cli.Trial(spec, ctx, dom)
+    ctx, dom = cli._domination(spec, params) if check.dominated else (cli._ctx(spec), None)
+    trial = cli.Trial(spec, params, ctx, dom)
     rng = np.random.default_rng(spec.seed)
-    radius = check.sample_radius(spec)
+    radius = params["sample_radius"] if check.radius is None else check.radius
     keys, worse = zip(*check.worst)
     worst = [math.inf if w is cli.MIN else 0.0 for w in worse]
     witness, ok = None, True

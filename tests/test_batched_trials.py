@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import TRIAL_RUNNERS
 from torlicz import cli
-from torlicz.cli import TRIAL_CHECKS, CheckSpec, main
+from torlicz.cli import CheckSpec, main
 from torlicz.cocycles import domination_from_subadditive, parse_cocycle
 from torlicz.groups import parse_group
 from torlicz.orlicz import FunctionBatch, build_supported_functions, random_supported_function
@@ -33,6 +34,13 @@ GROUPS = ("Z^d:1", "Z^d:2", "H3", "Zn:4")
 COCYCLES = ("one", "bichar", "cobound", "prod")
 # dyadic values make exact cancellations likely, gaussian ones rounding
 DYADIC = (1.0, -1.0, 2.0, -0.5, 1j, -1j, 1.0 - 1.0j)
+
+
+def _run(spec):
+    """The report fields of the spec's sampled-trial check, from its runner
+    with the spec's resolved params (run_check adds "check" and "spec")."""
+    check = cli.CHECKS[spec.check]
+    return check.run(spec, check.resolve(spec))
 
 
 def _bits(x):
@@ -140,13 +148,14 @@ def _batched_and_loop(check, group, kind, draws, trials):
 def _measured_and_loop(check, group, kind, pair, draws, trials):
     """(batched measure, per-trial loop measures) of a sampled-trial check
     scored without a convolution checker, on the functions of ``draws``."""
-    k = TRIAL_CHECKS[check].draws
+    k = TRIAL_RUNNERS[check].draws
     built = build_supported_functions(group, draws)
     batches = [built.take(np.arange(j, trials * k, k)) for j in range(k)]
     omega, w = _context(group, kind)
     spec = CheckSpec(check=check, group=group.name, pair=pair)
-    trial = cli.Trial(spec, AlgebraContext(cocycle=omega, pair=parse_pair(pair), weight=w), None)
-    scores, ok, witness = TRIAL_CHECKS[check].measure(trial, *batches)
+    ctx = AlgebraContext(cocycle=omega, pair=parse_pair(pair), weight=w)
+    trial = cli.Trial(spec, cli.CHECKS[check].resolve(spec), ctx, None)
+    scores, ok, witness = TRIAL_RUNNERS[check].measure(trial, *batches)
     loops = []
     for i in range(trials):
         fs = [oracles.function_of_draw_loop(group, draws[i * k + j]) for j in range(k)]
@@ -191,14 +200,14 @@ def test_batched_measures_match_the_loop_bit_for_bit(data, check, group_spec, ki
     group = parse_group("Zn:4" if check == "symmetry-finite" else group_spec)
     if check == "symmetry-finite":
         kind = data.draw(st.sampled_from(("one", "bichar")))
-    draws = data.draw(_draws(group, trials * TRIAL_CHECKS[check].draws))
+    draws = data.draw(_draws(group, trials * TRIAL_RUNNERS[check].draws))
     batched, loop = _measured_and_loop(check, group, kind, pair, draws, trials)
     assert _bits(batched) == _bits(loop)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(sorted(TRIAL_CHECKS)),
+    st.sampled_from(sorted(TRIAL_RUNNERS)),
     st.sampled_from(GROUPS),
     st.sampled_from(COCYCLES),
     st.integers(0, 2**20),
@@ -222,7 +231,7 @@ def test_trial_runner_matches_the_loop(check, group_spec, kind, seed, trials, ch
                      radius=3, trials=trials, seed=seed)
     outcomes = []
     with mock.patch.object(cli, "TRIAL_CHUNK", chunk):
-        for run in (lambda: cli._run_trials(spec, TRIAL_CHECKS[check]), lambda: oracles.run_trials_loop(spec)):
+        for run in (lambda: _run(spec), lambda: oracles.run_trials_loop(spec)):
             try:
                 outcomes.append(cli._dumps(run()))
             except (ValueError, ArithmeticError) as exc:
@@ -234,7 +243,7 @@ def test_trials_run_in_chunks_of_trial_chunk(monkeypatch):
     """The measure never sees more than TRIAL_CHUNK trials, and the report
     of 10 trials in chunks of 4 is the loop's."""
     monkeypatch.setattr(cli, "TRIAL_CHUNK", 4)
-    check = TRIAL_CHECKS["assoc"]
+    check = TRIAL_RUNNERS["assoc"]
     sizes = []
 
     def measure(t, *batches):
@@ -242,7 +251,7 @@ def test_trials_run_in_chunks_of_trial_chunk(monkeypatch):
         return check.measure(t, *batches)
 
     spec = CheckSpec(check="assoc", group="H3", cocycle="bichar:0.7", trials=10, seed=5)
-    got = cli._run_trials(spec, dataclasses.replace(check, measure=measure))
+    got = cli._run_trials(spec, cli.CHECKS["assoc"].resolve(spec), dataclasses.replace(check, measure=measure))
     assert sizes == [4, 4, 2]
     assert cli._dumps(got) == cli._dumps(oracles.run_trials_loop(spec))
 
@@ -257,7 +266,7 @@ def test_groups_whose_keys_overflow_int64_run_as_the_loop(check, group, capsys):
     coordinates near 2^62) do not pack into int64 keys; the batched sums
     sort the rows instead, and the reports are the loop's."""
     spec = CheckSpec(check=check, group=group, trials=12)
-    assert cli._dumps(cli._run_trials(spec, TRIAL_CHECKS[check])) == cli._dumps(oracles.run_trials_loop(spec))
+    assert cli._dumps(_run(spec)) == cli._dumps(oracles.run_trials_loop(spec))
     assert main(["check", check, "--group", group, "--trials", "12"]) == 0
     capsys.readouterr()
 
@@ -306,13 +315,14 @@ def test_first_failing_trial_raises_its_error(monkeypatch, capsys):
     draws = [[([2], 1e200)], [([2], 1e200)], [([2, 2, 2], 1.0)], [([], 1.0)]]
     spec = CheckSpec(check="algebra-bound", cocycle="cobound:poly:2", weight="poly:2", radius=2, trials=2,
                      params={"C": 4.0})
-    trial = cli.Trial(spec, *cli._domination(spec))
+    params = cli.CHECKS["algebra-bound"].resolve(spec)
+    trial = cli.Trial(spec, params, *cli._domination(spec, params))
     built = build_supported_functions(group, draws)
     f, g = built.take([0, 2]), built.take([1, 3])
     # the batch alone meets trial 1's error first
     assert "does not cover support point (3,)" in _raised(lambda: check_algebra_bound(f, g, trial.ctx, trial.dom))[1]
     _patched_draws(monkeypatch, group, draws)
-    batched = _raised(lambda: cli._run_trials(spec, TRIAL_CHECKS["algebra-bound"]))
+    batched = _raised(lambda: _run(spec))
     _patched_draws(monkeypatch, group, draws)
     assert batched == _raised(lambda: oracles.run_trials_loop(spec)) == (ValueError, "norms need finite function values")
     _patched_draws(monkeypatch, group, draws)
@@ -330,7 +340,7 @@ def test_sandwich_error_is_the_first_failing_trials(monkeypatch, capsys):
     draws = [[([1], 0.5)], [([0], 1e308), ([0], 1e308)], [([2], 1.0)]]
     spec = CheckSpec(check="sandwich", group="Z^d:2", trials=3)
     _patched_draws(monkeypatch, group, draws)
-    batched = _raised(lambda: cli._run_trials(spec, TRIAL_CHECKS["sandwich"]))
+    batched = _raised(lambda: _run(spec))
     _patched_draws(monkeypatch, group, draws)
     assert batched == _raised(lambda: oracles.run_trials_loop(spec)) == (ValueError, "norms need finite function values")
     _patched_draws(monkeypatch, group, draws)
@@ -346,7 +356,7 @@ def test_intertwining_error_names_the_first_failing_trials_pair(monkeypatch):
     draws = [[([], 1.0)], [([8], 2.0)], [([], 1.0), ([8], 1.0)], [([8], 1.0)]]
     spec = CheckSpec(check="intertwine", group="Z^d:2", cocycle="cobound:poly:2", weight="poly:1", trials=2)
     _patched_draws(monkeypatch, group, draws)
-    batched = _raised(lambda: cli._run_trials(spec, TRIAL_CHECKS["intertwine"]))
+    batched = _raised(lambda: _run(spec))
     _patched_draws(monkeypatch, group, draws)
     assert batched == _raised(lambda: oracles.run_trials_loop(spec))
     assert batched[1] == "|Omega| is not the coboundary of poly:1 at ((1, 1), (1, 1))"

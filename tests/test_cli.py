@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,14 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import TRIAL_RUNNERS
 from torlicz import cli, twisted
 from torlicz.cli import (
-    CHECK_PARAMS,
-    CHECK_RUNNERS,
-    REQUIRED_WEIGHTS,
+    CHECKS,
     CheckSpec,
     SUITES,
-    TRIAL_CHECKS,
     _dumps,
     _jsonable,
     emit_report,
@@ -321,7 +320,6 @@ CHECKER_COVERAGE = {
     "cocycles.central_extension_embed": ("central-ext",),
     "orlicz.dual_pairing_bound": ("holder",),
     "orlicz.psi_membership_series": ("psi-series",),
-    "orlicz.lambda_map": ("lambda-isometry",),
     "twisted.check_associativity": ("assoc",),
     "twisted.check_module_bound": ("module-bound",),
     "twisted.check_algebra_bound": ("algebra-bound",),
@@ -345,7 +343,7 @@ def test_registry_every_checker_reachable_from_a_suite():
         assert hasattr(modules[mod_name], fn_name), qualname
         assert any(c in used_checks for c in check_names), f"{qualname} unreachable"
         for c in check_names:
-            assert c in CHECK_RUNNERS
+            assert c in CHECKS
     # and the coverage table itself lists every public checker-style callable
     expected = {
         f"{m}.{n}"
@@ -607,9 +605,9 @@ TRIAL_CHECKERS = {
 }
 
 
-@pytest.mark.parametrize("check", sorted(TRIAL_CHECKS))
+@pytest.mark.parametrize("check", sorted(TRIAL_RUNNERS))
 def test_trial_checks_call_checkers_through_module_globals(check, monkeypatch):
-    assert set(TRIAL_CHECKERS) == set(TRIAL_CHECKS)
+    assert set(TRIAL_CHECKERS) == set(TRIAL_RUNNERS)
     name = TRIAL_CHECKERS[check]
     calls = []
     original = getattr(cli, name)
@@ -684,7 +682,7 @@ def test_trial_witness_is_serialised_only_for_the_kept_trial(check, draws, monke
 def test_cocycle_polar_residuals_match_the_pair_loop(group, cocycle, on_group):
     radius = 1 if group == "Z^d:3" else 3
     cocycle = on_group(group, cocycle)  # thetas in multiples of pi / 4 on Zn:8, of pi on Zn:4x6
-    res = cli._run_cocycle_polar(CheckSpec(check="cocycle-polar", group=group, cocycle=cocycle, radius=radius))
+    res = cli._run_cocycle_polar(CheckSpec(check="cocycle-polar", group=group, cocycle=cocycle, radius=radius), {})
     # the scalar pair loop the value tables replaced
     omega = parse_cocycle(parse_group(group), cocycle)
     modulus, phase = polar(omega)
@@ -710,13 +708,20 @@ WEIGHTED_CHECKS = (
 
 
 def test_required_weights_table_names_every_weighted_check():
-    assert set(REQUIRED_WEIGHTS) == set(WEIGHTED_CHECKS) and set(REQUIRED_WEIGHTS) <= set(CHECK_RUNNERS)
-    assert REQUIRED_WEIGHTS["lss"] == ("weight", "weight2")
+    assert {name for name, check in CHECKS.items() if check.weights} == set(WEIGHTED_CHECKS)
+    assert CHECKS["lss"].weights == ("weight", "weight2")
+    assert all(CHECKS[name].weights == ("weight",) for name in WEIGHTED_CHECKS if name != "lss")
+
+
+def _runner_must_not_start(monkeypatch, name):
+    """Replace the run of check ``name`` by one that fails the test."""
+    fail = lambda spec, params: pytest.fail("the runner started")  # noqa: E731
+    monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], run=fail))
 
 
 @pytest.mark.parametrize("name", WEIGHTED_CHECKS)
 def test_check_without_its_weight_exits_2(name, capsys, monkeypatch):
-    monkeypatch.setitem(CHECK_RUNNERS, name, lambda spec: pytest.fail("the runner started"))
+    _runner_must_not_start(monkeypatch, name)
     argv = ["check", name, "--group", "Z^d:1"]
     if name == "lss":
         assert main(argv + ["--weight", "poly:1"]) == 2  # weight2 alone is missing too
@@ -762,7 +767,7 @@ def test_grs_element_is_canonical():
     (["check", "cocycle-verify", "--params", '{"tol": true}'], "param 'tol' must be a number, got True"),
 ], ids=["unknown-key", "unread-key", "string-number", "null-number", "float-int", "unknown-expect", "bool-number"])
 def test_check_params_are_rejected_before_the_runner_starts(argv, message, capsys, monkeypatch):
-    monkeypatch.setitem(cli.CHECK_RUNNERS, argv[1], lambda spec: pytest.fail("the runner started"))
+    _runner_must_not_start(monkeypatch, argv[1])
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
@@ -829,7 +834,55 @@ def test_sandwich_passes_every_pair_at_the_float_guard(pair, tmp_path):
 
 
 def test_every_check_declares_its_params():
-    assert set(CHECK_PARAMS) == set(CHECK_RUNNERS)
+    """Every declared param has a known kind, and its default (resolved
+    on a spec that gives no params) is of that kind, or None where the kind
+    is nullable."""
+    for name, check in CHECKS.items():
+        defaults = check.resolve(CheckSpec(check=name))
+        assert list(defaults) == list(check.params), name
+        for key, (kind, _) in check.params.items():
+            base = kind.removesuffix(" or null")
+            assert base in cli._PARAM_KINDS, (name, key)
+            value = defaults[key]
+            assert (value is None and kind != base) or cli._PARAM_KINDS[base](value), (name, key, value)
+
+
+class _ReadKeys(dict):
+    """A params mapping that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_declared_param_is_read(name, monkeypatch):
+    """Run on its first preset spec, each check reads every param it
+    declares; reading one it does not declare is a KeyError.  So a check
+    accepts exactly the keys its runner reads."""
+    resolve, handed = cli.Check.resolve, []
+
+    def recorded(check, spec):
+        handed.append(_ReadKeys(resolve(check, spec)))
+        return handed[-1]
+
+    monkeypatch.setattr(cli.Check, "resolve", recorded)
+    doc = next(d for suite in SUITES.values() for d in suite if d["check"] == name)
+    res = run_check(CheckSpec.from_dict({**doc, "trials": 3}))
+    assert "error" not in res and len(handed) == 1
+    assert handed[0].read == set(CHECKS[name].params)
+
+
+def test_algebra_bound_samples_a_quarter_of_the_radius_by_default():
+    doc = dict(check="algebra-bound", cocycle="cobound:poly:2", weight="poly:2", radius=20, trials=20, seed=12)
+    default = run_check(CheckSpec.from_dict({**doc, "params": {"C": 4.0}}))
+    quarter = run_check(CheckSpec.from_dict({**doc, "params": {"C": 4.0, "sample_radius": 5}}))
+    assert _dumps({**default, "spec": None}) == _dumps({**quarter, "spec": None})
+    assert CHECKS["algebra-bound"].resolve(CheckSpec(check="algebra-bound", radius=3))["sample_radius"] == 1
 
 
 def test_null_params_take_their_defaults_and_specs_keep_params_as_given():

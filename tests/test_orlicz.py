@@ -15,14 +15,12 @@ from torlicz.orlicz import (
     FLOAT_GUARD,
     FunctionBatch,
     GroupMismatchError,
-    SpaceContext,
     SupportedFunction,
     delta,
     dual_pairing_bound,
     function_from_json,
     function_to_json,
     l1_norm,
-    lambda_map,
     luxemburg_norm,
     luxemburg_norms,
     modular,
@@ -31,7 +29,6 @@ from torlicz.orlicz import (
     psi_membership_series,
     random_supported_function,
     weighted_l1_norm,
-    weighted_norm,
 )
 from torlicz.weights import constant_weight, make_poly_weight, parse_weight
 from torlicz.young import (
@@ -179,33 +176,34 @@ def test_dual_pairing_numeric_complements():
             assert rep["holder_ok"] and rep["dual_certificate_ok"]
 
 
+def _weighted_norm(f, w, pair):
+    """||f||_{Phi, w} = ||f w||_Phi."""
+    return orlicz_norm(f.mul_pointwise(w), pair)
+
+
 def test_weighted_norm_point_masses():
     w = make_poly_weight(Z1, 2.0)
-    ctx = SpaceContext(P2, w)
-    assert weighted_norm(delta(Z1), ctx) == pytest.approx(math.sqrt(2), abs=1e-10)
+    assert _weighted_norm(delta(Z1), w, P2) == pytest.approx(math.sqrt(2), abs=1e-10)
     s = (3,)
-    assert weighted_norm(delta(Z1, s), ctx) == pytest.approx(w(s) * math.sqrt(2), rel=1e-10)
-    assert weighted_norm(delta(Z1, s), SpaceContext(P2, constant_weight(Z1))) == pytest.approx(
-        math.sqrt(2), rel=1e-10
-    )
+    assert _weighted_norm(delta(Z1, s), w, P2) == pytest.approx(w(s) * math.sqrt(2), rel=1e-10)
+    assert _weighted_norm(delta(Z1, s), constant_weight(Z1), P2) == pytest.approx(math.sqrt(2), rel=1e-10)
 
 
 def test_lambda_map_identity_and_point_mass():
+    # Lambda_w f = f / w
     w = make_poly_weight(Z1, 1.0)
     f = SupportedFunction(Z1, {(2,): 3.0})
-    assert lambda_map(f, constant_weight(Z1)).values == f.values
-    assert lambda_map(delta(Z1, (2,)), w).values[(2,)] == pytest.approx(1.0 / 3.0)
+    assert f.div_pointwise(constant_weight(Z1)).values == f.values
+    assert delta(Z1, (2,)).div_pointwise(w).values[(2,)] == pytest.approx(1.0 / 3.0)
 
 
 def test_lambda_map_isometry():
+    # Lambda_w maps the plain Orlicz norm isometrically onto the weighted one
     w = make_poly_weight(Z1, 2.0)
-    ctx = SpaceContext(P2, w)
     rng = np.random.default_rng(23)
     for _ in range(25):
         f = random_supported_function(Z1, rng)
-        assert weighted_norm(lambda_map(f, w), ctx) == pytest.approx(
-            orlicz_norm(f, P2), rel=1e-10
-        )
+        assert _weighted_norm(f.div_pointwise(w), w, P2) == pytest.approx(orlicz_norm(f, P2), rel=1e-10)
 
 
 def test_weighted_l1():
