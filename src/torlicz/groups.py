@@ -7,9 +7,9 @@ symmetric generating set U.  The length function
 
 is computed by breadth-first search over the Cayley graph, one layer at a
 time; layers are memoized so repeated queries are cheap.  Groups with an
-exact closed form for the word length (``length_hint``) or for the sphere
-sizes |S_n| = #{g : tau(g) = n} (``sphere_hint``) answer those queries
-without a BFS.  Every group has an array product (``op_many``,
+exact closed form for the word length (``length_hint``, and its array form
+``length_many``) or for the sphere sizes |S_n| = #{g : tau(g) = n}
+(``sphere_hint``) answer those queries without a BFS.  Every group has an array product (``op_many``,
 elementwise on broadcast int64 coordinate arrays); a layer with at least
 ``BFS_ARRAY_MIN_PRODUCTS`` frontier x generator products is one numpy step
 with the scalar loop's element order, a shorter one runs the loop.
@@ -60,9 +60,10 @@ class Group:
 
     ``generators`` must be symmetric (closed under inverse; it may contain
     the identity).  ``length_hint``, when present, is an exact closed form
-    for the word length, and ``sphere_hint`` one for the sphere sizes
-    ``sphere_sizes`` returns; both are validated against BFS layers in the
-    test suite.  ``order`` is the group order for finite groups, else None.
+    for the word length, ``length_many`` the same on int64 coordinate
+    arrays of canonical elements (shape (..., k) to (...)), and
+    ``sphere_hint`` one for the sphere sizes ``sphere_sizes`` returns; all
+    are validated against BFS layers in the test suite.  ``order`` is the group order for finite groups, else None.
     Elements are flat tuples of k integers, and ``op_many`` is ``op`` on
     int64 coordinate arrays of shape (..., k), elementwise under numpy
     broadcasting: paired rows give paired products, ``op_many(S[:, None],
@@ -76,6 +77,7 @@ class Group:
     generators: tuple
     op_many: Callable
     length_hint: Callable | None = None
+    length_many: Callable | None = None
     order: int | None = None
     sphere_hint: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -399,6 +401,7 @@ def integer_lattice(d: int) -> Group:
         identity=(0,) * d,
         generators=gens,
         length_hint=lambda a: max(map(abs, a)) if a else 0,
+        length_many=lambda a: np.abs(a).max(axis=-1),
         op_many=np.add,
         sphere_hint=sphere_hint,
     )
@@ -456,6 +459,9 @@ def cyclic_product_group(orders: tuple) -> Group:
     def hint(a):
         return sum(min(x, n - x) for x, n in zip(a, orders))
 
+    def length_many(a):
+        return np.minimum(a, np.array(orders, dtype=np.int64) - a).sum(axis=-1)
+
     def op_many(u, v):
         n = np.array(orders, dtype=np.int64)
         if max(orders) < 2**62:
@@ -472,6 +478,8 @@ def cyclic_product_group(orders: tuple) -> Group:
         identity=ident,
         generators=tuple(sorted(gens)),
         length_hint=hint,
+        # the sum of the min(x, n - x) stays in int64
+        length_many=length_many if sum(n // 2 for n in orders) < 2**63 else None,
         order=order,
         op_many=op_many,
     )

@@ -63,9 +63,16 @@ def weight_values(w, elements) -> list:
 def class_weights(w, classes) -> np.ndarray:
     """w at every row classed by ``groups.row_classes`` (its ``(rows,
     first, inverse)``), as an array of the shape of ``inverse``:
-    ``weight_values`` at the distinct rows, gathered."""
+    ``weight_values`` at the distinct rows, gathered.  A weight with
+    ``of_tau`` on a group with ``length_many`` takes the distinct rows'
+    lengths as one array and calls ``of_tau`` once per distinct length, on
+    a Python int, so the values are ``weight_values``' bit for bit."""
     rows, first, inverse = classes
-    return np.array(weight_values(w, map(tuple, rows[first].tolist())))[inverse]
+    of_tau = getattr(w, "of_tau", None)
+    if of_tau is None or w.group.length_many is None:
+        return np.array(weight_values(w, map(tuple, rows[first].tolist())))[inverse]
+    lengths, at = np.unique(w.group.length_many(rows[first]), return_inverse=True)
+    return np.array([of_tau(t) for t in lengths.tolist()], dtype=float)[at][inverse]
 
 
 def weight_table(w, coords: np.ndarray) -> np.ndarray:

@@ -273,6 +273,23 @@ def test_cyclic_product_word_length():
         assert word_length(group, g) == d
 
 
+@pytest.mark.parametrize("spec, radius", [("Z^d:1", 9), ("Z^d:3", 3), ("Zn:7", 4), ("Zn:4x6x5", 8)])
+def test_length_many_is_the_bfs_length_of_every_row(spec, radius):
+    group = parse_group(spec)
+    oracle = bfs_oracle(group, radius)
+    coords = np.array(list(oracle), dtype=np.int64)
+    lengths = group.length_many(coords)
+    assert lengths.dtype == np.int64 and lengths.tolist() == list(oracle.values())
+    # any leading shape: (2, m, k) rows give (2, m) lengths
+    assert group.length_many(np.stack([coords, coords[::-1]])).tolist() == [lengths.tolist(), lengths[::-1].tolist()]
+
+
+def test_length_many_only_where_the_lengths_stay_in_int64():
+    assert parse_group("H3").length_many is None and parse_group("Block:4").length_many is None
+    assert parse_group(f"Zn:{5 * 10**18}").length_many(np.array([[3 * 10**18]])).tolist() == [2 * 10**18]
+    assert parse_group("Zn:" + "x".join([str(5 * 10**18)] * 4)).length_many is None
+
+
 def _make(spec):
     """A group from its spec; ``ext:{spec}`` is the central extension of the
     ``Zn:`` group by its default bicharacter, with fiber Z_4."""
@@ -412,7 +429,7 @@ def test_pair_index_array_declines_a_product_outside_elems2(spec, keys, monkeypa
 def _bfs_group(spec):
     """A fresh group whose word length comes from BFS even where a closed
     form exists."""
-    return dataclasses.replace(parse_group(spec), length_hint=None, _cache={})
+    return dataclasses.replace(parse_group(spec), length_hint=None, length_many=None, _cache={})
 
 
 def _bfs_run(spec, radius, far):

@@ -289,6 +289,31 @@ def test_weight_values_and_weighted_l1_norm_equal_the_scalar_calls(group_spec, s
     assert weighted_l1_norm(f, w).hex() == expected.hex()
 
 
+@pytest.mark.parametrize("group_spec", ["Z^d:1", "Z^d:3", "Zn:4x6", "Block:5", "H3"])
+@pytest.mark.parametrize("spec", ["poly:1.5", "subexp:0.5:1", "quot:subexp:0.5:1/poly:2"])
+def test_class_weights_gather_by_the_array_length(group_spec, spec, monkeypatch):
+    """class_weights on a group with length_many: no scalar word length,
+    of_tau once per distinct length on a Python int, and the bits of
+    weight_values at every row."""
+    from torlicz.groups import ball_elements, row_classes
+
+    group = parse_group(group_spec)
+    w = parse_weight(group, spec)
+    ball = ball_elements(group, 3)
+    coords = np.array(ball, dtype=np.int64)[np.random.default_rng(4).integers(0, len(ball), (30, 7))]
+    expected = [[float(w(tuple(s))).hex() for s in row] for row in coords.tolist()]
+    seen = []
+    w = dataclasses.replace(w, of_tau=lambda t, f=w.of_tau: seen.append(t) or f(t))
+    words, word_length = [], weights_mod.word_length
+    monkeypatch.setattr(weights_mod, "word_length", lambda *a: words.append(a) or word_length(*a))
+    got = weights_mod.class_weights(w, row_classes(coords))
+    assert [[x.hex() for x in row] for row in got.tolist()] == expected
+    if group.length_many is None:
+        assert words
+    else:
+        assert not words and len(seen) == len(set(seen)) and all(type(t) is int for t in seen)
+
+
 def test_weight_values_calls_of_tau_once_per_distinct_length():
     lengths = []
     w = weights_mod._tau_weight(Z2, "logged", lambda t: lengths.append(t) or 1.0 + t)
