@@ -14,13 +14,12 @@ import numpy as np
 
 from torlicz import (
     AlgebraContext,
-    FunctionBatch,
     bicharacter_cocycle,
     cyclic_group,
     cyclic_product_group,
+    draw_functions,
     finite_symmetry_check,
     parse_pair,
-    random_supported_function,
 )
 
 
@@ -41,8 +40,7 @@ def main() -> int:
         om = bicharacter_cocycle(group, theta)
         ctx = AlgebraContext(cocycle=om, pair=pair)
         rng = np.random.default_rng(args.seed)
-        fs = [random_supported_function(group, rng) for _ in range(args.trials)]
-        rep = finite_symmetry_check(FunctionBatch.of(group, fs), ctx)
+        rep = finite_symmetry_check(draw_functions(group, rng, args.trials), ctx)
         worst_real = min(0.0, float((rep.min_real / rep.scale).min()))
         worst_imag = max(0.0, float((rep.max_imag / rep.scale).max()))
         print(

@@ -62,6 +62,7 @@ from .orlicz import (
     FunctionBatch,
     SupportedFunction,
     delta,
+    draw_functions,
     dual_pairing_bound,
     dual_pairing_bounds,
     l1_norm,

@@ -48,8 +48,7 @@ from .orlicz import (
     FLOAT_GUARD,
     SupportedFunction,
     _min,
-    build_supported_functions,
-    draw_supported_function,
+    draw_functions,
     dual_pairing_bounds,
     function_from_json,
     function_to_json,
@@ -396,18 +395,20 @@ def _run_block_weight(spec: CheckSpec, p: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Sampled-trial checks.  The trials run in chunks of TRIAL_CHUNK: every
-# trial's functions of a chunk are drawn first, in the scalar RNG order of a
-# trial-by-trial loop, and built into one FunctionBatch per function slot;
-# the measure scores the chunk's trials at once and the report keeps the
-# worst score under each report key, with the witness of the trial behind
-# the worst first score.
+# trial's functions of a chunk are drawn first, by one draw_functions call,
+# and split into one FunctionBatch per function slot; the measure scores
+# the chunk's trials at once and the report keeps the worst score under
+# each report key, with the witness of the trial behind the worst first
+# score.
 
 MIN, MAX = operator.lt, operator.gt  # a margin is worse when lower, a residual when higher
 RESIDUAL = (("worst_residual", MAX),)
 # Trials measured at once: the batched arrays grow with the chunk, not with
 # spec.trials (symmetry-finite's (|G|, |G|) matrices, which also grow with
 # the group, go in stacks of twisted.SYMMETRY_MATRIX_BYTES).  The presets
-# run at most 60 trials, one chunk each.
+# run at most 60 trials, one chunk each.  A chunk's functions come from one
+# block of RNG calls, so the functions a seed gives, and the report of a
+# check with more trials than this, change when TRIAL_CHUNK does.
 TRIAL_CHUNK = 256
 
 
@@ -483,7 +484,7 @@ def _run_trials(spec: CheckSpec, p: dict, check: TrialCheck) -> dict:
     passed, kept = True, None
     for start in range(0, spec.trials, TRIAL_CHUNK):
         n = min(TRIAL_CHUNK, spec.trials - start) * check.draws
-        built = build_supported_functions(group, [draw_supported_function(group, rng, radius=radius) for _ in range(n)])
+        built = draw_functions(group, rng, n, radius=radius)
         batches = [built.take(np.arange(k, n, check.draws)) for k in range(check.draws)]
         scores, ok, witness = _measure(check, trial, batches)
         passed &= bool(np.all(ok))

@@ -81,6 +81,11 @@ is added in the order of the set of common points, as the scalar sum adds
 it (no array order reproduces that order past two terms).  Both build
 their report with the one ``_holder_report``.
 
+``draw_functions`` draws a batch of random functions with a few block RNG
+calls and builds it with one ``op_many`` per word step over all points,
+``keyed_sum`` adding up repeated points; ``random_supported_function`` is
+a batch of one.
+
 ``modular``, each Luxemburg feasibility test and each Amemiya objective
 value form their n terms in one call of the Young function's array form
 (``YoungFunction.many``) and add them with ``np.add.accumulate``, left to
@@ -673,44 +678,50 @@ def keyed_sum(group: Group, n: int, rows: np.ndarray, coords: np.ndarray, values
     return out
 
 
-def draw_supported_function(group: Group, rng: np.random.Generator, max_support: int = 6,
-                            radius: int = 5, real: bool = False) -> list:
-    """The random choices behind ``random_supported_function``: up to
-    ``max_support`` points, each a (word, value) pair of a random word of at
-    most ``radius`` generator indices and a standard complex Gaussian value
-    (real part first).  A draw is a list of scalar RNG calls, so a sequence
-    of draws consumes the generator exactly as a sequence of
-    ``random_supported_function`` calls does."""
-    n_gens = len(group.generators)
-    integers, normal = rng.integers, rng.standard_normal
-    points = []
-    for _ in range(int(integers(1, max_support + 1))):
-        word = [int(integers(0, n_gens)) for _ in range(int(integers(0, radius + 1)))]
-        points.append((word, complex(normal(), 0.0 if real else normal())))
-    return points
-
-
-def build_supported_functions(group: Group, draws: list) -> FunctionBatch:
-    """The functions of ``draw_supported_function`` draws as one batch.
-    Every point's word is multiplied out left to right with one
-    ``op_many`` per step over the points of all draws (words padded with
-    the identity), repeated points are summed by ``keyed_sum``, and a draw
-    whose values cancel to zero becomes the point mass 1 at the identity."""
-    words = [word for points in draws for word, _ in points]
-    rows = np.repeat(np.arange(len(draws)), list(map(len, draws)))
+def _built_functions(group: Group, sizes: np.ndarray, index: np.ndarray, values: np.ndarray) -> FunctionBatch:
+    """The n = len(sizes) functions whose points are listed function by
+    function, ``sizes[i]`` of them for f_i: point e is the word
+    ``index[e]`` of generator indices, multiplied out left to right with
+    one ``op_many`` per column over all points (the index
+    ``len(group.generators)`` is the identity, which pads shorter words),
+    carrying the value ``values[e]``.  Repeated points are summed by
+    ``keyed_sum``, and a function whose values cancel to zero becomes the
+    point mass 1 at the identity."""
     gens = np.array(group.generators + (group.identity,), dtype=np.int64)
-    steps = max(map(len, words))
-    pad = [len(group.generators)]
-    index = np.array([word + pad * (steps - len(word)) for word in words], dtype=np.intp).reshape(len(words), steps)
-    coords = np.broadcast_to(np.array(group.identity, dtype=np.int64), (len(words), len(group.identity)))
+    coords = np.broadcast_to(np.array(group.identity, dtype=np.int64), (len(index), len(group.identity)))
     for step in index.T:
         coords = group.op_many(coords, gens[step])
-    values = np.array([v for points in draws for _, v in points], dtype=complex)
-    batch = keyed_sum(group, len(draws), rows, coords, values)
+    batch = keyed_sum(group, len(sizes), np.repeat(np.arange(len(sizes)), sizes), coords, values)
     cancelled = batch.sizes == 0
     batch.values[cancelled, 0] = 1.0
     batch.sizes[cancelled] = 1
     return batch
+
+
+def draw_functions(group: Group, rng: np.random.Generator, n: int, max_support: int = 6, radius: int = 5,
+                   real: bool = False) -> FunctionBatch:
+    """n random finitely supported functions as one batch.  f_i has a
+    uniform number of points in 1..``max_support``; each point is a word of
+    uniform length in 0..``radius`` of uniform generators, multiplied out,
+    with a standard complex Gaussian value (real with ``real``); repeated
+    points add up, and a function that cancels to zero is the point mass at
+    the identity.
+
+    The draw is five block calls of ``rng`` (four with ``real``), in this
+    order: the n sizes, the P = sum of the sizes word lengths, a (P,
+    radius) array of generator indices (those at or past a point's length
+    become the identity), the P real parts and the P imaginary parts.  So
+    the functions a seed gives depend on how many are drawn per call."""
+    n_gens = len(group.generators)
+    sizes = rng.integers(1, max_support + 1, size=n)
+    points = int(sizes.sum())
+    lengths = rng.integers(0, radius + 1, size=points)
+    index = rng.integers(0, n_gens, size=(points, radius))
+    index[np.arange(radius) >= lengths[:, None]] = n_gens
+    values = rng.standard_normal(points).astype(complex)
+    if not real:
+        values.imag = rng.standard_normal(points)
+    return _built_functions(group, sizes, index[:, : lengths.max(initial=0)], values)
 
 
 def random_supported_function(
@@ -720,10 +731,8 @@ def random_supported_function(
     radius: int = 5,
     real: bool = False,
 ) -> SupportedFunction:
-    """A random finitely supported function: support from short random
-    words in the generators, values standard complex Gaussian."""
-    draw = draw_supported_function(group, rng, max_support, radius, real)
-    return build_supported_functions(group, [draw]).function(0)
+    """A random finitely supported function: ``draw_functions`` of one."""
+    return draw_functions(group, rng, 1, max_support, radius, real).function(0)
 
 
 def function_to_json(f: SupportedFunction) -> dict:

@@ -11,8 +11,12 @@ psi-series partial sums one element of the BFS layers at a time, and
 time.
 
 The sampled-trial checks ran one trial at a time before they took all
-trials of a check at once: ``random_supported_function_loop`` walks each
-drawn word with scalar ``group.op`` calls as it draws, the ``*_loop``
+trials of a check at once: ``draw_functions_loop`` makes the block RNG
+calls of ``orlicz.draw_functions`` and builds each function point by point
+in a dict, walking each word with scalar ``group.op`` calls
+(``function_of_draw_loop``, also for hand-made draws, which
+``build_supported_functions`` hands to the library's array builder), the
+``*_loop``
 checkers and measures score one trial's functions with the scalar
 convolution loop, the pointwise maps of ``SupportedFunction``, the
 single-function norms and ``dual_pairing_bound_loop`` (the Hoelder
@@ -41,6 +45,7 @@ from torlicz.orlicz import (
     LP_ROUND_UP,
     FunctionBatch,
     SupportedFunction,
+    _built_functions,
     _leq,
     _sum_in_loop_order,
     delta,
@@ -178,27 +183,11 @@ def _value_table_loop(omega, A: list, B: list) -> np.ndarray:
 # Sampled trials, one at a time
 
 
-def random_supported_function_loop(group, rng, max_support=6, radius=5, real=False):
-    """A random function, each word multiplied out by scalar ``group.op``
-    calls between the RNG calls that draw it."""
-    gens = group.generators
-    size = int(rng.integers(1, max_support + 1))
-    values = {}
-    for _ in range(size):
-        g = group.identity
-        for _ in range(int(rng.integers(0, radius + 1))):
-            g = group.op(g, gens[int(rng.integers(0, len(gens)))])
-        v = complex(rng.standard_normal(), 0.0 if real else rng.standard_normal())
-        values[g] = values.get(g, 0) + v
-    f = SupportedFunction(group, values)
-    if f.is_zero():
-        return delta(group, value=1.0)
-    return f
-
-
 def function_of_draw_loop(group, draw):
-    """The function of one ``draw_supported_function`` draw, built point by
-    point as ``random_supported_function_loop`` builds it."""
+    """The function of one draw, a list of (word, value) points with words
+    of generator indices: each word multiplied out by scalar ``group.op``
+    calls and its value added into a dict; the point mass 1 at the identity
+    where the values cancel to zero."""
     values = {}
     for word, v in draw:
         g = group.identity
@@ -207,6 +196,31 @@ def function_of_draw_loop(group, draw):
         values[g] = values.get(g, 0) + v
     f = SupportedFunction(group, values)
     return delta(group, value=1.0) if f.is_zero() else f
+
+
+def draw_functions_loop(group, rng, n, max_support=6, radius=5, real=False):
+    """``orlicz.draw_functions`` as a list of functions: the same block RNG
+    calls, then every function built point by point."""
+    sizes = rng.integers(1, max_support + 1, size=n).tolist()
+    count = sum(sizes)
+    lengths = rng.integers(0, radius + 1, size=count).tolist()
+    index = rng.integers(0, len(group.generators), size=(count, radius)).tolist()
+    re = rng.standard_normal(count).tolist()
+    im = [0.0] * count if real else rng.standard_normal(count).tolist()
+    points = [(index[e][: lengths[e]], complex(re[e], im[e])) for e in range(count)]
+    starts = np.cumsum([0] + sizes).tolist()
+    return [function_of_draw_loop(group, points[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def build_supported_functions(group, draws):
+    """Hand-made draws as one batch, through the array builder behind
+    ``orlicz.draw_functions``: the words padded with the identity's index."""
+    words = [word for points in draws for word, _ in points]
+    steps = max(map(len, words))
+    pad = [len(group.generators)]
+    index = np.array([word + pad * (steps - len(word)) for word in words], dtype=np.int64).reshape(len(words), steps)
+    values = np.array([v for points in draws for _, v in points], dtype=complex)
+    return _built_functions(group, np.array(list(map(len, draws))), index, values)
 
 
 def _witness_point(diff):
@@ -454,9 +468,10 @@ def worst_loop(scores, worse):
 
 
 def run_trials_loop(spec, measure=None):
-    """A sampled-trial check run one trial at a time: draw a trial's
-    functions, score them, keep the worst scores; ``measure`` defaults to
-    the check's ``MEASURES_LOOP`` entry."""
+    """A sampled-trial check run one trial at a time: draw each chunk's
+    functions with ``draw_functions_loop``, then score trial by trial and
+    keep the worst scores; ``measure`` defaults to the check's
+    ``MEASURES_LOOP`` entry."""
     check, params = TRIAL_RUNNERS[spec.check], cli.CHECKS[spec.check].resolve(spec)
     measure = measure or MEASURES_LOOP[spec.check]
     ctx, dom = cli._domination(spec, params) if check.dominated else (cli._ctx(spec), None)
@@ -466,8 +481,12 @@ def run_trials_loop(spec, measure=None):
     keys, worse = zip(*check.worst)
     worst = [math.inf if w is cli.MIN else 0.0 for w in worse]
     witness, ok = None, True
-    for _ in range(spec.trials):
-        fs = [random_supported_function_loop(ctx.cocycle.group, rng, radius=radius) for _ in range(check.draws)]
+    drawn = []
+    for start in range(spec.trials):
+        if start % cli.TRIAL_CHUNK == 0:
+            n = min(cli.TRIAL_CHUNK, spec.trials - start) * check.draws
+            drawn = draw_functions_loop(ctx.cocycle.group, rng, n, radius=radius)
+        fs, drawn = drawn[: check.draws], drawn[check.draws :]
         scores, trial_ok, found = measure(trial, *fs)
         if _replaces(worse[0], scores[0], worst[0]):
             witness = found

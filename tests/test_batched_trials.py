@@ -17,7 +17,8 @@ from torlicz import cli
 from torlicz.cli import CheckSpec, main
 from torlicz.cocycles import domination_from_subadditive, parse_cocycle
 from torlicz.groups import parse_group
-from torlicz.orlicz import FunctionBatch, build_supported_functions, random_supported_function
+from oracles import build_supported_functions
+from torlicz.orlicz import FunctionBatch, draw_functions, random_supported_function
 from torlicz.twisted import (
     AlgebraContext,
     ResidualReport,
@@ -93,15 +94,109 @@ def _draws(draw, group, n, max_radius=3):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(GROUPS), st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 7), st.booleans())
-def test_draw_and_build_consume_and_give_what_the_loop_does(group_spec, seed, radius, max_support, real):
+@given(st.sampled_from(GROUPS), st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(1, 7), st.booleans(),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3))
+def test_draw_and_build_consume_and_give_what_the_loop_does(group_spec, seed, radius, max_support, real, counts):
+    """draw_functions against the loop oracle that makes the same block RNG
+    calls and builds each function point by point in a dict: the same bits
+    after each call, and the same generator state after all of them."""
     group = parse_group(group_spec)
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        f = random_supported_function(group, a, max_support, radius, real)
-        g = oracles.random_supported_function_loop(group, b, max_support, radius, real)
-        assert _function_bits(f) == _function_bits(g)
+    for n in counts:
+        batch = draw_functions(group, a, n, max_support, radius, real)
+        loop = oracles.draw_functions_loop(group, b, n, max_support, radius, real)
+        assert [_function_bits(f) for f in batch.functions()] == [_function_bits(g) for g in loop]
+    f = random_supported_function(group, a, max_support, radius, real)
+    assert _function_bits(f) == _function_bits(oracles.draw_functions_loop(group, b, 1, max_support, radius, real)[0])
     assert a.bit_generator.state == b.bit_generator.state
+
+
+# draw_functions(Z^d:2, default_rng(2024), 3, radius=3): each function's
+# points in dict order with the hex of the real and imaginary parts
+STREAM_PIN = [
+    [((0, 0), ("-0x1.4a84fb355e6d9p+0", "-0x1.c65f57f271170p-3")),
+     ((-1, 0), ("-0x1.8d25c1aa1012dp-1", "0x1.ac2c846891c05p-2"))],
+    [((0, -1), ("0x1.ce5e48a2449a9p-1", "-0x1.b99acad5d71aap-2")),
+     ((1, 1), ("-0x1.7b0760b207e00p+0", "0x1.16cb80f276cf5p-2")),
+     ((0, 1), ("-0x1.11749d894df0ap-1", "0x1.d1767d4c60c11p-5")),
+     ((1, 0), ("0x1.4f7062087e75cp-3", "0x1.b2c2487811340p-2")),
+     ((-2, -1), ("-0x1.5641bd63eb284p-1", "0x1.ccaf1e79b4f07p-3"))],
+    [((0, 0), ("-0x1.02583f2b2fecfp-2", "0x1.a85dfb742cff4p+0"))],
+]
+
+
+def test_the_draw_stream_is_pinned():
+    """The first batch of seed 2024 on Z^d:2, bit for bit: a change of the
+    draw's RNG calls moves every sampled-trial report, so it must show here
+    and be declared."""
+    batch = draw_functions(parse_group("Z^d:2"), np.random.default_rng(2024), 3, radius=3)
+    assert [_function_bits(f) for f in batch.functions()] == STREAM_PIN
+
+
+class _Recorded:
+    """A Generator that records the arrays its integers and standard_normal
+    calls return (copies, as the caller may write into them)."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.calls.append(("integers", args, out.copy()))
+        return out
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.calls.append(("standard_normal", args, out.copy()))
+        return out
+
+
+# chi-square critical values at p = 1e-6 for 2, 4, 5 and 8 degrees of freedom
+# (scipy.stats.chi2.isf(1e-6, df)): a draw with the stated law stays below
+# them on all but one seed in a million
+CHI2_CRITICAL = {2: 27.631, 4: 33.377, 5: 35.888, 8: 42.701}
+
+
+def _chi2(samples, k):
+    """The chi-square statistic of the counts of 0..k-1 in ``samples``
+    against the uniform law, and its degrees of freedom."""
+    counts = np.bincount(samples, minlength=k)
+    expected = len(samples) / k
+    return float(((counts - expected) ** 2 / expected).sum()), k - 1
+
+
+def test_the_draw_has_the_stated_law():
+    """Over about 200,000 points of one seed: five block RNG calls (four
+    with ``real``); uniform sizes in 1..6, word lengths in 0..radius and
+    used generator indices, each within the p = 1e-6 chi-square bound; and
+    on Z^d:1 with one point per function, the walked points have the exact
+    law of a sum of a uniform number (0..2) of uniform steps in {-1, 0, 1}
+    and the values are standard complex Gaussian."""
+    group = parse_group("Z^d:2")
+    rng = _Recorded(np.random.default_rng(7))
+    n, radius = 57_000, 4
+    draw_functions(group, rng, n, radius=radius)
+    assert [name for name, _, _ in rng.calls] == ["integers"] * 3 + ["standard_normal"] * 2
+    (_, _, sizes), (_, _, lengths), (_, _, index), (_, _, re), (_, _, im) = rng.calls
+    points = int(sizes.sum())
+    assert sizes.shape == (n,) and lengths.shape == (points,) and index.shape == (points, radius) and points > 195_000
+    assert re.shape == im.shape == (points,)
+    used = index[np.arange(radius) < lengths[:, None]]
+    for samples, k in ((sizes - 1, 6), (lengths, radius + 1), (used, len(group.generators))):
+        stat, df = _chi2(samples, k)
+        assert stat < CHI2_CRITICAL[df], (k, stat)
+    rng = _Recorded(np.random.default_rng(7))
+    draw_functions(group, rng, 10, real=True)
+    assert [name for name, _, _ in rng.calls] == ["integers"] * 3 + ["standard_normal"]
+    # one point per function: the points themselves, 200,000 of them
+    batch = draw_functions(parse_group("Z^d:1"), np.random.default_rng(8), 200_000, max_support=1, radius=2)
+    law = np.array([1, 5, 15, 5, 1]) / 27  # P(-2), ..., P(2)
+    counts = np.bincount(batch.coords[:, 0, 0] + 2, minlength=5)
+    stat = float(((counts - law * 200_000) ** 2 / (law * 200_000)).sum())
+    assert (batch.sizes == 1).all() and stat < CHI2_CRITICAL[4]
+    values = batch.values[:, 0]
+    for part in (values.real, values.imag):  # mean 0, variance 1, within 6 standard errors
+        assert abs(part.mean()) < 6 / math.sqrt(200_000) and abs(part.var() - 1) < 6 * math.sqrt(2 / 200_000)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,12 +387,16 @@ def test_worst_score_rule_matches_the_loop():
 
 
 def _patched_draws(monkeypatch, group, draws):
-    """Make both trial runners draw ``draws`` in order."""
+    """Make both trial runners draw the hand-made ``draws`` in order, n of
+    them for a chunk that draws n functions."""
     cli_draws, loop_draws = iter(draws), iter(draws)
-    monkeypatch.setattr(cli, "draw_supported_function", lambda *a, **k: next(cli_draws))
-    monkeypatch.setattr(
-        oracles, "random_supported_function_loop", lambda *a, **k: oracles.function_of_draw_loop(group, next(loop_draws))
-    )
+
+    def take(it, n):
+        return [next(it) for _ in range(n)]
+
+    monkeypatch.setattr(cli, "draw_functions", lambda g, rng, n, **k: build_supported_functions(group, take(cli_draws, n)))
+    monkeypatch.setattr(oracles, "draw_functions_loop",
+                        lambda g, rng, n, **k: [oracles.function_of_draw_loop(group, d) for d in take(loop_draws, n)])
 
 
 def _raised(run):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -296,6 +297,21 @@ def test_all_presets_pass():
     for name in SUITES:
         report = run_suite(name)
         assert report.passed, emit_report(report, "text")
+
+
+# the seed offsets of the benchmark's suites workload at seeds 0..19: it
+# shifts every preset's seeds by random.Random(f"suites:{seed}").randrange(1,
+# 1_000_000), its first draw
+SUITE_SEED_OFFSETS = [random.Random(f"suites:{seed}").randrange(1, 1_000_000) for seed in range(20)]
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_presets_pass_at_shifted_seeds(name):
+    """A preset's verdict does not rest on its seeds: each passes with its
+    seeds shifted as the benchmark shifts them."""
+    for offset in SUITE_SEED_OFFSETS:
+        report = run_suite([{**d, "seed": d.get("seed", 0) + offset} for d in SUITES[name]])
+        assert report.passed, (offset, emit_report(report, "text"))
 
 
 def test_report_json_round_trip_eq():
@@ -894,7 +910,9 @@ def test_null_params_take_their_defaults_and_specs_keep_params_as_given():
     assert run_check(CheckSpec(check="domination", cocycle="cobound:poly:2", weight="poly:2", params={"C": None}))["pass"]
 
 
-SPECTRAL_POINT_MASS_SEEDS = (11, 12, 14, 21, 23, 24, 30, 34, 37)
+# the seeds in 0..59 whose first draw at sample radius 2 on Z is a multiple
+# of the point mass at the identity
+SPECTRAL_POINT_MASS_SEEDS = (11, 14, 23, 30, 34, 37, 42, 48, 54)
 
 
 @pytest.mark.parametrize("seed", SPECTRAL_POINT_MASS_SEEDS)
