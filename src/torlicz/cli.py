@@ -561,7 +561,8 @@ class Check:
     """``run(spec, params)`` gives the check's report fields (a TrialCheck
     for a sampled-trial check); ``params`` maps each key it reads to
     ``(kind, default)``, a default that depends on the spec being a
-    function of it; ``weights`` names the spec weights it needs."""
+    function of it; ``weights`` names the spec weights it needs, or is a
+    function of the spec that names them."""
 
     run: Callable
     params: dict = field(default_factory=dict)
@@ -600,8 +601,11 @@ CHECKS = {
     "cocycle-verify": Check(_run_cocycle_verify, {"tol": _TOL}),
     "cocycle-polar": Check(_run_cocycle_polar),
     "domination": Check(_run_domination, {"C": _NULL}, _WEIGHT),
+    # on an infinite group the growth fit compares the weighted norms with
+    # the plain ones, which are the same without a weight
     "spectral": Check(
-        _run_spectral, {"sample_radius": ("an int", 2), "n_max": ("an int", 24), "gap_tol": ("a number", 0.05)}),
+        _run_spectral, {"sample_radius": ("an int", 2), "n_max": ("an int", 24), "gap_tol": ("a number", 0.05)},
+        lambda spec: () if parse_group(spec.group).order is not None else _WEIGHT),
     "central-ext": Check(_run_central_ext, {"n": ("an int or null", None), "tol": ("a number", EXTENSION_TOL)}),
     "submult": Check(_run_submult, {"bound": _NULL}, _WEIGHT),
     "submult-stable": Check(_run_submult_stable, {"factor": ("a number", 1.05)}, _WEIGHT),
@@ -702,7 +706,8 @@ def run_check(spec: CheckSpec) -> dict:
         raise ValueError(f"trials must be >= 1, got {spec.trials}")
     if spec.radius < 0:
         raise ValueError(f"radius must be >= 0, got {spec.radius}")
-    missing = [name for name in check.weights if not getattr(spec, name)]
+    weights = check.weights(spec) if callable(check.weights) else check.weights
+    missing = [name for name in weights if not getattr(spec, name)]
     if missing:
         raise ValueError(f"{spec.check} needs {' and '.join(missing)}")
     params = check.resolve(spec)

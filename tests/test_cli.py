@@ -526,7 +526,7 @@ def test_cmd_check_output_is_strict_json(capsys):
 
 def test_cmd_check_spectral_support_budget_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(twisted, "SUPPORT_CAP", 200)
-    assert main(["check", "spectral", "--group", "Z^d:2", "--params", '{"n_max": 40}']) == 2
+    assert main(["check", "spectral", "--group", "Z^d:2", "--weight", "poly:2", "--params", '{"n_max": 40}']) == 2
     assert "budget error" in capsys.readouterr().err
 
 
@@ -724,9 +724,14 @@ WEIGHTED_CHECKS = (
 
 
 def test_required_weights_table_names_every_weighted_check():
-    assert {name for name, check in CHECKS.items() if check.weights} == set(WEIGHTED_CHECKS)
+    """Every check that needs a weight on every spec; spectral needs one
+    on an infinite group only."""
+    assert {name for name, check in CHECKS.items() if check.weights and not callable(check.weights)} == set(
+        WEIGHTED_CHECKS)
     assert CHECKS["lss"].weights == ("weight", "weight2")
     assert all(CHECKS[name].weights == ("weight",) for name in WEIGHTED_CHECKS if name != "lss")
+    spectral = CHECKS["spectral"].weights
+    assert [spectral(CheckSpec(check="spectral", group=g)) for g in ("Z^d:1", "H3", "Zn:8")] == [("weight",)] * 2 + [()]
 
 
 def _runner_must_not_start(monkeypatch, name):
@@ -746,6 +751,18 @@ def test_check_without_its_weight_exits_2(name, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert "weight" in err
+
+
+@pytest.mark.parametrize("group", ["Z^d:1", "Z^d:2", "H3"])
+def test_spectral_on_an_infinite_group_without_a_weight_exits_2(group, capsys, monkeypatch):
+    """Without a weight the weighted and plain norms of the powers are the
+    same, so the growth fit would pass every draw."""
+    _runner_must_not_start(monkeypatch, "spectral")
+    assert main(["check", "spectral", "--group", group]) == 2
+    assert capsys.readouterr().err == "error: spectral needs weight\n"
+    monkeypatch.undo()
+    assert main(["check", "spectral", "--group", "Zn:8", "--cocycle", "bichar:"]) == 0
+    capsys.readouterr()
 
 
 def test_checks_without_a_weight_entry_run_without_one():
