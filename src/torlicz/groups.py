@@ -7,12 +7,13 @@ symmetric generating set U.  The length function
 
 is computed by breadth-first search over the Cayley graph, one layer at a
 time; layers are memoized so repeated queries are cheap.  Groups with an
-exact closed form for the word length (``length_hint``, and its array form
-``length_many``) or for the sphere sizes |S_n| = #{g : tau(g) = n}
-(``sphere_hint``) answer those queries without a BFS.  Every group has an array product (``op_many``,
-elementwise on broadcast int64 coordinate arrays); a layer with at least
-``BFS_ARRAY_MIN_PRODUCTS`` frontier x generator products is one numpy step
-with the scalar loop's element order, a shorter one runs the loop.
+exact closed form for the word length (``length_hint``, and its array
+form ``length_many``) or for the sphere sizes |S_n| = #{g : tau(g) = n}
+(``sphere_hint``) answer those queries without a BFS.  Every group has an
+array product (``op_many``, elementwise on broadcast int64 coordinate
+arrays); a layer with at least ``BFS_ARRAY_MIN_PRODUCTS`` frontier x
+generator products is one numpy step with the scalar loop's element order,
+a shorter one runs the loop.
 Elements held as int64 coordinate rows are classed through one packed key
 per row in [0, span): by a direct table of the span when it holds at most
 a few slots per key (a running count of the keys present ranks them, and
@@ -63,7 +64,8 @@ class Group:
     for the word length, ``length_many`` the same on int64 coordinate
     arrays of canonical elements (shape (..., k) to (...)), and
     ``sphere_hint`` one for the sphere sizes ``sphere_sizes`` returns; all
-    are validated against BFS layers in the test suite.  ``order`` is the group order for finite groups, else None.
+    are validated against BFS layers in the test suite.  ``order`` is the
+    group order for finite groups, else None.
     Elements are flat tuples of k integers, and ``op_many`` is ``op`` on
     int64 coordinate arrays of shape (..., k), elementwise under numpy
     broadcasting: paired rows give paired products, ``op_many(S[:, None],
