@@ -560,19 +560,66 @@ def test_cmd_norm_rejects_non_finite_values(value, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"support": [{"elt": [0], "re": 1.0}]}, 'no group spec'),
-    ({"group": "Z^d:1", "support": [{"re": 1.0, "im": 0.0}]}, "index 0"),
-    ([{"elt": [0], "re": 1.0}], "JSON object"),
-    ({"group": "Z^d:1", "support": [{"elt": [0], "re": 1.0}, [1, 2.0]]}, "index 1"),
-    ({"group": "Z^d:1", "support": {"elt": [0]}}, '"support" must be a list'),
-    ({"group": "Z^d:1", "support": [{"elt": [0], "re": None}]}, "must be numbers"),
-])
-def test_cmd_norm_malformed_function_file_exits_2(doc, message, tmp_path, capsys):
-    path = write_json(tmp_path, "f.json", doc)
-    assert main(["norm", "--in", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and message in err and err.count("\n") == 1
+def _param(doc, group: str, where: str, text: str, id: str):
+    """A malformed function file (a JSON document, or raw text for a str),
+    the group of a valid partner file, where the file is read ("norm" for
+    ``torlicz norm``, "f" and "g" for the inputs of ``torlicz conv``) and the
+    error text after ``error: <path>: ``."""
+    return pytest.param(doc if isinstance(doc, str) else json.dumps(doc), group, where.split(), text, id=id)
+
+
+# Every rejection, at any index, by the same message through both commands.
+# A g file without a group takes f's, so a missing group fails only as f;
+# a group that differs from f's fails only as g.
+MALFORMED_FUNCTION_FILES = [
+    _param({"support": [{"elt": [0], "re": 1.0}]}, "Z^d:1", "norm f",
+           'no group spec: "group" must be a string such as "Z^d:2"', id="doc0-no group spec"),
+    _param({"group": "Z^d:1", "support": [{"re": 1.0, "im": 0.0}]}, "Z^d:1", "norm f g",
+           'support entry at index 0 is not an object with an "elt" key', id="doc1-index 0"),
+    _param([{"elt": [0], "re": 1.0}], "Z^d:1", "norm f g",
+           'expected a JSON object with "group" and "support" keys', id="doc2-JSON object"),
+    _param({"group": "Z^d:1", "support": [{"elt": [0], "re": 1.0}, [1, 2.0]]}, "Z^d:1", "norm f g",
+           'support entry at index 1 is not an object with an "elt" key', id="doc3-index 1"),
+    _param({"group": "Z^d:1", "support": {"elt": [0]}}, "Z^d:1", "norm f g",
+           '"support" must be a list of {"elt", "re", "im"} objects', id='doc4-"support" must be a list'),
+    _param({"group": "Z^d:1", "support": [{"elt": [0], "re": None}]}, "Z^d:1", "norm f g",
+           'support entry at index 0: "re" and "im" must be numbers', id="doc5-must be numbers"),
+    _param({"group": "Z^d:1", "support": [{"elt": [0], "re": 1.0}, {"elt": [1], "im": None}]}, "Z^d:1",
+           "norm f g", 'support entry at index 1: "re" and "im" must be numbers', id="none-part-at-index-1"),
+    _param({"group": "Z^d:1", "support": [{"elt": [0], "re": 1.0}, {"elt": [None], "re": 1.0}]}, "Z^d:1",
+           "norm f g", "element [None] is not an integer array", id="non-integer-elt"),
+    _param({"group": "Z^d:1", "support": [{"elt": ["a"], "re": 1.0}]}, "Z^d:1", "norm f g",
+           "invalid literal for int() with base 10: 'a'", id="non-numeric-elt"),
+    _param({"group": "Z^d:1", "support": [{"elt": 3, "re": 1.0}]}, "Z^d:1", "norm f g",
+           "element 3 is not an integer array", id="scalar-elt"),
+    _param({"group": "Z^d:2", "support": [{"elt": [0, 1], "re": 1.0}, {"elt": [1], "re": 1.0}]}, "Z^d:2",
+           "norm f g", "element [1] has arity 1, expected 2 for Z^d:2", id="wrong-arity"),
+    _param({"group": "Z^d:2", "support": [{"elt": [0, 1, 2], "re": 1.0}]}, "Z^d:2", "norm f g",
+           "element [0, 1, 2] has arity 3, expected 2 for Z^d:2", id="wrong-arity-at-index-0"),
+    _param({"group": "Z^d:1", "support": [{"elt": [3], "re": 1.0}, {"elt": [4], "re": 0.0, "im": -0.0}]},
+           "Z^d:1", "norm f g", "zero-value entry at index 1: [4]", id="zero-value"),
+    _param({"group": "Z^d:1", "support": [{"elt": [2], "re": 1.0}, {"elt": [2], "re": 0.5}]}, "Z^d:1",
+           "norm f g", "duplicate element [2] at indices 0 and 1", id="duplicate"),
+    _param({"group": "Zn:4", "support": [{"elt": [1], "re": 1.0}, {"elt": [0], "re": 1.0}, {"elt": [5], "re": 2.0}]},
+           "Zn:4", "norm f g", "duplicate element [5] at indices 0 and 2", id="duplicate-after-reduction"),
+    _param({"group": "Z^d:1", "support": [{"elt": [0], "re": 1.0}]}, "Z^d:2", "g",
+           "group spec mismatch: file says 'Z^d:1', expected 'Z^d:2'", id="group-mismatch"),
+    _param('{"group": "Z^d:1",\n  "support": [}', "Z^d:1", "norm f g",
+           "invalid JSON at line 2: Expecting value", id="invalid-json"),
+]
+
+
+@pytest.mark.parametrize("text, group, where, message", MALFORMED_FUNCTION_FILES)
+def test_cmd_norm_malformed_function_file_exits_2(text, group, where, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    good = write_json(tmp_path, "good.json", {"group": group, "support": [
+        {"elt": [1] * len(parse_group(group).identity), "re": 1.0, "im": 0.5}]})
+    runs = {"norm": ["norm", "--in", path], "f": ["conv", "--cocycle", "one", "--in", path, good],
+            "g": ["conv", "--cocycle", "one", "--in", good, path]}
+    for argv in (runs[w] for w in where):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), argv
 
 
 def test_cmd_norm_large_power_overflows_to_infinity(tmp_path, capsys):

@@ -12,14 +12,30 @@ writes: inputs ``-f``/``-g`` and result ``-h``, all written by the
 ``json.dumps(..., indent=2)`` encoder that the function-file writer
 replaced.  They are inputs as much as expectations and are never
 regenerated.
+
+The ``pin-*.out`` files pin ``torlicz norm`` and ``torlicz conv`` on the
+``fn-*.json`` inputs (``PINS``), and the text a read file is written back
+as (``ROUND_TRIPS``): lenient entries, coordinates that reduce, and
+coordinates past the batch bound of 2^31 and past int64 among them.  Like
+the conv files they were written once and are never regenerated.
 """
 
+import contextlib
 import dataclasses
+import io
 import pathlib
 
 import pytest
 
-from torlicz.cli import SUITES, emit_report, main, parse_function_file, run_suite, save_function_file
+from torlicz.cli import (
+    SUITES,
+    emit_report,
+    function_file_text,
+    main,
+    parse_function_file,
+    run_suite,
+    save_function_file,
+)
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 FORMATS = {"json": "json", "csv": "csv", "text": "txt"}
@@ -61,6 +77,54 @@ def test_conv_files_match_golden(case, tmp_path, capsys):
     for src in (f, g):
         save_function_file(parse_function_file(str(src)), str(out))
         assert out.read_bytes() == src.read_bytes(), src.name
+
+
+# name -> argv of a norm or conv pin, its input files named under tests/golden/
+PINS = {
+    "norm-box-expm": ["norm", "--pair", "expm", "--weight", "poly:2", "--in", "fn-box.json"],
+    "norm-box-xlog": ["norm", "--pair", "xlog", "--weight", "poly:2", "--in", "fn-box.json"],
+    "norm-zn-reduced": ["norm", "--pair", "Lp:3", "--weight", "poly:1", "--in", "fn-zn-unreduced.json"],
+    "norm-h3": ["norm", "--weight", "poly:1", "--in", "fn-h3.json"],
+    "norm-lenient": ["norm", "--pair", "Lp:1.5", "--weight", "poly:2", "--in", "fn-lenient.json"],
+    "norm-2e40": ["norm", "--pair", "cosh", "--weight", "poly:1", "--in", "fn-2e40.json"],
+    "norm-1e20": ["norm", "--pair", "Lp:3", "--weight", "poly:1", "--in", "fn-1e20.json"],
+    "norm-block": ["norm", "--pair", "Lp:2", "--weight", "poly:1", "--in", "fn-block.json"],
+    "norm-zn-huge": ["norm", "--pair", "Lp:2", "--weight", "poly:1", "--in", "fn-zn-huge.json"],
+    "conv-zn-reduced": ["conv", "--cocycle", "bichar:", "--in", "fn-zn-unreduced.json", "fn-zn-unreduced.json"],
+    "conv-lenient": ["conv", "--cocycle", "bichar:0.5", "--in", "fn-lenient.json", "fn-small-z2.json"],
+    "conv-past-bound-f": ["conv", "--cocycle", "bichar:0.7", "--in", "fn-past-bound-f.json", "fn-small-z2.json"],
+    "conv-past-bound-g": ["conv", "--cocycle", "one", "--in", "fn-h3-small.json", "fn-h3-past-bound.json"],
+    "conv-1e20": ["conv", "--cocycle", "cobound:poly:1", "--in", "fn-1e20.json", "fn-1e20.json"],
+    "conv-zn2-empty": ["conv", "--cocycle", "one", "--in", "fn-zn2-sum.json", "fn-zn2-diff.json"],
+    "conv-block": ["conv", "--cocycle", "one", "--in", "fn-block.json", "fn-block.json"],
+    "conv-zn-huge": ["conv", "--cocycle", "one", "--in", "fn-zn-huge.json", "fn-zn-huge.json"],
+}
+# name -> input that is read and written back
+ROUND_TRIPS = {"write-signed-zero": "fn-signed-zero.json", "write-lenient": "fn-lenient.json"}
+
+
+def run_pin(name: str) -> tuple:
+    """(exit code, stdout, stderr) of ``main`` on the pin's argv."""
+    argv = [str(GOLDEN / a) if a.startswith("fn-") else a for a in PINS[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def round_trip(name: str) -> str:
+    """The text of the round trip's input read and written back."""
+    return function_file_text(parse_function_file(str(GOLDEN / ROUND_TRIPS[name]))) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_norm_and_conv_outputs_match_their_pins(name):
+    assert run_pin(name) == (0, (GOLDEN / f"pin-{name}.out").read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+def test_read_and_written_files_match_their_pins(name):
+    assert round_trip(name) == (GOLDEN / f"pin-{name}.out").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
