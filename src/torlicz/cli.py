@@ -46,11 +46,13 @@ from .groups import (
 )
 from .orlicz import (
     FLOAT_GUARD,
+    FunctionBatch,
     SupportedFunction,
     _min,
+    _sum_in_loop_order,
+    batch_from_json,
     draw_functions,
     dual_pairing_bounds,
-    function_from_json,
     function_to_json,
     l1_norm,
     luxemburg_norm,
@@ -64,6 +66,7 @@ from .orlicz import (
 )
 from .twisted import (
     AlgebraContext,
+    _abs,
     _divided,
     _times,
     check_algebra_bound,
@@ -71,6 +74,7 @@ from .twisted import (
     check_differential_bound,
     check_intertwining,
     check_module_bound,
+    convolve_batch,
     convolution_powers,
     finite_symmetry_check,
     power_norms,
@@ -531,7 +535,8 @@ def _lambda_gap(t: Trial, f):
     """Relative gap between ||f||_Phi and the weighted norm of Lambda_w f."""
     pair, w = t.ctx.pair, t.ctx.weight
     plain = orlicz_norms(f, pair)
-    gap = np.abs(plain - orlicz_norms(_times(_divided(f, weight_table(w, f.coords)), w), pair))
+    lam = _divided(f, weight_table(w, f.coords))
+    gap = np.abs(plain - orlicz_norms(_times(lam, weight_table(w, lam.coords)), pair))
     gap /= np.where(1e-300 > plain, 1e-300, plain)
     return (gap,), gap <= t.params["tol"], None
 
@@ -840,40 +845,52 @@ def _headline_metric(res: dict) -> tuple:
 # File I/O
 
 
-def parse_function_file(path: str, group=None) -> SupportedFunction:
-    """Load a finitely supported function from its JSON file form."""
+def parse_function_file(path: str, group=None) -> FunctionBatch | SupportedFunction:
+    """Load a finitely supported function from its JSON file form:
+    ``orlicz.batch_from_json`` of the file, a one-row FunctionBatch (the
+    SupportedFunction where a coordinate is past the batch bound)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
-        return function_from_json(doc, group)
+        return batch_from_json(doc, group)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _number_text(x: float) -> str:
-    return repr(x) if math.isfinite(x) else '"%r"' % x
-
-
-def function_file_text(f: SupportedFunction) -> str:
-    """The function file of f: byte for byte ``_dumps(function_to_json(f),
-    indent=2)`` (2-space indent, keys sorted, repr of finite floats, "inf",
-    "-inf" and "nan" strings), formatted with one template per support point
-    because the indented JSON encoder runs in pure Python."""
+def function_file_text(f: FunctionBatch | SupportedFunction) -> str:
+    """The function file of f, a one-row FunctionBatch or a
+    SupportedFunction: byte for byte ``_dumps(function_to_json(g),
+    indent=2)`` with g = f, or ``f.function(0)`` for a batch, whose parts
+    plus 0.0 turn a -0.0 into +0.0 as that does (2-space indent, keys
+    sorted, repr of finite floats, "inf", "-inf" and "nan" strings).  The
+    indented JSON encoder runs in pure Python, so the file is one ``%`` of
+    the per-point template, repeated, on the coordinates and the repr of
+    every part, quoted at the non-finite parts only."""
+    if isinstance(f, SupportedFunction):
+        points, values = list(f.values), np.array(list(f.values.values()), dtype=complex)
+    else:
+        n = int(f.sizes[0])
+        points, values = f.coords[0, :n], f.values[0, :n] + 0.0
     head = '{\n  "group": %s,\n  "support": ' % json.dumps(f.group.name)
-    if not f.values:
+    if not len(values):
         return head + "[]\n}"
-    elt = ",\n".join(["        %d"] * len(f.group.identity))
+    k = len(f.group.identity)
+    cells = np.empty((len(values), k + 2), dtype=object)
+    cells[:, :k] = points
+    for col, part in ((k, values.imag), (k + 1, values.real)):
+        text = list(map(repr, part.tolist()))
+        for i in np.flatnonzero(~np.isfinite(part)).tolist():
+            text[i] = '"%s"' % text[i]
+        cells[:, col] = text
+    elt = ",\n".join(["        %d"] * k)
     record = '    {\n      "elt": [\n' + elt + '\n      ],\n      "im": %s,\n      "re": %s\n    }'
-    body = ",\n".join(
-        record % (*s, _number_text(v.imag), _number_text(v.real)) for s, v in f.values.items()
-    )
-    return head + "[\n" + body + "\n  ]\n}"
+    return head + "[\n" + ",\n".join([record] * len(values)) % tuple(cells.ravel().tolist()) + "\n  ]\n}"
 
 
-def save_function_file(f: SupportedFunction, path: str) -> None:
+def save_function_file(f: FunctionBatch | SupportedFunction, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(function_file_text(f) + "\n")
 
@@ -885,16 +902,30 @@ def save_function_file(f: SupportedFunction, path: str) -> None:
 def _cmd_norm(args) -> int:
     pair = parse_pair(args.pair)
     f = parse_function_file(args.infile)
-    out = {
-        "modular": modular(f, pair.phi),
-        "luxemburg": luxemburg_norm(f, pair.phi),
-        "orlicz": orlicz_norm(f, pair),
-        "l1": l1_norm(f),
-    }
-    if args.weight:
-        w = parse_weight(f.group, args.weight)
-        out["weighted_orlicz"] = orlicz_norm(f.mul_pointwise(w), pair)
-        out["weighted_l1"] = weighted_l1_norm(f, w)
+    if isinstance(f, SupportedFunction):  # a coordinate past the batch bound
+        out = {
+            "modular": modular(f, pair.phi),
+            "luxemburg": luxemburg_norm(f, pair.phi),
+            "orlicz": orlicz_norm(f, pair),
+            "l1": l1_norm(f),
+        }
+        if args.weight:
+            w = parse_weight(f.group, args.weight)
+            out["weighted_orlicz"] = orlicz_norm(f.mul_pointwise(w), pair)
+            out["weighted_l1"] = weighted_l1_norm(f, w)
+    else:
+        # the same bits: the sums add in point order, as the single-function norms do
+        mags = _abs(f)[0, : f.sizes[0]]
+        out = {
+            "modular": _sum_in_loop_order(pair.phi.many(mags), 0.0),
+            "luxemburg": luxemburg_norms(f, pair.phi)[0],
+            "orlicz": orlicz_norms(f, pair)[0],
+            "l1": _sum_in_loop_order(mags, 0.0),
+        }
+        if args.weight:
+            x = weight_table(parse_weight(f.group, args.weight), f.coords)
+            out["weighted_orlicz"] = orlicz_norms(_times(f, x), pair)[0]
+            out["weighted_l1"] = _sum_in_loop_order(mags * x[0, : len(mags)], 0.0)
     print(_dumps(out, indent=2))
     return 0
 
@@ -903,7 +934,10 @@ def _cmd_conv(args) -> int:
     f = parse_function_file(args.infiles[0])
     g = parse_function_file(args.infiles[1], f.group)
     omega = parse_cocycle(f.group, args.cocycle)
-    h = twisted_convolve(f, g, omega)
+    if isinstance(f, FunctionBatch) and isinstance(g, FunctionBatch):
+        h = convolve_batch(f, g, omega)
+    else:  # a coordinate past the batch bound: the scalar loop
+        h = twisted_convolve(*(x.function(0) if isinstance(x, FunctionBatch) else x for x in (f, g)), omega)
     if args.out:
         save_function_file(h, args.out)
     else:

@@ -69,7 +69,9 @@ class Group:
     Elements are flat tuples of k integers, and ``op_many`` is ``op`` on
     int64 coordinate arrays of shape (..., k), elementwise under numpy
     broadcasting: paired rows give paired products, ``op_many(S[:, None],
-    T[None])`` all of S x T.
+    T[None])`` all of S x T.  With the identity it reduces any int64
+    coordinates to their canonical element, as ``op`` does (the function
+    file reader relies on it).
     """
 
     name: str
@@ -468,7 +470,7 @@ def cyclic_product_group(orders: tuple) -> Group:
         n = np.array(orders, dtype=np.int64)
         if max(orders) < 2**62:
             return (u + v) % n
-        d = u - (n - v)  # u + v - n for canonical u and v, without leaving int64
+        d = u % n - (n - v % n)  # u + v - n for reduced u and v, without leaving int64
         return np.where(d < 0, d + n, d)
 
     name = "Zn:" + "x".join(str(n) for n in orders)
@@ -509,7 +511,7 @@ def block_group(n_blocks: int) -> Group:
         generators=gens,
         length_hint=lambda a: sum(a),
         order=2**n_blocks,
-        op_many=np.bitwise_xor,
+        op_many=lambda u, v: (u ^ v) & 1,  # reduces, as op does
     )
 
 

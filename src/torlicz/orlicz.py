@@ -106,7 +106,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, ball_table, row_classes
+from .groups import Group, ball_table, element_from_list, parse_group, row_classes
 from .numeric import expand_bracket_log, secant_bisect_log
 from .weights import length_values, weight_values
 from .young import YoungFunction, YoungPair
@@ -747,11 +747,18 @@ def function_to_json(f: SupportedFunction) -> dict:
     }
 
 
-def function_from_json(doc: dict, group: Group | None = None) -> SupportedFunction:
-    """The function of a ``function_to_json`` document; ValueError on any
-    document of another shape."""
-    from .groups import element_from_list, parse_group
-
+def batch_from_json(doc: dict, group: Group | None = None) -> "FunctionBatch | SupportedFunction":
+    """The function of a ``function_to_json`` document as a one-row
+    FunctionBatch, its points in the file's order and its values as read
+    (a -0.0 part may be kept; ``function(0)`` clears it); ValueError on any
+    document of another shape.  The support is read in bulk: one array of
+    the ``elt`` lists, reduced by one ``op_many`` with the identity, one
+    ``row_classes`` for duplicates and ``float`` over the parts.  Where a
+    bulk step does not apply (some entry is malformed, the coordinates are
+    not a plain integer array, such as 1.0 or "3", or a reduced coordinate
+    is past ``FunctionBatch.of``'s bound) the entries are read one at a
+    time instead, with the same values and the same error at the first bad
+    index; past the bound the result is that SupportedFunction."""
     if not isinstance(doc, dict):
         raise ValueError('expected a JSON object with "group" and "support" keys')
     if group is None:
@@ -763,6 +770,39 @@ def function_from_json(doc: dict, group: Group | None = None) -> SupportedFuncti
     support = doc.get("support", [])
     if not isinstance(support, list):
         raise ValueError('"support" must be a list of {"elt", "re", "im"} objects')
+    batch = _support_batch(group, support)
+    if batch is None:
+        f = _support_function(group, support)
+        batch = FunctionBatch.of(group, [f])
+        if batch is None:
+            return f
+    return batch
+
+
+def _support_batch(group: Group, support: list) -> FunctionBatch | None:
+    """The bulk read of a support list, or None where it does not apply."""
+    n = len(support)
+    try:
+        coords = np.array([entry["elt"] for entry in support])
+        re = np.fromiter(map(float, [entry.get("re", 0.0) for entry in support]), dtype=float, count=n)
+        im = np.fromiter(map(float, [entry.get("im", 0.0) for entry in support]), dtype=float, count=n)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if coords.dtype != np.int64 or coords.shape != (n, len(group.identity)):
+        return None
+    coords = group.op_many(coords, np.array(group.identity, dtype=np.int64))
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = re, im
+    if not (-2**31 < coords.min() and coords.max() < 2**31 and values.all()):
+        return None
+    if len(row_classes(coords)[1]) < n:
+        return None
+    return FunctionBatch(group, coords[None], values[None], np.array([n]))
+
+
+def _support_function(group: Group, support: list) -> SupportedFunction:
+    """The per-entry read of a support list: each entry checked and
+    converted in turn, ValueError at the first bad one."""
     values = {}
     seen = {}
     for i, entry in enumerate(support):

@@ -193,10 +193,11 @@ def _pointwise(f: FunctionBatch, values: np.ndarray) -> FunctionBatch:
     return keyed_sum(f.group, len(f), f.rows.reshape(-1), f.coords.reshape(-1, f.coords.shape[-1]), values)
 
 
-def _times(f: FunctionBatch, w) -> FunctionBatch:
-    """f * w pointwise: ``SupportedFunction.mul_pointwise``, whose complex
+def _times(f: FunctionBatch, x: np.ndarray) -> FunctionBatch:
+    """f * x pointwise for a weight's values x at f's points (its
+    ``weight_table``): ``SupportedFunction.mul_pointwise``, whose complex
     times float multiplies by (x, 0.0)."""
-    return _pointwise(f, complex_product(f.values, weight_table(w, f.coords).astype(complex)))
+    return _pointwise(f, complex_product(f.values, x.astype(complex)))
 
 
 def _divided(f: FunctionBatch, x: np.ndarray) -> FunctionBatch:
@@ -376,19 +377,20 @@ def check_differential_bound(f, g, ctx: AlgebraContext, radius: int) -> dict:
     sigma = ctx.weight
     omega_w = ctx.aux_weight if ctx.aux_weight is not None else constant_weight(sigma.group)
     group = sigma.group
-    length = functools.partial(word_length, group)
-    cover = np.maximum(weight_table(length, f.coords).max(axis=1), weight_table(length, g.coords).max(axis=1))
+    length = group.length_many or functools.partial(weight_table, functools.partial(word_length, group))
+    cover = np.maximum(length(f.coords).max(axis=1), length(g.coords).max(axis=1))
     if (cover > radius).any():
         raise ValueError(f"radius {radius} does not cover the supports (need {cover[np.argmax(cover > radius)]})")
     c_const = check_weak_subadditive(omega_w, radius).constant
     m_const = check_lss_domination(sigma, omega_w, radius).constant
     rho = quotient_weight(sigma, omega_w)
     _, phase = polar(ctx.cocycle)
-    lhs = orlicz_norms(_times(convolve_batch(f, g, phase), sigma), ctx.pair)
+    h = convolve_batch(f, g, phase)
+    lhs = orlicz_norms(_times(h, weight_table(sigma, h.coords)), ctx.pair)
     f1r = _row_sums(_abs(f) * weight_table(rho, f.coords))
     g1r = _row_sums(_abs(g) * weight_table(rho, g.coords))
-    fps = orlicz_norms(_times(f, sigma), ctx.pair)
-    gps = orlicz_norms(_times(g, sigma), ctx.pair)
+    fps = orlicz_norms(_times(f, weight_table(sigma, f.coords)), ctx.pair)
+    gps = orlicz_norms(_times(g, weight_table(sigma, g.coords)), ctx.pair)
     rhs = c_const * m_const * (f1r * gps + fps * g1r)
     inv_omega = SupportedFunction(
         group, {s: 1.0 / omega_w(s) for s in ball_elements(group, radius)}

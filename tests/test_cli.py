@@ -30,7 +30,7 @@ from torlicz.cli import (
 )
 from torlicz.cocycles import parse_cocycle, polar
 from torlicz.groups import ball_elements, integer_lattice, parse_group
-from torlicz.orlicz import SupportedFunction, function_to_json, random_supported_function
+from torlicz.orlicz import FunctionBatch, SupportedFunction, function_to_json, random_supported_function
 from torlicz.twisted import ResidualReport
 from torlicz.weights import check_weak_subadditive, parse_weight
 
@@ -45,13 +45,13 @@ DELTA_DOC = {"group": "Z^d:2", "support": [{"elt": [0, 0], "re": 1.0, "im": 0.0}
 
 
 def test_parse_function_file_point_mass(tmp_path):
-    f = parse_function_file(write_json(tmp_path, "f.json", DELTA_DOC))
+    f = parse_function_file(write_json(tmp_path, "f.json", DELTA_DOC)).function(0)
     assert f.values == {(0, 0): 1.0 + 0.0j}
     assert f.group.name == "Z^d:2"
 
 
 def test_parse_function_file_empty_support(tmp_path):
-    f = parse_function_file(write_json(tmp_path, "z.json", {"group": "Z^d:1", "support": []}))
+    f = parse_function_file(write_json(tmp_path, "z.json", {"group": "Z^d:1", "support": []})).function(0)
     assert f.is_zero()
 
 
@@ -90,7 +90,7 @@ def test_save_and_reload(tmp_path):
     f = SupportedFunction(integer_lattice(2), {(1, -2): 0.5 - 1.5j})
     path = str(tmp_path / "g.json")
     save_function_file(f, path)
-    assert parse_function_file(path).values == f.values
+    assert parse_function_file(path).function(0).values == f.values
 
 
 def test_cmd_norm(tmp_path, capsys):
@@ -111,7 +111,7 @@ def test_cmd_conv(tmp_path, capsys):
     )
     out_path = str(tmp_path / "h.json")
     assert main(["conv", "--cocycle", "bichar:3.141592653589793", "--in", f, g, "--out", out_path]) == 0
-    h = parse_function_file(out_path)
+    h = parse_function_file(out_path).function(0)
     assert h.values[(1, 1)] == pytest.approx(-1.0)
 
 
@@ -163,7 +163,7 @@ def test_conv_with_non_finite_values_is_silent_on_the_table_path(tmp_path):
     done = subprocess.run([sys.executable, "-m", "torlicz", "conv", "--cocycle", "bichar:0.5", "--in", f, g,
                            "--out", str(out_path)], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0 and done.stderr == ""
-    ff, gg = parse_function_file(f), parse_function_file(g)
+    ff, gg = (parse_function_file(p).function(0) for p in (f, g))
     assert len(ff.values) * len(gg.values) >= twisted.TABLE_MIN_PAIRS
     exact = twisted._twisted_convolve_exact(ff, gg, parse_cocycle(ff.group, "bichar:0.5"))
     assert out_path.read_text() == function_file_text(exact) + "\n"
@@ -474,7 +474,7 @@ def test_json_output_encodes_non_finite_floats(tmp_path, capsys):
     with open(path, encoding="utf-8") as fh:
         doc = _strict_loads(fh.read())
     assert doc["support"][0]["re"] == "inf"
-    assert parse_function_file(path).values == f.values
+    assert parse_function_file(path).function(0).values == f.values
     # complex products of infinities give nan components, also printed as strings
     assert main(["conv", "--cocycle", "one", "--in", path, path]) == 0
     assert _strict_loads(capsys.readouterr().out)["support"][0]["re"] == "nan"
@@ -498,7 +498,15 @@ def _function_values(draw):
 def test_function_file_text_matches_the_json_encoder(case):
     group, values = case
     f = SupportedFunction(group, values)  # empty when every value is 0
-    assert function_file_text(f) == _dumps(function_to_json(f), indent=2)
+    text = _dumps(function_to_json(f), indent=2)
+    assert function_file_text(f) == text
+    # a one-row batch is written as its function(0), which turns -0.0 parts into +0.0
+    batch = FunctionBatch.of(group, [f])
+    if batch is not None:
+        assert function_file_text(batch) == text
+        for part in (batch.values.real, batch.values.imag):
+            part[part == 0] = -0.0
+        assert function_file_text(batch) == function_file_text(batch.function(0))
     # the constructor turns -0.0 parts into +0.0; the writer keeps whatever sign it is given
     object.__setattr__(f, "values", {s: complex(-0.0, -v.imag) for s, v in f.values.items()})
     assert function_file_text(f) == _dumps(function_to_json(f), indent=2)

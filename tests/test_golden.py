@@ -57,8 +57,8 @@ def test_preset_reports_match_golden(suite):
 
 # name -> cocycle spec of the conv goldens
 CONV_CASES = {
-    "z2-bichar": "bichar:1.2345",  # 900 support pairs: the table path
-    "h3-cobound": "cobound:poly:1",  # 85 pairs: the scalar loop
+    "z2-bichar": "bichar:1.2345",  # 900 support pairs
+    "h3-cobound": "cobound:poly:1",  # 85 pairs: conv runs convolve_batch at any size within the batch bound
     "zn": "bichar:",  # keys reduced mod (4, 6)
     "nonfinite": "bichar:0.9",  # inf, -inf and nan parts
 }

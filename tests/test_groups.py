@@ -332,6 +332,18 @@ def test_op_many_on_paired_rows_agrees_with_op(spec):
     assert [tuple(p) for p in prods.tolist()] == [group.op(s, t) for s, t in pairs]
 
 
+@pytest.mark.parametrize("spec", ["Z^d:2", "H3", "Zn:7", "Zn:4x6", f"Zn:{2**62}", f"Zn:{2**63 - 1}x{5 * 10**18}",
+                                  "Block:3"])
+def test_op_many_with_the_identity_reduces_like_op(spec):
+    # the function-file reader reduces the coordinates it reads this way
+    group = parse_group(spec)
+    rng = np.random.default_rng(5)
+    coords = rng.integers(-(2**62), 2**62, size=(60, len(group.identity)))
+    coords[:30] = rng.integers(-9, 10, size=(30, len(group.identity)))
+    reduced = group.op_many(coords, np.array(group.identity, dtype=np.int64))
+    assert [tuple(r) for r in reduced.tolist()] == [group.op(tuple(c), group.identity) for c in coords.tolist()]
+
+
 def test_row_classes_of_products_group_equal_products_and_guard_key_overflow():
     z3 = integer_lattice(3)
     rows = np.array([(a, b, c) for a in (-3, 0, 5) for b in (-1, 2) for c in (0, 9, -7)], dtype=np.int64)

@@ -16,9 +16,9 @@ from torlicz.orlicz import (
     FunctionBatch,
     GroupMismatchError,
     SupportedFunction,
+    batch_from_json,
     delta,
     dual_pairing_bound,
-    function_from_json,
     function_to_json,
     l1_norm,
     luxemburg_norm,
@@ -339,7 +339,7 @@ def test_group_mismatch_rejected():
 def test_function_json_round_trip():
     f = SupportedFunction(Z2, {(0, 0): 1 + 2j, (3, -1): -0.5j})
     doc = function_to_json(f)
-    g = function_from_json(doc)
+    g = batch_from_json(doc).function(0)
     assert g.values == f.values
     assert g.group.name == "Z^d:2"
 

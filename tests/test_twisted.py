@@ -632,7 +632,7 @@ def test_table_path_raises_the_loops_error_on_a_vanishing_factor():
 import contextlib  # noqa: E402
 from unittest import mock  # noqa: E402
 
-from torlicz.orlicz import function_from_json  # noqa: E402
+from torlicz.orlicz import batch_from_json  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -718,10 +718,10 @@ def test_trusted_constructor_turns_negative_zero_parts_positive():
     assert all(math.copysign(1.0, p) == 1.0 for p in (h.values[(0,)].real, h.values[(1,)].imag))
     # the JSON reader and the pointwise maps hand their values to the same constructor
     doc = {"group": "Z^d:1", "support": [{"elt": [4], "re": -0.0, "im": 1.5}, {"elt": [-2], "re": 3.0, "im": -0.0}]}
-    f = function_from_json(doc)
+    f = batch_from_json(doc).function(0)
     weight = parse_weight(Z1, "poly:1")
     with _trusted_inputs() as seen:
-        g = function_from_json(doc)
+        g = batch_from_json(doc).function(0)
         f.scale(-1.0)
         f.scale(0)
         f.mul_pointwise(weight)
