@@ -344,6 +344,42 @@ def test_function_json_round_trip():
     assert g.group.name == "Z^d:2"
 
 
+# per support, coordinates near the identity (repeats and reductions), in
+# int64 (some past the batch bound of 2^31), anywhere including past int64,
+# or with integral floats, which the per-entry read turns into integers
+FILE_COORDS = [st.integers(-12, 12), st.integers(-(2**40), 2**40),
+               st.one_of(st.integers(-12, 12), st.integers(-(2**63), 2**63 - 1), st.integers(-(2**70), 2**70)),
+               st.one_of(st.integers(-12, 12), st.integers(-12, 12).map(float))]
+FILE_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0, math.inf, math.nan]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["Z^d:1", "Z^d:2", "H3", "Zn:5", "Zn:4x6", f"Zn:{2**62}", "Block:3"]), st.data())
+def test_bulk_read_of_a_support_is_the_per_entry_read(spec, data):
+    group = parse_group(spec)
+    k = len(group.identity)
+    coords = data.draw(st.sampled_from(FILE_COORDS))
+    entry = st.fixed_dictionaries({"elt": st.lists(coords, min_size=k, max_size=k), "re": FILE_PARTS,
+                                   "im": FILE_PARTS})
+    # distinct as written: duplicates arise on Zn: and Block from reduction
+    support = data.draw(st.lists(entry, max_size=10, unique_by=lambda e: str(e["elt"])))
+    try:
+        expected = orlicz._support_function(group, support)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            batch_from_json({"group": spec, "support": support})
+        assert str(err.value) == str(exc)
+        return
+    got = batch_from_json({"group": spec, "support": support})
+    # a batch exactly where the function fits one, with the same points in the same order and the same parts
+    assert isinstance(got, FunctionBatch) == (FunctionBatch.of(group, [expected]) is not None)
+    f = got.function(0) if isinstance(got, FunctionBatch) else got
+    assert list(f.values) == list(expected.values)
+    for x, y in zip(f.values.values(), expected.values.values()):
+        for a, b in ((x.real, y.real), (x.imag, y.imag)):
+            assert math.copysign(1.0, a) == math.copysign(1.0, b) and (a == b or math.isnan(a) and math.isnan(b))
+
+
 def test_random_function_deterministic():
     a = random_supported_function(Z2, np.random.default_rng(99))
     b = random_supported_function(Z2, np.random.default_rng(99))
