@@ -640,7 +640,13 @@ class FunctionBatch:
                 except OverflowError:
                     return None
                 batch.values[i, :n] = list(f.values.values())
-        return batch if -2**31 < batch.coords.min() and batch.coords.max() < 2**31 else None
+        return batch if _within_bound(batch.coords) else None
+
+
+def _within_bound(coords: np.ndarray) -> bool:
+    """Whether every coordinate is within +-2^31, where a product of two
+    (as H3 forms) stays in int64: the bound of a FunctionBatch's points."""
+    return -2**31 < coords.min() and coords.max() < 2**31
 
 
 def keyed_sum(group: Group, n: int, rows: np.ndarray, coords: np.ndarray, values: np.ndarray,
@@ -793,7 +799,7 @@ def _support_batch(group: Group, support: list) -> FunctionBatch | None:
     coords = group.op_many(coords, np.array(group.identity, dtype=np.int64))
     values = np.empty(n, dtype=complex)
     values.real, values.imag = re, im
-    if not (-2**31 < coords.min() and coords.max() < 2**31 and values.all()):
+    if not (_within_bound(coords) and values.all()):
         return None
     if len(row_classes(coords)[1]) < n:
         return None
